@@ -15,7 +15,7 @@ from .negotiation import (
     run_negotiation,
 )
 from .sparse import SparseVector, add_scaled, dot, project_l2_ball, truncate
-from .system import RunReport, SystemConfig, elect_trustful, evaluate_holdout, run_manofs, run_moanofs
+from .system import RunReport, SystemConfig, elect_trustful, evaluate_holdout, run_moanofs
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
 from .utility import (
     DeadlineParams,
@@ -39,8 +39,7 @@ __all__ = [
     "NegotiationTranscript", "Offer", "Participant",
     "merge_bilateral", "merge_multilateral", "run_negotiation",
     "SparseVector", "add_scaled", "dot", "project_l2_ball", "truncate",
-    "RunReport", "SystemConfig", "elect_trustful", "evaluate_holdout",
-    "run_manofs", "run_moanofs",
+    "RunReport", "SystemConfig", "elect_trustful", "evaluate_holdout", "run_moanofs",
     "TrustParams", "TrustState", "direct_trust", "satisfaction_of_window", "update_trust",
     "DeadlineParams", "IssueDomain", "IssueWeightProfile", "TimeStrategyParams",
     "aggregate_utility", "linear_score", "offer_cost", "time_dependent_value",

@@ -26,7 +26,7 @@ from pathlib import Path
 from .data import Dataset, SyntheticSpec, budget, generate_synthetic, load_sparse_text, permute, stream_of
 from .learners import VARIANTS, Learner, LearnerConfig
 from .negotiation import MIN_ERROR, MIN_UTILITY
-from .system import SystemConfig, run_manofs, run_moanofs
+from .system import SystemConfig, run_moanofs
 from .trust import TrustParams
 from .utility import IssueWeightProfile
 
@@ -38,7 +38,13 @@ EXIT_DATASET = 3
 DEFAULT_ROSTER = ("PETRUN", "ROMMA", "ALMA", "OGD", "PA", "SOP", "CW", "AROW", "SCW")
 BANOFS_ROSTER = ("PETRUN", "RAND")
 
-SYSTEM_ALGORITHMS = ("BANOFS", "MANOFS", "MOANOFS")
+# Every negotiated system runs through run_moanofs; this maps its name to
+# (roster, k, conflict rule) for one run's options.
+SYSTEMS = {
+    "BANOFS": lambda opts: (BANOFS_ROSTER, len(BANOFS_ROSTER), MIN_ERROR),
+    "MANOFS": lambda opts: (opts.roster, len(opts.roster), MIN_ERROR),
+    "MOANOFS": lambda opts: (opts.roster, opts.k, opts.conflict_rule),
+}
 CSV_HEADER = "algorithm,dataset,B,runs,mean_mistakes,std_mistakes,mean_error_rate,mean_time_s"
 
 
@@ -74,7 +80,7 @@ def derive_run_seed(base_seed: int, run_index: int) -> int:
 
 
 def valid_algorithm_names() -> list[str]:
-    return [f"single:{v}" for v in VARIANTS] + list(SYSTEM_ALGORITHMS)
+    return [f"single:{v}" for v in VARIANTS] + list(SYSTEMS)
 
 
 def parse_algorithms(raw: str) -> list[str]:
@@ -92,7 +98,7 @@ def parse_algorithms(raw: str) -> list[str]:
                     + ", ".join(valid_algorithm_names())
                 )
             names.append(f"single:{variant}")
-        elif upper in SYSTEM_ALGORITHMS:
+        elif upper in SYSTEMS:
             names.append(upper)
         else:
             raise ConfigError(
@@ -197,10 +203,10 @@ class RunOptions:
     def trust_params(self) -> TrustParams:
         return TrustParams(c=self.trust_c)
 
-    def system_config(self, roster_variants, k: int, conflict_rule: str, seed: int) -> SystemConfig:
-        roster = [self.learner_config(v) for v in roster_variants]
+    def system_config(self, algorithm: str, seed: int) -> SystemConfig:
+        roster_variants, k, conflict_rule = SYSTEMS[algorithm](self)
         return SystemConfig(
-            roster=roster,
+            roster=[self.learner_config(v) for v in roster_variants],
             k=k,
             budget_fraction=self.budget_fraction,
             t_max=self.t_max,
@@ -235,19 +241,8 @@ def execute_run(algorithm: str, dataset: Dataset, run_seed: int, opts: RunOption
         for x, y in stream_of(dataset, permute(dataset, run_seed)):
             learner.step(x, y)
         mistakes, instances = learner.mistakes, learner.instances
-    elif algorithm == "BANOFS":
-        cfg = opts.system_config(BANOFS_ROSTER, k=2, conflict_rule=MIN_ERROR, seed=run_seed)
-        report = run_manofs(dataset, cfg)
-        mistakes, instances = report.system_mistakes, report.system_instances
-    elif algorithm == "MANOFS":
-        cfg = opts.system_config(opts.roster, k=len(opts.roster),
-                                 conflict_rule=MIN_ERROR, seed=run_seed)
-        report = run_manofs(dataset, cfg)
-        mistakes, instances = report.system_mistakes, report.system_instances
-    elif algorithm == "MOANOFS":
-        cfg = opts.system_config(opts.roster, k=opts.k,
-                                 conflict_rule=opts.conflict_rule, seed=run_seed)
-        report = run_moanofs(dataset, cfg)
+    elif algorithm in SYSTEMS:
+        report = run_moanofs(dataset, opts.system_config(algorithm, run_seed))
         mistakes, instances = report.system_mistakes, report.system_instances
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
@@ -402,6 +397,8 @@ def cmd_compare(args) -> int:
 def cmd_recover(args) -> int:
     if not args.synthetic:
         raise ConfigError("recover requires --synthetic")
+    if parse_algorithms(args.algorithms) != ["MOANOFS"]:
+        raise ConfigError(f"recover runs MOANOFS only, got --algorithms {args.algorithms!r}")
     base_spec = parse_synthetic(args.synthetic, args.seed)
     opts = options_from(args)
 
@@ -411,9 +408,7 @@ def cmd_recover(args) -> int:
         seed = derive_run_seed(args.seed, r)
         spec = replace(base_spec, seed=seed)
         dataset, planted = generate_synthetic(spec)
-        cfg = opts.system_config(DEFAULT_ROSTER, k=opts.k,
-                                 conflict_rule=opts.conflict_rule, seed=seed)
-        report = run_moanofs(dataset, cfg)
+        report = run_moanofs(dataset, opts.system_config("MOANOFS", seed))
         selected = set(report.merged.indices())
         hit = len(selected & planted)
         precision = hit / len(selected) if selected else 0.0

@@ -77,6 +77,8 @@ def _parse_label(token: str, line_no: int) -> int:
         value = float(token)
     except ValueError:
         raise SparseTextParseError(line_no, f"malformed label token {token!r}") from None
+    if not math.isfinite(value):
+        raise SparseTextParseError(line_no, f"non-finite label {token!r}")
     raw = int(value)
     if raw != value or raw not in _ALLOWED_RAW_LABELS:
         raise SparseTextParseError(line_no, f"non-binary labels: unsupported label {token!r}")
@@ -101,6 +103,7 @@ def load_sparse_text(
     """Load a sparse text file into a Dataset.
 
     File indices are 1-based and must be strictly ascending within a line.
+    Labels and values must be finite (no nan, inf, or overflow like 1e400).
     Labels {+1,-1} are kept; {0,1} and {1,2} alphabets are mapped onto
     {-1,+1} once the whole file has been seen. ``dimension`` overrides the
     max-index inference for files that omit trailing all-zero features.
@@ -136,6 +139,8 @@ def load_sparse_text(
                     raise SparseTextParseError(
                         line_no, f"malformed token {token!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise SparseTextParseError(line_no, f"non-finite value in {token!r}")
                 if file_index < 1:
                     raise SparseTextParseError(
                         line_no, f"feature index must be >= 1, got {file_index}"

@@ -59,7 +59,6 @@ class LearnerConfig:
     C: float = 1.0                # aggressiveness cap (PA, SCW)
     alpha_margin: float = 0.9     # ALMA approximation parameter, in (0, 1]
     seed: int = 0
-    fofs_margin_trigger: bool = False  # update FOFS on y*margin < 1 instead of <= 0
     measure_time: bool = True
 
     def __post_init__(self):
@@ -90,7 +89,6 @@ class Learner:
         self.sigma: dict[int, float] = {}  # second-order scale, 1.0 where unstored
         self.mistakes = 0
         self.cumulative_time = 0.0
-        self.t = 1                 # trial counter
         self.updates = 0           # updates actually applied to w
         self.instances = 0
         self.rng = random.Random(config.seed)
@@ -121,7 +119,6 @@ class Learner:
             self.cumulative_time += time.perf_counter() - start
         else:
             self.update(x, y, margin=pred.margin)
-        self.t += 1
         self.instances += 1
         return pred
 
@@ -160,11 +157,7 @@ class Learner:
             self.updates += 1
 
     def _update_fofs(self, x: SparseVector, y: int, margin: float) -> None:
-        if self.config.fofs_margin_trigger:
-            triggered = y * margin < 1.0
-        else:
-            triggered = y * margin <= 0.0
-        if triggered:
+        if y * margin <= 0.0:
             cfg = self.config
             w_tilde = add_scaled(scale(self.w, 1.0 - cfg.lam * cfg.eta), cfg.eta * y, x)
             self._set_weights(project_l2_ball(w_tilde, cfg.lam))
@@ -270,10 +263,3 @@ class Learner:
         alpha = min(self.config.C, self._cw_alpha(y * margin, v_conf))
         if alpha > 0.0:
             self._cw_apply(x, y, alpha, v_conf)
-
-
-def run_stream(learner: Learner, stream) -> int:
-    """Feed a whole (x, y) stream to a learner; returns its mistake count."""
-    for x, y in stream:
-        learner.step(x, y)
-    return learner.mistakes

@@ -20,7 +20,6 @@ then lowest-index) features are kept.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -80,7 +79,6 @@ class ProtocolMessage:
     receiver: str
     payload: object = None
     note: str = ""
-    timestamp: float = field(default_factory=time.time)
 
     def digest(self) -> str:
         """Support size and L2 norm of the payload vector, or the note."""
@@ -123,19 +121,15 @@ class NegotiationTranscript:
 @dataclass
 class NegotiationConfig:
     t_max: int
-    n: int
     merged_budget: int
     epsilon: Optional[float] = None
     conflict_rule: str = MIN_ERROR
     issue_weights: IssueWeightProfile = field(default_factory=IssueWeightProfile)
     trust_params: TrustParams = field(default_factory=TrustParams)
-    pressure_beta: float = 1.0
 
     def __post_init__(self):
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.n < 2:
-            raise ValueError("a negotiation needs at least 2 participants")
         if self.conflict_rule not in (MIN_ERROR, MIN_UTILITY):
             raise ValueError(f"unknown conflict rule {self.conflict_rule!r}")
         if self.epsilon is not None and self.epsilon <= 0:
@@ -161,9 +155,6 @@ class FeatureTrust:
         self._tf[index] = tf
         return tf
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(self._tf)
-
 
 class Participant:
     """A learner enrolled in the negotiation, with its trust bookkeeping."""
@@ -184,6 +175,26 @@ class Participant:
             trust=direct_trust(self.trust_state),
             instances=self.learner.instances,
         )
+
+
+def score_chunk(
+    learner: Learner,
+    chunk: Sequence[tuple[SparseVector, int]],
+    state: TrustState,
+    params: TrustParams,
+) -> tuple[int, TrustState]:
+    """Step a learner through one chunk and refresh its trust with the chunk accuracy.
+
+    Returns the chunk's mistakes and the new trust state; an empty chunk
+    leaves the state as it was.
+    """
+    correct = 0
+    for x, y in chunk:
+        if learner.step(x, y).sign == y:
+            correct += 1
+    if chunk:
+        state = update_trust(state, satisfaction_of_window(correct, len(chunk)), params)
+    return len(chunk) - correct, state
 
 
 @dataclass
@@ -342,7 +353,7 @@ def _accept_offers(
     if cfg.conflict_rule == MIN_UTILITY:
         costs = offer_costs(offers, cfg.issue_weights)
         pressure = time_pressure(
-            float(round_index), DeadlineParams(float(cfg.t_max), cfg.pressure_beta)
+            float(round_index), DeadlineParams(float(cfg.t_max))
         )
         threshold = 1.0 - pressure
         acceptable = [o for o in offers if costs[o.participant_id] <= threshold]
@@ -404,18 +415,9 @@ def run_negotiation(
 
         participant_mistakes: dict[int, int] = {}
         for p in participants:
-            correct = 0
-            for x, y in chunk:
-                pred = p.learner.step(x, y)
-                if pred.sign == y:
-                    correct += 1
-            participant_mistakes[p.id] = len(chunk) - correct
-            if chunk:
-                p.trust_state = update_trust(
-                    p.trust_state,
-                    satisfaction_of_window(correct, len(chunk)),
-                    cfg.trust_params,
-                )
+            participant_mistakes[p.id], p.trust_state = score_chunk(
+                p.learner, chunk, p.trust_state, cfg.trust_params
+            )
 
         try:
             offers = call_for_proposals(trial, participants, transcript, stale=stale)

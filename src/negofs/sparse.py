@@ -44,10 +44,6 @@ class SparseVector:
     def __len__(self) -> int:
         return len(self._data)
 
-    @property
-    def l0_norm(self) -> int:
-        return len(self._data)
-
     def __contains__(self, index: int) -> bool:
         return index in self._data
 

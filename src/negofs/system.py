@@ -5,14 +5,15 @@ Level 1 runs every learner over a calibration prefix of the permuted
 stream, refreshing each learner's trust with its windowed accuracy, and
 keeps the top k. Level 2 hands the remaining stream to the negotiation
 engine. With k equal to the roster size there is nothing to elect, so the
-whole stream goes straight to the negotiation (the single-level variant).
+whole stream goes straight to the negotiation: that is the single-level
+system (MANOFS, and BANOFS with a roster of two).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from .data import Dataset, Instance, budget, permute, stream_of
@@ -25,9 +26,10 @@ from .negotiation import (
     Participant,
     TrialMetrics,
     run_negotiation,
+    score_chunk,
 )
 from .sparse import SparseVector, dot
-from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
+from .trust import TrustParams, TrustState, direct_trust
 from .utility import IssueWeightProfile
 
 
@@ -42,9 +44,7 @@ class SystemConfig:
     trust_params: TrustParams = field(default_factory=TrustParams)
     conflict_rule: str = MIN_ERROR
     seed: int = 0
-    merged_budget: Optional[int] = None   # None: same as the learners' budget
     epsilon: Optional[float] = None       # None: 1 / number of negotiators
-    pressure_beta: float = 1.0
 
     def __post_init__(self):
         n = len(self.roster)
@@ -123,28 +123,10 @@ def calibrate(
 ) -> list[TrustState]:
     """Run learners over a calibration stream, scoring trust per window."""
     states = [TrustState(sat=trust_params.sat_initial) for _ in learners]
-    if not stream:
-        return states
     for li, learner in enumerate(learners):
-        correct_in_window = 0
-        seen_in_window = 0
-        for x, y in stream:
-            pred = learner.step(x, y)
-            correct_in_window += pred.sign == y
-            seen_in_window += 1
-            if seen_in_window == window:
-                states[li] = update_trust(
-                    states[li],
-                    satisfaction_of_window(correct_in_window, seen_in_window),
-                    trust_params,
-                )
-                correct_in_window = 0
-                seen_in_window = 0
-        if seen_in_window:
-            states[li] = update_trust(
-                states[li],
-                satisfaction_of_window(correct_in_window, seen_in_window),
-                trust_params,
+        for start in range(0, len(stream), window):
+            _, states[li] = score_chunk(
+                learner, stream[start:start + window], states[li], trust_params
             )
     return states
 
@@ -156,8 +138,6 @@ def _effective_seed(system_seed: int, index: int, config_seed: int) -> int:
 
 
 def build_learners(cfg: SystemConfig, dimension: int) -> list[Learner]:
-    from dataclasses import replace
-
     B = budget(dimension, cfg.budget_fraction)
     learners = []
     for i, lc in enumerate(cfg.roster):
@@ -176,7 +156,8 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
     The stream order comes from a permutation seeded by the config. When
     k < n, the first calibration_fraction of the stream elects the roster
     and only the remainder is negotiated; calibration and negotiation
-    instances never overlap.
+    instances never overlap. When k = n the whole stream is negotiated by
+    the full roster.
     """
     if len(dataset) < 10:
         raise ValueError(f"dataset must have at least 10 instances, got {len(dataset)}")
@@ -212,105 +193,42 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
     ]
     ncfg = NegotiationConfig(
         t_max=cfg.t_max,
-        n=len(participants),
-        merged_budget=cfg.merged_budget if cfg.merged_budget is not None else B,
+        merged_budget=B,
         epsilon=cfg.epsilon,
         conflict_rule=cfg.conflict_rule,
         issue_weights=cfg.issue_weights,
         trust_params=cfg.trust_params,
-        pressure_beta=cfg.pressure_beta,
     )
     merged, transcript, trials = run_negotiation(participants, level2, ncfg)
 
-    final_trust = {p.id: p.trust_state for p in participants}
-    per_learner = []
-    for i, learner in enumerate(learners):
-        state = final_trust.get(i, trust_states[i])
-        per_learner.append(
-            LearnerReport(
-                learner_id=i,
-                variant=learner.config.variant,
-                mistakes=learner.mistakes,
-                instances=learner.instances,
-                error_rate=learner.error_rate,
-                cumulative_time=learner.cumulative_time,
-                trust=direct_trust(state),
-                elected=i in set(elected),
-            )
+    for p in participants:
+        trust_states[p.id] = p.trust_state
+    per_learner = [
+        LearnerReport(
+            learner_id=i,
+            variant=learner.config.variant,
+            mistakes=learner.mistakes,
+            instances=learner.instances,
+            error_rate=learner.error_rate,
+            cumulative_time=learner.cumulative_time,
+            trust=direct_trust(trust_states[i]),
+            elected=i in elected,
         )
+        for i, learner in enumerate(learners)
+    ]
 
     return RunReport(
         dataset=dataset.name,
         B=B,
         conflict_rule=cfg.conflict_rule,
         per_learner=per_learner,
-        elected=list(elected),
+        elected=elected,
         trials=trials,
         merged=merged,
         system_mistakes=sum(t.system_mistakes for t in trials),
         system_instances=len(level2),
         calibration_instances=n_cal,
         calibration_degenerate=degenerate,
-        transcript=transcript,
-        total_wall_time=time.perf_counter() - wall_start,
-    )
-
-
-def run_manofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
-    """Single-level negotiation over the whole stream with the full roster.
-
-    Kept as its own entry point so the two-level pipeline with k = n can be
-    checked against it; both must produce identical merged vectors.
-    """
-    if len(dataset) < 10:
-        raise ValueError(f"dataset must have at least 10 instances, got {len(dataset)}")
-    wall_start = time.perf_counter()
-
-    d = dataset.dimension
-    B = budget(d, cfg.budget_fraction)
-    stream = stream_of(dataset, permute(dataset, cfg.seed))
-    learners = build_learners(cfg, d)
-    participants = [
-        Participant(i, learner, TrustState(sat=cfg.trust_params.sat_initial))
-        for i, learner in enumerate(learners)
-    ]
-    ncfg = NegotiationConfig(
-        t_max=cfg.t_max,
-        n=len(participants),
-        merged_budget=cfg.merged_budget if cfg.merged_budget is not None else B,
-        epsilon=cfg.epsilon,
-        conflict_rule=cfg.conflict_rule,
-        issue_weights=cfg.issue_weights,
-        trust_params=cfg.trust_params,
-        pressure_beta=cfg.pressure_beta,
-    )
-    merged, transcript, trials = run_negotiation(participants, stream, ncfg)
-
-    per_learner = [
-        LearnerReport(
-            learner_id=p.id,
-            variant=p.learner.config.variant,
-            mistakes=p.learner.mistakes,
-            instances=p.learner.instances,
-            error_rate=p.learner.error_rate,
-            cumulative_time=p.learner.cumulative_time,
-            trust=direct_trust(p.trust_state),
-            elected=True,
-        )
-        for p in participants
-    ]
-    return RunReport(
-        dataset=dataset.name,
-        B=B,
-        conflict_rule=cfg.conflict_rule,
-        per_learner=per_learner,
-        elected=[p.id for p in participants],
-        trials=trials,
-        merged=merged,
-        system_mistakes=sum(t.system_mistakes for t in trials),
-        system_instances=len(stream),
-        calibration_instances=0,
-        calibration_degenerate=False,
         transcript=transcript,
         total_wall_time=time.perf_counter() - wall_start,
     )

@@ -17,9 +17,6 @@ class TrustParams:
     c: float = 0.5            # reaction weight for the most recent deviation
     threshold: float = 0.25   # floor that keeps alpha from saturating
     sat_initial: float = 0.0
-    # alpha normally uses the deviation accumulator updated with the current
-    # transaction; set False to use the previous accumulator instead.
-    alpha_uses_updated_xi: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
@@ -69,8 +66,7 @@ def update_trust(state: TrustState, sat_cur: float, params: TrustParams) -> Trus
     if not state.first_done:
         alpha = 1.0
     else:
-        xi_for_alpha = xi if params.alpha_uses_updated_xi else state.xi
-        alpha = params.threshold + params.c * delta / (1.0 + xi_for_alpha)
+        alpha = params.threshold + params.c * delta / (1.0 + xi)
     sat = alpha * sat_cur + (1.0 - alpha) * state.sat
     return replace(state, sat=sat, xi=xi, n=state.n + 1)
 

@@ -29,7 +29,7 @@ from negofs.negotiation import (
     run_negotiation,
 )
 from negofs.sparse import SparseVector
-from negofs.system import SystemConfig, run_manofs, run_moanofs
+from negofs.system import SystemConfig, build_learners, run_moanofs
 from negofs.trust import TrustParams, TrustState, update_trust
 from negofs.utility import DeadlineParams, TimeStrategyParams, time_dependent_value, time_pressure
 
@@ -73,7 +73,7 @@ def test_criterion_1_budget_invariant_suite():
         ]
         merged, _, _ = run_negotiation(
             participants, stream,
-            NegotiationConfig(t_max=20, n=4, merged_budget=B, conflict_rule=rule),
+            NegotiationConfig(t_max=20, merged_budget=B, conflict_rule=rule),
         )
         if len(merged) > B:
             violations += 1
@@ -97,7 +97,7 @@ def test_criterion_2_merge_oracle_equivalence():
             offers.append(Offer(pid, SparseVector(d, entries),
                                 err_count=rng.randint(0, 30), cost_time=0.0,
                                 trust=0.0))
-        cfg = NegotiationConfig(t_max=1, n=n_offers, merged_budget=d)
+        cfg = NegotiationConfig(t_max=1, merged_budget=d)
         merged, _ = merge_multilateral(offers, FeatureTrust(1 / n_offers), cfg)
         errs = {o.participant_id: o.err_count for o in offers}
         reference = merge_offers_reference(
@@ -253,7 +253,7 @@ def test_criterion_9_reduction_identities():
                                              measure_time=False), d))
         for i in range(2)
     ]
-    cfg = NegotiationConfig(t_max=5, n=2, merged_budget=d)
+    cfg = NegotiationConfig(t_max=5, merged_budget=d)
     merged, transcript, _ = run_negotiation(participants, stream, cfg)
     bilateral_ok = True
     for round_messages in transcript.rounds().values():
@@ -270,11 +270,20 @@ def test_criterion_9_reduction_identities():
     roster = [LearnerConfig(v, measure_time=False) for v in ("PETRUN", "OGD", "PA", "AROW")]
     cfg_sys = SystemConfig(roster=roster, k=4, t_max=6, conflict_rule=MIN_ERROR, seed=12)
     moanofs = run_moanofs(dataset, cfg_sys)
-    manofs = run_manofs(dataset, cfg_sys)
+    B = budget(dataset.dimension, cfg_sys.budget_fraction)
+    direct = [
+        Participant(i, learner, TrustState())
+        for i, learner in enumerate(build_learners(cfg_sys, dataset.dimension))
+    ]
+    ref_merged, ref_transcript, ref_trials = run_negotiation(
+        direct, stream_of(dataset, permute(dataset, cfg_sys.seed)),
+        NegotiationConfig(t_max=cfg_sys.t_max, merged_budget=B,
+                          conflict_rule=cfg_sys.conflict_rule),
+    )
     reduction_ok = (
-        moanofs.merged == manofs.merged
-        and moanofs.system_mistakes == manofs.system_mistakes
-        and moanofs.transcript.serialize() == manofs.transcript.serialize()
+        moanofs.merged == ref_merged
+        and moanofs.system_mistakes == sum(t.system_mistakes for t in ref_trials)
+        and moanofs.transcript.serialize() == ref_transcript.serialize()
     )
     verdict(9, bilateral_ok and reduction_ok,
             f"bilateral_rounds_ok={bilateral_ok} k_eq_n_bitwise={reduction_ok}")

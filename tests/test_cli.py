@@ -19,7 +19,9 @@ from negofs.cli import (
     parse_synthetic,
     run_experiment,
 )
-from negofs.data import load_sparse_text, permute
+from negofs.data import SyntheticSpec, generate_synthetic, load_sparse_text, permute
+from negofs.learners import LearnerConfig
+from negofs.system import SystemConfig, run_moanofs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -92,6 +94,15 @@ def test_malformed_dataset_exits_3(tmp_path, capsys):
     argv = ["run", "--dataset", str(bad), "--algorithms", "single:PETRUN"]
     assert main(argv) == EXIT_DATASET
     assert "non-ascending" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["inf 1:1.0\n", "+1 1:1e400\n"])
+def test_non_finite_dataset_exits_3(tmp_path, capsys, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("-1 2:1.0\n" + text, encoding="utf-8")
+    argv = ["run", "--dataset", str(bad), "--algorithms", "single:PETRUN"]
+    assert main(argv) == EXIT_DATASET
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_dataset_and_synthetic_are_exclusive(tmp_path, capsys):
@@ -240,6 +251,34 @@ def test_recover_reports_precision_and_recall(tmp_path, capsys):
         assert 0.0 <= float(fields[2]) <= 1.0
         assert 0.0 <= float(fields[3]) <= 1.0
     assert "mean_recall=" in capsys.readouterr().out
+
+
+def test_recover_honours_roster_and_k(tmp_path):
+    out = tmp_path / "rec.csv"
+    argv = ["recover", "--synthetic", "d=40,relevant=5,n=300,density=0.25,noise=0.02",
+            "--roster", "PETRUN,OGD", "--k", "2",
+            "--runs", "2", "--seed", "5", "--tmax", "5", "--no-timing",
+            "--output", str(out)]
+    assert main(argv) == 0
+    expected = []
+    for r in (1, 2):
+        seed = derive_run_seed(5, r)
+        dataset, planted = generate_synthetic(SyntheticSpec(
+            d=40, n_samples=300, n_relevant=5, density=0.25, label_noise=0.02, seed=seed))
+        cfg = SystemConfig(roster=[LearnerConfig(v, measure_time=False) for v in ("PETRUN", "OGD")],
+                           k=2, t_max=5, seed=seed)
+        selected = set(run_moanofs(dataset, cfg).merged.indices())
+        hit = len(selected & planted)
+        expected.append(f"{r},{seed},{hit / len(selected):.6f},{hit / len(planted):.6f},"
+                        f"{len(selected)},{len(planted)}")
+    assert out.read_text().splitlines()[1:] == expected
+
+
+@pytest.mark.parametrize("algorithms", ["MANOFS", "single:PETRUN", "MOANOFS,BANOFS"])
+def test_recover_rejects_other_algorithms(capsys, algorithms):
+    argv = ["recover", "--synthetic", "d=40,relevant=5,n=300", "--algorithms", algorithms]
+    assert main(argv) == EXIT_CONFIG
+    assert "MOANOFS only" in capsys.readouterr().err
 
 
 def test_recover_requires_synthetic(capsys):

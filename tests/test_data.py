@@ -62,6 +62,18 @@ def test_malformed_token_names_line(tmp_path):
         load_sparse_text(write(tmp_path, "+1 1:1.0\n-1 2:abc\n"))
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("+1 1:1.0\ninf 2:1.0\n", "non-finite label"),
+    ("+1 1:1.0\nnan 2:1.0\n", "non-finite label"),
+    ("+1 1:1.0\n-1 2:nan\n", "non-finite value"),
+    ("+1 1:1.0\n-1 2:inf\n", "non-finite value"),
+    ("+1 1:1.0\n-1 2:1e400\n", "non-finite value"),
+])
+def test_non_finite_token_names_line(tmp_path, text, reason):
+    with pytest.raises(SparseTextParseError, match=f"line 2.*{reason}"):
+        load_sparse_text(write(tmp_path, text))
+
+
 def test_non_ascending_indices_rejected(tmp_path):
     with pytest.raises(SparseTextParseError, match="line 1.*non-ascending"):
         load_sparse_text(write(tmp_path, "+1 3:1.0 2:1.0\n"))

@@ -152,15 +152,6 @@ def test_fofs_correct_prediction_unchanged():
     assert learner.w is before
 
 
-def test_fofs_margin_trigger_switch():
-    # with the margin trigger a correct low-margin prediction still updates
-    learner = make("FOFS", fofs_margin_trigger=True)
-    learner.w = sv(5, {0: 0.4})
-    learner.step(sv(5, {0: 1.0}), 1)
-    assert learner.w != sv(5, {0: 0.4})
-    assert learner.mistakes == 0
-
-
 def test_fofs_norm_bounded_throughout():
     learner = make("FOFS", d=20, B=6, eta=0.3, lam=0.5)
     rng = random.Random(8)
@@ -280,7 +271,7 @@ def test_separable_stream_single_mistake():
 
 def test_empty_stream_state_unchanged():
     learner = make("PETRUN")
-    assert learner.mistakes == 0 and learner.instances == 0 and learner.t == 1
+    assert learner.mistakes == 0 and learner.instances == 0
 
 
 def test_flipped_labels_match_reference_simulation():
@@ -305,7 +296,6 @@ def test_step_counts_time_and_instances():
     learner.step(sv(5, {0: 1.0}), 1)
     learner.step(sv(5, {1: 1.0}), -1)
     assert learner.instances == 2
-    assert learner.t == 3
     assert learner.cumulative_time > 0.0
 
 

@@ -24,8 +24,10 @@ from negofs.negotiation import (
     merge_multilateral,
     offer_costs,
     run_negotiation,
+    score_chunk,
 )
 from negofs.sparse import SparseVector, dot
+from negofs.trust import TrustParams, TrustState, update_trust
 
 
 def sv(d, entries=()):
@@ -43,7 +45,6 @@ def petrun_participant(pid, d, B, seed=0):
 
 def ncfg(**kwargs):
     kwargs.setdefault("t_max", 3)
-    kwargs.setdefault("n", 2)
     kwargs.setdefault("merged_budget", 6)
     return NegotiationConfig(**kwargs)
 
@@ -140,7 +141,7 @@ def test_multilateral_unselected_feature_stays_zero():
     ft = FeatureTrust(1 / 3)
     merged, ft = merge_multilateral(
         [offer(0, {0: 1.0}), offer(1, {1: 1.0}), offer(2, {0: 0.5})],
-        ft, ncfg(n=3),
+        ft, ncfg(),
     )
     assert merged.get(5) == 0.0
     assert ft.value(5) == 0.05  # untouched
@@ -150,7 +151,7 @@ def test_multilateral_single_selector_keeps_weight_and_bumps_tf():
     ft = FeatureTrust(1 / 3)
     merged, ft = merge_multilateral(
         [offer(0, {0: 1.0}), offer(1, {1: 1.0}), offer(2, {2: 0.7})],
-        ft, ncfg(n=3),
+        ft, ncfg(),
     )
     assert merged.get(2) == 0.7
     assert ft.value(2) == pytest.approx(0.05 + 1 / 3)
@@ -164,7 +165,7 @@ def test_multilateral_conflict_and_tf_clamp():
             offer(1, {0: -0.6}, err=2),
             offer(2, {0: 0.1}, err=9),
         ],
-        ft, ncfg(n=3),
+        ft, ncfg(),
     )
     assert merged == sv(6, {0: -0.6})
     assert ft.value(0) == 1.0  # 0.05 + 3 * (1/3), clamped
@@ -224,7 +225,7 @@ def test_merge_matches_per_feature_reference():
             entries = {i: rng.uniform(-1, 1) for i in rng.sample(range(d), nnz)}
             offers.append(offer(pid, entries, err=rng.randint(0, 20), d=d))
         merged, _ = merge_multilateral(
-            offers, FeatureTrust(1 / n_offers), ncfg(n=n_offers, merged_budget=d)
+            offers, FeatureTrust(1 / n_offers), ncfg(merged_budget=d)
         )
         errs = {o.participant_id: o.err_count for o in offers}
         dense = merge_offers_reference(
@@ -324,7 +325,7 @@ def test_rounds_start_with_cfp_and_end_with_inform_or_abort():
     participants = [petrun_participant(i, 5, 2, seed=i) for i in range(3)]
     stream = build_stream(2, 5, 30)
     _, transcript, _ = run_negotiation(participants, stream,
-                                       ncfg(t_max=4, n=3, merged_budget=5))
+                                       ncfg(t_max=4, merged_budget=5))
     for round_messages in transcript.rounds().values():
         assert round_messages[0].kind == MessageKind.CFP
         assert round_messages[-1].kind in (MessageKind.INFORM, MessageKind.ABORT)
@@ -354,7 +355,7 @@ def test_three_petrun_trace_matches_independent_simulation():
     budgets = [1, 2, 3]
     participants = [petrun_participant(i, d, budgets[i]) for i in range(3)]
     merged, transcript, metrics = run_negotiation(
-        participants, stream, ncfg(t_max=3, n=3, merged_budget=d)
+        participants, stream, ncfg(t_max=3, merged_budget=d)
     )
     assert len(transcript.rounds()) == 3
 
@@ -420,10 +421,21 @@ def test_negotiation_determinism():
     for _ in range(2):
         participants = [petrun_participant(i, 6, 2, seed=i) for i in range(3)]
         merged, transcript, _ = run_negotiation(
-            participants, stream, ncfg(t_max=4, n=3, merged_budget=3)
+            participants, stream, ncfg(t_max=4, merged_budget=3)
         )
-        outcomes.append((merged, transcript.serialize()))
+        outcomes.append((merged, transcript.serialize(), transcript.messages))
     assert outcomes[0] == outcomes[1]
+
+
+def test_score_chunk_counts_mistakes_and_refreshes_trust():
+    learner = Learner(LearnerConfig("PETRUN", B=2, measure_time=False), 3)
+    chunk = [(sv(3, {0: 1.0}), 1), (sv(3, {0: 1.0}), 1), (sv(3, {1: 1.0}), -1)]
+    # zero model: first +1 is a mistake, the second is now right, -1 is right
+    mistakes, state = score_chunk(learner, chunk, TrustState(), TrustParams())
+    assert mistakes == 1
+    assert state == update_trust(TrustState(), 2 / 3, TrustParams())
+    assert learner.instances == 3
+    assert score_chunk(learner, [], state, TrustParams()) == (0, state)
 
 
 def test_min_utility_round_accepts_by_pressure_threshold():
@@ -433,7 +445,7 @@ def test_min_utility_round_accepts_by_pressure_threshold():
     stream = build_stream(12, 4, 30)
     merged, transcript, metrics = run_negotiation(
         participants, stream,
-        ncfg(t_max=3, n=3, merged_budget=4, conflict_rule=MIN_UTILITY),
+        ncfg(t_max=3, merged_budget=4, conflict_rule=MIN_UTILITY),
     )
     assert all(not m.aborted for m in metrics)
     for round_messages in transcript.rounds().values():

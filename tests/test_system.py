@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from negofs.data import Dataset, SyntheticSpec, generate_synthetic, permute, stream_of
+from negofs.data import Dataset, SyntheticSpec, budget, generate_synthetic, permute, stream_of
 from negofs.learners import Learner, LearnerConfig
-from negofs.negotiation import MIN_UTILITY
+from negofs.negotiation import MIN_UTILITY, NegotiationConfig, Participant, run_negotiation
 from negofs.sparse import SparseVector
 from negofs.system import (
     SystemConfig,
+    build_learners,
     calibrate,
     elect_trustful,
     evaluate_holdout,
-    run_manofs,
     run_moanofs,
 )
 from negofs.trust import TrustParams, TrustState
@@ -152,9 +152,16 @@ def test_k_equals_n_is_passthrough_to_manofs():
     ds, _ = small_dataset(seed=2)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=3, t_max=4, seed=9)
     moanofs = run_moanofs(ds, cfg)
-    manofs = run_manofs(ds, cfg)
-    assert moanofs.merged == manofs.merged
-    assert moanofs.system_mistakes == manofs.system_mistakes
+    participants = [Participant(i, learner, TrustState())
+                    for i, learner in enumerate(build_learners(cfg, ds.dimension))]
+    merged, transcript, trials = run_negotiation(
+        participants, stream_of(ds, permute(ds, cfg.seed)),
+        NegotiationConfig(t_max=cfg.t_max,
+                          merged_budget=budget(ds.dimension, cfg.budget_fraction)),
+    )
+    assert moanofs.merged == merged
+    assert moanofs.system_mistakes == sum(t.system_mistakes for t in trials)
+    assert moanofs.transcript.serialize() == transcript.serialize()
     assert moanofs.calibration_instances == 0
     assert moanofs.elected == [0, 1, 2]
 
@@ -163,7 +170,7 @@ def test_identical_petrun_roster_equals_single_learner():
     ds, _ = small_dataset(seed=3)
     cfg = SystemConfig(roster=roster("PETRUN", "PETRUN", "PETRUN"), k=3,
                        t_max=4, seed=5)
-    report = run_manofs(ds, cfg)
+    report = run_moanofs(ds, cfg)
     single = Learner(LearnerConfig("PETRUN", B=report.B, measure_time=False),
                      ds.dimension)
     for x, y in stream_of(ds, permute(ds, 5)):

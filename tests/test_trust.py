@@ -123,14 +123,10 @@ def test_sat_always_within_unit_interval(sequence):
 
 
 def test_alpha_xi_switch_changes_second_step_only():
-    # alternative mode: alpha uses the accumulator from before the update
-    base = TrustParams()
-    alt = TrustParams(alpha_uses_updated_xi=False)
-    s_base = update_trust(TrustState(), 1.0, base)
-    s_alt = update_trust(TrustState(), 1.0, alt)
-    assert s_base == s_alt  # first transaction pinned by alpha = 1
-    s_base = update_trust(s_base, 0.0, base)
-    s_alt = update_trust(s_alt, 0.0, alt)
-    # base: alpha = 0.25 + 0.5/1.75; alt: alpha = 0.25 + 0.5/1.5
-    assert s_base.sat == pytest.approx(13 / 28, abs=1e-12)
-    assert s_alt.sat == pytest.approx(1 - (0.25 + 0.5 / 1.5), abs=1e-12)
+    # alpha reads the accumulator already updated with the current transaction
+    params = TrustParams()
+    state = update_trust(TrustState(), 1.0, params)
+    assert state.sat == 1.0  # first transaction pinned by alpha = 1
+    state = update_trust(state, 0.0, params)
+    # xi = 0.75 after the update, so alpha = 0.25 + 0.5/1.75 (not 0.5/1.5)
+    assert state.sat == pytest.approx(13 / 28, abs=1e-12)
