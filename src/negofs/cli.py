@@ -272,6 +272,10 @@ def run_experiment(
     base_seed: int,
     opts: RunOptions,
 ) -> tuple[list[ResultRow], dict[str, list[RunOutcome]]]:
+    # A bad system flag (say --k) must fail before any run starts.
+    for algorithm in algorithms:
+        if algorithm in SYSTEMS:
+            opts.system_config(algorithm, base_seed)
     payloads = [
         (algorithm, dataset, r, derive_run_seed(base_seed, r), opts)
         for algorithm in algorithms
@@ -432,6 +436,17 @@ def cmd_recover(args) -> int:
     return EXIT_OK
 
 
+def positive_int(raw: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negofs-bench",
@@ -446,13 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algorithms", default="MOANOFS",
                        help="comma-separated list, e.g. single:PETRUN,MANOFS,MOANOFS")
         p.add_argument("--budget-fraction", type=float, default=0.1)
-        p.add_argument("--runs", type=int, default=10)
+        p.add_argument("--runs", type=positive_int, default=10)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--k", type=int, default=3,
                        help="learners elected into the second level (MOANOFS)")
         p.add_argument("--roster", default=",".join(DEFAULT_ROSTER),
                        help="variants negotiating in MANOFS/MOANOFS")
-        p.add_argument("--tmax", type=int, default=10, help="negotiation trials")
+        p.add_argument("--tmax", type=positive_int, default=10, help="negotiation trials")
         p.add_argument("--calibration", type=float, default=0.2,
                        help="fraction of the stream used for trust election")
         p.add_argument("--issue-weights", default="0.2,0.5,0.3",

@@ -28,7 +28,17 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
 
-from .sparse import SparseVector, add_scaled, check_budget, dot, project_l2_ball, scale, truncate
+from .sparse import (
+    SparseVector,
+    _from_dict,
+    _restrict,
+    add_scaled,
+    check_budget,
+    dot,
+    project_l2_ball,
+    scale,
+    truncate,
+)
 
 FIRST_ORDER_VARIANTS = ("PETRUN", "RAND", "FOFS", "OGD", "PA", "ROMMA", "ALMA")
 SECOND_ORDER_VARIANTS = ("SOP", "CW", "AROW", "SCW")
@@ -101,9 +111,6 @@ class Learner:
         margin = dot(self.w, x)
         return Prediction(sign_of(margin), margin)
 
-    def sigma_at(self, i: int) -> float:
-        return self.sigma.get(i, 1.0)
-
     @property
     def error_rate(self) -> float:
         return self.mistakes / self.instances if self.instances else 0.0
@@ -150,10 +157,7 @@ class Learner:
             perm = list(range(self.dimension))
             self.rng.shuffle(perm)
             keep = set(perm[: self.B])
-            masked = SparseVector(
-                self.dimension, {i: v for i, v in w_hat.items() if i in keep}
-            )
-            self.w = masked
+            self.w = _restrict(w_hat, keep)
             self.updates += 1
 
     def _update_fofs(self, x: SparseVector, y: int, margin: float) -> None:
@@ -204,28 +208,32 @@ class Learner:
     # -- diagonal second-order variants ----------------------------------------
 
     def _confidence(self, x: SparseVector) -> float:
-        return sum(self.sigma_at(i) * v * v for i, v in x.items())
+        sigma = self.sigma
+        return sum(sigma.get(i, 1.0) * v * v for i, v in x.items())
 
     def _scaled_step(self, x: SparseVector, coeff: float) -> None:
+        sigma = self.sigma
         out = self.w.to_dict()
         for i, v in x.items():
-            out[i] = out.get(i, 0.0) + coeff * self.sigma_at(i) * v
-        self._set_weights(SparseVector(self.dimension, out))
+            out[i] = out.get(i, 0.0) + coeff * sigma.get(i, 1.0) * v
+        self._set_weights(_from_dict(self.dimension, out))
 
     def _update_sop(self, x: SparseVector, y: int, margin: float) -> None:
         # Whitened perceptron: on a mistake, fold x into the per-dimension
         # correlation, then step along sigma*x.
         if y * margin <= 0:
             r = self.config.r
+            sigma = self.sigma
             for i, v in x.items():
-                s = self.sigma_at(i)
-                self.sigma[i] = s * r / (r + s * v * v)
+                s = sigma.get(i, 1.0)
+                sigma[i] = s * r / (r + s * v * v)
             self._scaled_step(x, float(y))
 
     def _shrink_sigma(self, x: SparseVector, beta: float) -> None:
+        sigma = self.sigma
         for i, v in x.items():
-            s = self.sigma_at(i)
-            self.sigma[i] = s - beta * s * s * v * v
+            s = sigma.get(i, 1.0)
+            sigma[i] = s - beta * s * s * v * v
 
     def _update_arow(self, x: SparseVector, y: int, margin: float) -> None:
         v_conf = self._confidence(x)

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .learners import Learner, sign_of
-from .sparse import SparseVector, check_budget, dot
+from .sparse import SparseVector, _from_dict, check_budget, dot
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
 from .utility import DeadlineParams, IssueWeightProfile, offer_cost, round_domain, time_pressure
 
@@ -253,8 +253,8 @@ def merge_bilateral(o1: Offer, o2: Offer) -> SparseVector:
     if (o2.err_count, o2.participant_id) < (o1.err_count, o1.participant_id):
         o1, o2 = o2, o1
     merged = o2.w.to_dict()
-    merged.update(o1.w.to_dict())  # o1 wins every conflict
-    return SparseVector(o1.w.dimension, merged)
+    merged.update(o1.w.items())  # o1 wins every conflict
+    return _from_dict(o1.w.dimension, merged)
 
 
 def offer_costs(
@@ -293,23 +293,21 @@ def merge_multilateral(
 
     if cfg.conflict_rule == MIN_UTILITY:
         costs = offer_costs(offers, cfg.issue_weights)
-        rank = lambda o: (costs[o.participant_id], o.participant_id)
+        ranked = sorted(offers, key=lambda o: (costs[o.participant_id], o.participant_id))
     else:
-        rank = lambda o: (o.err_count, o.participant_id)
+        ranked = sorted(offers, key=lambda o: (o.err_count, o.participant_id))
 
+    # Walking the offers best first, the first value seen for a feature is
+    # the conflict winner's.
     merged: dict[int, float] = {}
     selectors: dict[int, int] = {}
-    for offer in offers:
+    for offer in ranked:
         for i, v in offer.w.items():
-            selectors[i] = selectors.get(i, 0) + 1
-            if i not in merged:
+            if i in merged:
+                selectors[i] += 1
+            else:
                 merged[i] = v
-            # conflicts resolved below once all selectors are known
-
-    conflicted = [i for i, count in selectors.items() if count > 1]
-    for i in conflicted:
-        winner = min((o for o in offers if i in o.w), key=rank)
-        merged[i] = winner.w.get(i)
+                selectors[i] = 1
 
     for i, count in selectors.items():
         feature_trust.bump(i, count)
@@ -321,7 +319,7 @@ def merge_multilateral(
         )[: cfg.merged_budget]
         merged = dict(kept)
 
-    return SparseVector(dimension, merged), feature_trust
+    return _from_dict(dimension, merged), feature_trust
 
 
 def broadcast(

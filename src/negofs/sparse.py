@@ -3,6 +3,12 @@
 Vectors are index->value maps over a fixed dimension. All operations are
 pure: they return new vectors and never mutate their inputs, so vectors can
 be shared freely between learners after a broadcast.
+
+The public constructor is the one validating boundary: it sorts, range-checks
+and rejects non-finite values. Vectors the package computes from vectors it
+already holds skip it through the private helpers at the bottom of this
+module, which only sort the keys (or keep the existing order) and drop
+entries below ZERO_EPS.
 """
 
 from __future__ import annotations
@@ -30,13 +36,24 @@ class SparseVector:
             raise ValueError(f"dimension must be positive, got {dimension}")
         items = entries.items() if isinstance(entries, Mapping) else entries
         data: dict[int, float] = {}
+        eps, inf = ZERO_EPS, math.inf  # locals: the loop runs once per loaded entry
         for i, v in sorted(items):
             if not 0 <= i < dimension:
                 raise IndexError(f"index {i} out of range for dimension {dimension}")
-            if abs(v) >= ZERO_EPS:
+            if eps <= abs(v) < inf:
                 data[int(i)] = float(v)
+            elif not abs(v) < eps:  # NaN or ±inf
+                raise ValueError(f"non-finite value {v!r} at index {i}")
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "_data", data)
+
+    @classmethod
+    def _trusted(cls, dimension: int, data: dict[int, float]) -> "SparseVector":
+        """Wrap data that is already index-sorted, in range and free of |v| < ZERO_EPS."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "dimension", dimension)
+        object.__setattr__(vector, "_data", data)
+        return vector
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseVector is immutable")
@@ -107,7 +124,8 @@ def dot(a: SparseVector, b: SparseVector) -> float:
     _check_same_dimension(a, b)
     if len(b) < len(a):
         a, b = b, a
-    return sum(v * b.get(i) for i, v in a.items())
+    get = b._data.get
+    return sum(v * get(i, 0.0) for i, v in a._data.items())
 
 
 def add_scaled(w: SparseVector, s: float, x: SparseVector) -> SparseVector:
@@ -116,18 +134,19 @@ def add_scaled(w: SparseVector, s: float, x: SparseVector) -> SparseVector:
     if s == 0.0 or len(x) == 0:
         return w
     out = w.to_dict()
-    for i, v in x.items():
-        out[i] = out.get(i, 0.0) + s * v
-    return SparseVector(w.dimension, out)
+    get = out.get
+    for i, v in x._data.items():
+        out[i] = get(i, 0.0) + s * v
+    return _from_dict(w.dimension, out)
 
 
 def scale(w: SparseVector, s: float) -> SparseVector:
     """Return s*w."""
     if s == 1.0:
         return w
-    if s == 0.0:
-        return SparseVector(w.dimension)
-    return SparseVector(w.dimension, {i: s * v for i, v in w.items()})
+    return SparseVector._trusted(
+        w.dimension, {i: u for i, v in w._data.items() if abs(u := s * v) >= ZERO_EPS}
+    )
 
 
 def truncate(w: SparseVector, B: int) -> SparseVector:
@@ -139,8 +158,16 @@ def truncate(w: SparseVector, B: int) -> SparseVector:
     check_budget(B, w.dimension)
     if len(w) <= B:
         return w
-    ranked = sorted(w.items(), key=lambda iv: (-abs(iv[1]), iv[0]))
-    return SparseVector(w.dimension, ranked[:B])
+    data = w._data
+    magnitudes = sorted(map(abs, data.values()), reverse=True)
+    cut = magnitudes[B - 1]
+    if magnitudes[B] < cut:
+        # No tie straddles the cut: the B largest are exactly those >= cut.
+        return SparseVector._trusted(
+            w.dimension, {i: v for i, v in data.items() if abs(v) >= cut}
+        )
+    ranked = sorted(data.items(), key=lambda iv: (-abs(iv[1]), iv[0]))
+    return _restrict(w, {i for i, _ in ranked[:B]})
 
 
 def project_l2_ball(w: SparseVector, lam: float) -> SparseVector:
@@ -158,3 +185,19 @@ def project_l2_ball(w: SparseVector, lam: float) -> SparseVector:
     if factor == 1.0:
         return w
     return scale(w, factor)
+
+
+# -- construction from data the package built itself --------------------------
+
+def _from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
+    """Wrap a dict of in-range int indices: sort its keys, drop |v| < ZERO_EPS."""
+    return SparseVector._trusted(
+        dimension, {i: v for i in sorted(out) if abs(v := out[i]) >= ZERO_EPS}
+    )
+
+
+def _restrict(w: SparseVector, keep) -> SparseVector:
+    """The entries of w whose index is in keep, in w's index order."""
+    return SparseVector._trusted(
+        w.dimension, {i: v for i, v in w._data.items() if i in keep}
+    )

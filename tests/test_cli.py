@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dense_oracle import DenseLearner
+from negofs import cli
 from negofs.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -24,6 +25,7 @@ from negofs.learners import LearnerConfig
 from negofs.system import SystemConfig, run_moanofs
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SYNTH = "d=40,relevant=6,n=400,density=0.25,noise=0.05,seed=3"
 
@@ -114,6 +116,38 @@ def test_dataset_and_synthetic_are_exclusive(tmp_path, capsys):
 def test_compare_needs_two_algorithms(tmp_path, capsys):
     argv = ["compare", "--synthetic", SYNTH, "--algorithms", "single:PETRUN"]
     assert main(argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, algorithms", [
+    ("run", "single:PETRUN"), ("compare", "single:PETRUN,single:OGD"), ("recover", "MOANOFS"),
+])
+@pytest.mark.parametrize("flag", ["--runs", "--tmax"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_count_flags_below_one_exit_2(capsys, command, algorithms, flag, value):
+    argv = [command, "--synthetic", SYNTH, "--algorithms", algorithms, flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_CONFIG
+    assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_bad_k_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "execute_run", lambda *args: ran.append(args))
+    argv, out = run_flags(tmp_path, algorithms="single:PETRUN,MOANOFS", **{"--k": 99})
+    assert main(argv) == EXIT_CONFIG
+    assert "k must lie in [2, 9], got 99" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
+def test_k_is_unchecked_without_moanofs(tmp_path):
+    # Only MOANOFS reads --k: a two-learner MANOFS roster with the default k=3 is valid.
+    argv, out = run_flags(tmp_path, algorithms="single:PETRUN,MANOFS",
+                          **{"--roster": "PETRUN,OGD"})
+    assert main(argv) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [
+        "single:PETRUN", "MANOFS"]
 
 
 # -- cmd_run ------------------------------------------------------------------------------
@@ -299,6 +333,9 @@ def test_subprocess_invocations_byte_identical(tmp_path):
                "--seed", "7", "--tmax", "5", "--no-timing", "--output", str(out)]
         env = dict(os.environ)
         env.pop("PYTHONHASHSEED", None)
+        # The child imports negofs from this checkout whether or not it is installed.
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(cmd, capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())

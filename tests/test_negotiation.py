@@ -215,25 +215,40 @@ def test_bilateral_multilateral_consistency():
 
 
 def test_merge_matches_per_feature_reference():
+    # Few distinct error counts and cost times make ties common under both
+    # rules; a budget below the union exercises the trust-ranked cut.
     rng = random.Random(4242)
-    for _ in range(300):
-        d = rng.randint(1, 10)
-        n_offers = rng.randint(2, 4)
-        offers = []
-        for pid in range(n_offers):
-            nnz = rng.randint(0, d)
-            entries = {i: rng.uniform(-1, 1) for i in rng.sample(range(d), nnz)}
-            offers.append(offer(pid, entries, err=rng.randint(0, 20), d=d))
-        merged, _ = merge_multilateral(
-            offers, FeatureTrust(1 / n_offers), ncfg(merged_budget=d)
-        )
-        errs = {o.participant_id: o.err_count for o in offers}
-        dense = merge_offers_reference(
-            [(o.participant_id, [o.w.get(i) for i in range(d)], o.err_count)
-             for o in offers],
-            conflict_key=lambda pid: errs[pid],
-        )
-        assert [merged.get(i) for i in range(d)] == dense
+    for rule in (MIN_ERROR, MIN_UTILITY):
+        for _ in range(300):
+            d = rng.randint(1, 10)
+            n_offers = rng.randint(2, 4)
+            offers = []
+            for pid in range(n_offers):
+                nnz = rng.randint(0, d)
+                entries = {i: rng.uniform(-1, 1) for i in rng.sample(range(d), nnz)}
+                offers.append(offer(pid, entries, err=rng.randint(0, 3), d=d,
+                                    cost_time=rng.choice([0.0, 0.5]), trust=rng.random(),
+                                    instances=rng.choice([0, 10])))
+            merged_budget = rng.randint(1, d)
+            cfg = ncfg(merged_budget=merged_budget, conflict_rule=rule)
+            merged, _ = merge_multilateral(offers, FeatureTrust(1 / n_offers), cfg)
+            if rule == MIN_UTILITY:
+                key = offer_costs(offers, cfg.issue_weights)
+            else:
+                key = {o.participant_id: o.err_count for o in offers}
+            dense = merge_offers_reference(
+                [(o.participant_id, [o.w.get(i) for i in range(d)], o.err_count)
+                 for o in offers],
+                conflict_key=key.__getitem__,
+            )
+            # Trust after this merge: the initial value plus epsilon per selection.
+            trust = [min(1.0, FeatureTrust.INITIAL + (1 / n_offers) * sum(i in o.w for o in offers))
+                     for i in range(d)]
+            ranked = sorted((i for i in range(d) if dense[i] != 0.0),
+                            key=lambda i: (-trust[i], -abs(dense[i]), i))
+            kept = set(ranked[:merged_budget])
+            assert [merged.get(i) for i in range(d)] == [
+                dense[i] if i in kept else 0.0 for i in range(d)]
 
 
 def test_merge_deterministic():

@@ -1,10 +1,12 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import negofs
 from negofs.sparse import (
     DimensionMismatchError,
     SparseVector,
@@ -198,3 +200,71 @@ def test_scale_identity_and_zero():
     assert scale(v, 1.0) is v
     assert scale(v, 0.0) == sv(3)
     assert scale(v, -0.5) == sv(3, {0: -1.0})
+
+
+# -- the validating boundary and the trusted path --------------------------------------
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_non_finite_values_by_index(value):
+    with pytest.raises(ValueError, match="at index 2"):
+        sv(4, {0: 1.0, 2: value})
+    with pytest.raises(ValueError, match="at index 1"):
+        sv(4, [(1, value)])
+
+
+def test_constructor_keeps_the_largest_finite_value():
+    assert sv(2, {1: -1.7976931348623157e308}).to_dict() == {1: -1.7976931348623157e308}
+
+
+def rebuilt(v):
+    """The same entries passed through the validating public constructor."""
+    return SparseVector(v.dimension, v.to_dict())
+
+
+def assert_same_vector(v):
+    reference = rebuilt(v)
+    assert v == reference
+    assert list(v.items()) == list(reference.items())
+
+
+# Small integers and their halves make cancellations and magnitude ties common;
+# the tiny values fall below ZERO_EPS once scaled.
+_VALUES = st.one_of(
+    st.integers(-3, 3).map(lambda k: k / 2),
+    st.floats(-5, 5, allow_nan=False),
+    st.sampled_from([1e-15, -1e-15, 2e-15, 1e-300]),
+)
+
+
+@given(st.integers(1, 16), st.data())
+@settings(max_examples=400)
+def test_trusted_results_equal_the_public_constructor(d, data):
+    entries = st.dictionaries(st.integers(0, d - 1), _VALUES, max_size=d)
+    w = sv(d, data.draw(entries))
+    x = sv(d, data.draw(entries))
+    s = data.draw(st.one_of(st.sampled_from([-1.0, 0.5, 1e-15, 0.0]),
+                            st.floats(-3, 3, allow_nan=False)))
+    assert_same_vector(add_scaled(w, s, x))
+    assert_same_vector(scale(w, s))
+    assert_same_vector(truncate(w, data.draw(st.integers(1, d))))
+    assert_same_vector(project_l2_ball(w, data.draw(st.floats(0.01, 100))))
+
+
+@given(st.integers(2, 12), st.data())
+@settings(max_examples=300)
+def test_truncate_ties_keep_the_lower_indices(d, data):
+    magnitudes = st.sampled_from([0.5, 1.0, 2.0])
+    entries = data.draw(st.dictionaries(
+        st.integers(0, d - 1), st.tuples(magnitudes, st.booleans()), max_size=d))
+    w = sv(d, {i: -m if neg else m for i, (m, neg) in entries.items()})
+    B = data.draw(st.integers(1, d))
+    expected = dict(sorted(w.items(), key=lambda iv: (-abs(iv[1]), iv[0]))[:B])
+    out = truncate(w, B)
+    assert out.to_dict() == expected
+    assert_same_vector(out)
+
+
+def test_only_sparse_calls_the_trusted_constructor():
+    package = Path(negofs.__file__).parent
+    callers = sorted(p.name for p in package.glob("*.py") if "_trusted" in p.read_text())
+    assert callers == ["sparse.py"]
