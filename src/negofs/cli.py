@@ -39,11 +39,16 @@ DEFAULT_ROSTER = ("PETRUN", "ROMMA", "ALMA", "OGD", "PA", "SOP", "CW", "AROW", "
 BANOFS_ROSTER = ("PETRUN", "RAND")
 
 # Every negotiated system runs through run_moanofs; this maps its name to
-# (roster, k, conflict rule) for one run's options.
+# its SystemConfig, derived from the template that one run's options hold.
 SYSTEMS = {
-    "BANOFS": lambda opts: (BANOFS_ROSTER, len(BANOFS_ROSTER), MIN_ERROR),
-    "MANOFS": lambda opts: (opts.roster, len(opts.roster), MIN_ERROR),
-    "MOANOFS": lambda opts: (opts.roster, opts.k, opts.conflict_rule),
+    "BANOFS": lambda opts: replace(
+        opts.system,
+        roster=[replace(opts.system.roster[0], variant=v) for v in BANOFS_ROSTER],
+        k=len(BANOFS_ROSTER),
+        conflict_rule=MIN_ERROR,
+    ),
+    "MANOFS": lambda opts: replace(opts.system, conflict_rule=MIN_ERROR),
+    "MOANOFS": lambda opts: replace(opts.system, k=opts.k),
 }
 CSV_HEADER = "algorithm,dataset,B,runs,mean_mistakes,std_mistakes,mean_error_rate,mean_time_s"
 
@@ -167,56 +172,15 @@ def parse_issue_weights(raw: str) -> IssueWeightProfile:
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Everything one worker needs to execute a single (algorithm, run)."""
+    """Everything one worker needs to execute a single (algorithm, run).
 
-    budget_fraction: float = 0.1
-    k: int = 3
-    t_max: int = 10
-    calibration: float = 0.2
-    issue_weights: IssueWeightProfile = IssueWeightProfile()
-    conflict_rule: str = MIN_ERROR
-    trust_c: float = 0.5
-    epsilon: float | None = None
-    eta: float = 0.2
-    lam: float = 0.01
-    r: float = 1.0
-    C: float = 1.0
-    confidence: float = 0.7
-    alpha_margin: float = 0.9
-    timing: bool = True
-    roster: tuple[str, ...] = DEFAULT_ROSTER
+    ``system`` is the template every run's config derives from: the whole
+    roster negotiating (k = roster size) under the requested conflict rule.
+    ``k`` is the number MOANOFS elects; only MOANOFS reads it.
+    """
 
-    def learner_config(self, variant: str, B: int | None = None, seed: int = 0) -> LearnerConfig:
-        return LearnerConfig(
-            variant=variant,
-            B=B,
-            eta=self.eta,
-            lam=self.lam,
-            r=self.r,
-            confidence=self.confidence,
-            C=self.C,
-            alpha_margin=self.alpha_margin,
-            seed=seed,
-            measure_time=self.timing,
-        )
-
-    def trust_params(self) -> TrustParams:
-        return TrustParams(c=self.trust_c)
-
-    def system_config(self, algorithm: str, seed: int) -> SystemConfig:
-        roster_variants, k, conflict_rule = SYSTEMS[algorithm](self)
-        return SystemConfig(
-            roster=[self.learner_config(v) for v in roster_variants],
-            k=k,
-            budget_fraction=self.budget_fraction,
-            t_max=self.t_max,
-            calibration_fraction=self.calibration,
-            issue_weights=self.issue_weights,
-            trust_params=self.trust_params(),
-            conflict_rule=conflict_rule,
-            seed=seed,
-            epsilon=self.epsilon,
-        )
+    system: SystemConfig
+    k: int
 
 
 @dataclass(frozen=True)
@@ -232,21 +196,22 @@ class RunOutcome:
 def execute_run(algorithm: str, dataset: Dataset, run_seed: int, opts: RunOptions) -> RunOutcome:
     """One algorithm on one permuted pass; CPU time covers just the run."""
     cpu_start = time.process_time()
+    template = opts.system.roster[0]
     if algorithm.startswith("single:"):
-        variant = algorithm.split(":", 1)[1]
-        B = budget(dataset.dimension, opts.budget_fraction)
+        B = budget(dataset.dimension, opts.system.budget_fraction)
         learner = Learner(
-            opts.learner_config(variant, B=B, seed=run_seed), dataset.dimension
+            replace(template, variant=algorithm.split(":", 1)[1], B=B, seed=run_seed),
+            dataset.dimension,
         )
         for x, y in stream_of(dataset, permute(dataset, run_seed)):
             learner.step(x, y)
         mistakes, instances = learner.mistakes, learner.instances
     elif algorithm in SYSTEMS:
-        report = run_moanofs(dataset, opts.system_config(algorithm, run_seed))
+        report = run_moanofs(dataset, replace(SYSTEMS[algorithm](opts), seed=run_seed))
         mistakes, instances = report.system_mistakes, report.system_instances
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    cpu = time.process_time() - cpu_start if opts.timing else 0.0
+    cpu = time.process_time() - cpu_start if template.measure_time else 0.0
     error_rate = mistakes / instances if instances else 0.0
     return RunOutcome(algorithm, 0, mistakes, instances, error_rate, cpu)
 
@@ -272,10 +237,10 @@ def run_experiment(
     base_seed: int,
     opts: RunOptions,
 ) -> tuple[list[ResultRow], dict[str, list[RunOutcome]]]:
-    # A bad system flag (say --k) must fail before any run starts.
+    # Build each requested system's config once, so a bad --k fails before any run.
     for algorithm in algorithms:
         if algorithm in SYSTEMS:
-            opts.system_config(algorithm, base_seed)
+            SYSTEMS[algorithm](opts)
     payloads = [
         (algorithm, dataset, r, derive_run_seed(base_seed, r), opts)
         for algorithm in algorithms
@@ -294,7 +259,7 @@ def run_experiment(
     for results in by_algorithm.values():
         results.sort(key=lambda o: o.run_index)
 
-    B = budget(dataset.dimension, opts.budget_fraction)
+    B = budget(dataset.dimension, opts.system.budget_fraction)
     rows = []
     for algorithm in algorithms:
         results = by_algorithm[algorithm]
@@ -355,24 +320,32 @@ def load_dataset(args) -> Dataset:
 
 
 def options_from(args) -> RunOptions:
-    return RunOptions(
+    """Check every flag but --k and build the run template from them."""
+    roster = [
+        LearnerConfig(
+            v,
+            eta=args.eta,
+            lam=args.lam,
+            r=args.r,
+            confidence=args.confidence,
+            C=args.C,
+            alpha_margin=args.alpha_margin,
+            measure_time=not args.no_timing,
+        )
+        for v in parse_roster(args.roster)
+    ]
+    system = SystemConfig(
+        roster=roster,
+        k=len(roster),
         budget_fraction=args.budget_fraction,
-        k=args.k,
         t_max=args.tmax,
-        calibration=args.calibration,
+        calibration_fraction=args.calibration,
         issue_weights=parse_issue_weights(args.issue_weights),
+        trust_params=TrustParams(c=args.trust_c),
         conflict_rule=MIN_UTILITY if args.conflict_rule == "min-utility" else MIN_ERROR,
-        trust_c=args.trust_c,
         epsilon=args.epsilon,
-        eta=args.eta,
-        lam=args.lam,
-        r=args.r,
-        C=args.C,
-        confidence=args.confidence,
-        alpha_margin=args.alpha_margin,
-        timing=not args.no_timing,
-        roster=parse_roster(args.roster),
     )
+    return RunOptions(system, args.k)
 
 
 def cmd_run(args) -> int:
@@ -412,7 +385,7 @@ def cmd_recover(args) -> int:
         seed = derive_run_seed(args.seed, r)
         spec = replace(base_spec, seed=seed)
         dataset, planted = generate_synthetic(spec)
-        report = run_moanofs(dataset, opts.system_config("MOANOFS", seed))
+        report = run_moanofs(dataset, replace(SYSTEMS["MOANOFS"](opts), seed=seed))
         selected = set(report.merged.indices())
         hit = len(selected & planted)
         precision = hit / len(selected) if selected else 0.0
@@ -460,30 +433,32 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthetic spec, e.g. d=200,relevant=10,n=5000,density=0.1,noise=0.05")
         p.add_argument("--algorithms", default="MOANOFS",
                        help="comma-separated list, e.g. single:PETRUN,MANOFS,MOANOFS")
-        p.add_argument("--budget-fraction", type=float, default=0.1)
+        p.add_argument("--budget-fraction", type=float, default=SystemConfig.budget_fraction)
         p.add_argument("--runs", type=positive_int, default=10)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--k", type=int, default=3,
                        help="learners elected into the second level (MOANOFS)")
         p.add_argument("--roster", default=",".join(DEFAULT_ROSTER),
                        help="variants negotiating in MANOFS/MOANOFS")
-        p.add_argument("--tmax", type=positive_int, default=10, help="negotiation trials")
-        p.add_argument("--calibration", type=float, default=0.2,
+        p.add_argument("--tmax", type=positive_int, default=SystemConfig.t_max,
+                       help="negotiation trials")
+        p.add_argument("--calibration", type=float, default=SystemConfig.calibration_fraction,
                        help="fraction of the stream used for trust election")
-        p.add_argument("--issue-weights", default="0.2,0.5,0.3",
+        p.add_argument("--issue-weights",
+                       default=",".join(map(str, IssueWeightProfile().as_tuple())),
                        help="trust,error,cost-time weights summing to 1")
         p.add_argument("--conflict-rule", choices=("min-error", "min-utility"),
                        default="min-error",
                        help="conflict rule for MOANOFS (BANOFS/MANOFS always use min-error)")
-        p.add_argument("--trust-c", type=float, default=0.5)
-        p.add_argument("--epsilon", type=float, default=None,
+        p.add_argument("--trust-c", type=float, default=TrustParams.c)
+        p.add_argument("--epsilon", type=float, default=SystemConfig.epsilon,
                        help="feature-trust increment; default 1/participants")
-        p.add_argument("--eta", type=float, default=0.2)
-        p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-        p.add_argument("--r", type=float, default=1.0)
-        p.add_argument("--C", type=float, default=1.0)
-        p.add_argument("--confidence", type=float, default=0.7)
-        p.add_argument("--alpha-margin", type=float, default=0.9)
+        p.add_argument("--eta", type=float, default=LearnerConfig.eta)
+        p.add_argument("--lambda", dest="lam", type=float, default=LearnerConfig.lam)
+        p.add_argument("--r", type=float, default=LearnerConfig.r)
+        p.add_argument("--C", type=float, default=LearnerConfig.C)
+        p.add_argument("--confidence", type=float, default=LearnerConfig.confidence)
+        p.add_argument("--alpha-margin", type=float, default=LearnerConfig.alpha_margin)
         p.add_argument("--dim", type=int, default=None,
                        help="override the inferred dataset dimension")
         p.add_argument("--output", default=None, help="write results to this path")

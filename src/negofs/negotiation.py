@@ -1,8 +1,8 @@
 """Contract-net style negotiation between learner-agents.
 
-Each trial the initiator issues a call for proposals, every responsive
-participant answers with an offer (its weight vector plus error count, cost
-time and trust value), the offers are merged feature by feature, and the
+Each trial the initiator issues a call for proposals, every participant
+answers with an offer (its weight vector plus error count, cost time and
+trust value), the offers are merged feature by feature, and the
 merged vector is broadcast back so every participant starts the next trial
 from the agreed selection.
 
@@ -41,7 +41,7 @@ class NegotiationError(RuntimeError):
 
 
 class InsufficientOffersError(NegotiationError):
-    """Fewer than two participants answered a call for proposals."""
+    """Fewer than two offers were handed to a merge."""
 
 
 class MessageKind(str, Enum):
@@ -50,7 +50,6 @@ class MessageKind(str, Enum):
     ACCEPT = "ACCEPT"
     REJECT = "REJECT"
     INFORM = "INFORM"
-    ABORT = "ABORT"
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class ProtocolMessage:
 
 
 class NegotiationTranscript:
-    """Append-only message log; one negotiation round per CFP..INFORM/ABORT."""
+    """Append-only message log; one negotiation round per CFP..INFORM."""
 
     def __init__(self):
         self.messages: list[ProtocolMessage] = []
@@ -118,6 +117,16 @@ class NegotiationTranscript:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _check_trial_settings(t_max: int, epsilon: Optional[float], conflict_rule: str) -> None:
+    """Checks shared by NegotiationConfig and the system config that builds one."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    if epsilon is not None and epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if conflict_rule not in (MIN_ERROR, MIN_UTILITY):
+        raise ValueError(f"unknown conflict rule {conflict_rule!r}")
+
+
 @dataclass
 class NegotiationConfig:
     t_max: int
@@ -128,12 +137,7 @@ class NegotiationConfig:
     trust_params: TrustParams = field(default_factory=TrustParams)
 
     def __post_init__(self):
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        if self.conflict_rule not in (MIN_ERROR, MIN_UTILITY):
-            raise ValueError(f"unknown conflict rule {self.conflict_rule!r}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _check_trial_settings(self.t_max, self.epsilon, self.conflict_rule)
 
 
 class FeatureTrust:
@@ -164,7 +168,6 @@ class Participant:
         self.id = participant_id
         self.learner = learner
         self.trust_state = trust_state if trust_state is not None else TrustState()
-        self.responsive = True
 
     def make_offer(self) -> Offer:
         return Offer(
@@ -202,7 +205,6 @@ class TrialMetrics:
     round: int
     chunk_size: int
     stale: bool
-    aborted: bool
     participant_mistakes: dict[int, int]
     system_mistakes: int
     merged_support: int
@@ -214,31 +216,16 @@ def call_for_proposals(
     transcript: NegotiationTranscript,
     stale: bool = False,
 ) -> list[Offer]:
-    """Open a round: CFP out, one PROPOSE per responsive participant back.
-
-    Non-responders are logged as REJECT and skipped; fewer than two offers
-    cannot be merged and raises InsufficientOffersError.
-    """
+    """Open a round: CFP out, one PROPOSE per participant back."""
     transcript.append(
         ProtocolMessage(round_index, MessageKind.CFP, INITIATOR, EVERYONE,
                         note="stale" if stale else "")
     )
-    offers: list[Offer] = []
-    for p in participants:
-        if not p.responsive:
-            transcript.append(
-                ProtocolMessage(round_index, MessageKind.REJECT, str(p.id), INITIATOR)
-            )
-            continue
-        offer = p.make_offer()
-        offers.append(offer)
+    offers = [p.make_offer() for p in participants]
+    for offer in offers:
         transcript.append(
-            ProtocolMessage(round_index, MessageKind.PROPOSE, str(p.id), INITIATOR,
-                            payload=offer)
-        )
-    if len(offers) < 2:
-        raise InsufficientOffersError(
-            f"round {round_index}: {len(offers)} offer(s) received, need at least 2"
+            ProtocolMessage(round_index, MessageKind.PROPOSE, str(offer.participant_id),
+                            INITIATOR, payload=offer)
         )
     return offers
 
@@ -417,22 +404,11 @@ def run_negotiation(
                 p.learner, chunk, p.trust_state, cfg.trust_params
             )
 
-        try:
-            offers = call_for_proposals(trial, participants, transcript, stale=stale)
-        except InsufficientOffersError:
-            transcript.append(
-                ProtocolMessage(trial, MessageKind.ABORT, INITIATOR, EVERYONE)
-            )
-            metrics.append(TrialMetrics(trial, len(chunk), stale, True,
-                                        participant_mistakes, system_mistakes,
-                                        len(merged)))
-            continue
-
+        offers = call_for_proposals(trial, participants, transcript, stale=stale)
         merge_set = _accept_offers(offers, cfg, trial, transcript)
         merged, feature_trust = merge_multilateral(merge_set, feature_trust, cfg)
         broadcast(merged, participants, transcript, trial)
-        metrics.append(TrialMetrics(trial, len(chunk), stale, False,
-                                    participant_mistakes, system_mistakes,
-                                    len(merged)))
+        metrics.append(TrialMetrics(trial, len(chunk), stale, participant_mistakes,
+                                    system_mistakes, len(merged)))
 
     return merged, transcript, metrics

@@ -37,13 +37,16 @@ class SparseVector:
         items = entries.items() if isinstance(entries, Mapping) else entries
         data: dict[int, float] = {}
         eps, inf = ZERO_EPS, math.inf  # locals: the loop runs once per loaded entry
-        for i, v in sorted(items):
-            if not 0 <= i < dimension:
-                raise IndexError(f"index {i} out of range for dimension {dimension}")
-            if eps <= abs(v) < inf:
-                data[int(i)] = float(v)
-            elif not abs(v) < eps:  # NaN or ±inf
-                raise ValueError(f"non-finite value {v!r} at index {i}")
+        try:
+            for i, v in sorted(items):
+                if not 0 <= i < dimension:
+                    raise IndexError(f"index {i} out of range for dimension {dimension}")
+                if eps <= abs(v) < inf:
+                    data[int(i)] = float(v)
+                elif not abs(v) < eps:  # NaN or ±inf
+                    raise ValueError(f"non-finite value {v!r} at index {i}")
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(f"value out of float range at index {i}") from None
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "_data", data)
 

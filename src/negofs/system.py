@@ -12,7 +12,6 @@ system (MANOFS, and BANOFS with a roster of two).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -20,11 +19,11 @@ from .data import Dataset, Instance, budget, permute, stream_of
 from .learners import Learner, LearnerConfig, sign_of
 from .negotiation import (
     MIN_ERROR,
-    MIN_UTILITY,
     NegotiationConfig,
     NegotiationTranscript,
     Participant,
     TrialMetrics,
+    _check_trial_settings,
     run_negotiation,
     score_chunk,
 )
@@ -56,10 +55,7 @@ class SystemConfig:
             raise ValueError("budget_fraction must lie in (0, 1]")
         if not 0.0 < self.calibration_fraction < 1.0:
             raise ValueError("calibration_fraction must lie in (0, 1)")
-        if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        if self.conflict_rule not in (MIN_ERROR, MIN_UTILITY):
-            raise ValueError(f"unknown conflict rule {self.conflict_rule!r}")
+        _check_trial_settings(self.t_max, self.epsilon, self.conflict_rule)
 
 
 @dataclass
@@ -88,7 +84,6 @@ class RunReport:
     calibration_instances: int
     calibration_degenerate: bool
     transcript: NegotiationTranscript
-    total_wall_time: float
 
     @property
     def system_error_rate(self) -> float:
@@ -122,7 +117,7 @@ def calibrate(
     window: int,
 ) -> list[TrustState]:
     """Run learners over a calibration stream, scoring trust per window."""
-    states = [TrustState(sat=trust_params.sat_initial) for _ in learners]
+    states = [TrustState() for _ in learners]
     for li, learner in enumerate(learners):
         for start in range(0, len(stream), window):
             _, states[li] = score_chunk(
@@ -161,7 +156,6 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
     """
     if len(dataset) < 10:
         raise ValueError(f"dataset must have at least 10 instances, got {len(dataset)}")
-    wall_start = time.perf_counter()
 
     d = dataset.dimension
     B = budget(d, cfg.budget_fraction)
@@ -184,7 +178,7 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
         level2 = stream[n_cal:]
     else:
         n_cal = 0
-        trust_states = [TrustState(sat=cfg.trust_params.sat_initial) for _ in learners]
+        trust_states = [TrustState() for _ in learners]
         elected = list(range(n))
         level2 = stream
 
@@ -230,7 +224,6 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
         calibration_instances=n_cal,
         calibration_degenerate=degenerate,
         transcript=transcript,
-        total_wall_time=time.perf_counter() - wall_start,
     )
 
 

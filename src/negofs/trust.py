@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 class TrustParams:
     c: float = 0.5            # reaction weight for the most recent deviation
     threshold: float = 0.25   # floor that keeps alpha from saturating
-    sat_initial: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
@@ -25,8 +24,6 @@ class TrustParams:
             raise ValueError(
                 f"threshold must lie in (0, 1 - c] = (0, {1.0 - self.c}], got {self.threshold}"
             )
-        if not 0.0 <= self.sat_initial <= 1.0:
-            raise ValueError(f"sat_initial must lie in [0, 1], got {self.sat_initial}")
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,8 @@ def test_criterion_7_directional_ensemble_claim():
     start = time.perf_counter()
     dataset = spambase_like_dataset()
     singles = [f"single:{v}" for v in SCALE_MATCHED_ROSTER]
-    opts = RunOptions(timing=False, t_max=16, k=3, roster=SCALE_MATCHED_ROSTER)
+    roster = [LearnerConfig(v, measure_time=False) for v in SCALE_MATCHED_ROSTER]
+    opts = RunOptions(SystemConfig(roster=roster, k=len(roster), t_max=16), k=3)
     rows, _ = run_experiment(singles + ["MANOFS", "MOANOFS"], dataset,
                              runs=10, base_seed=42, opts=opts)
     best_single = min(r.mean_error_rate for r in rows

@@ -9,12 +9,15 @@ import pytest
 from dense_oracle import DenseLearner
 from negofs import cli
 from negofs.cli import (
+    DEFAULT_ROSTER,
     EXIT_CONFIG,
     EXIT_DATASET,
     ResultRow,
     RunOptions,
+    build_parser,
     derive_run_seed,
     main,
+    options_from,
     parse_algorithms,
     parse_issue_weights,
     parse_synthetic,
@@ -69,6 +72,12 @@ def test_parse_issue_weights_must_sum_to_one():
         parse_issue_weights("0.2,0.5,0.4")
     profile = parse_issue_weights("0.2,0.5,0.3")
     assert profile.as_tuple() == (0.2, 0.5, 0.3)
+
+
+def test_flag_defaults_are_the_library_defaults():
+    opts = options_from(build_parser().parse_args(["run", "--synthetic", SYNTH]))
+    assert opts.system == SystemConfig(
+        roster=[LearnerConfig(v) for v in DEFAULT_ROSTER], k=len(DEFAULT_ROSTER))
 
 
 def test_seed_derivation():
@@ -131,12 +140,20 @@ def test_count_flags_below_one_exit_2(capsys, command, algorithms, flag, value):
     assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
 
 
-def test_bad_k_fails_before_any_run(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("algorithms, flag, value, message", [
+    ("single:PETRUN,MOANOFS", "--k", "99", "k must lie in [2, 9], got 99"),
+    ("single:PETRUN,MANOFS", "--epsilon", "-1", "epsilon must be positive"),
+    ("single:PETRUN", "--epsilon", "0", "epsilon must be positive"),
+    ("single:PETRUN", "--calibration", "1.0", "calibration_fraction must lie in (0, 1)"),
+    ("single:PETRUN", "--trust-c", "1.5", "c must lie in (0, 1), got 1.5"),
+], ids=["k-moanofs", "epsilon-manofs", "epsilon-single", "calibration-single", "trust-c-single"])
+def test_bad_flag_fails_before_any_run(tmp_path, capsys, monkeypatch,
+                                       algorithms, flag, value, message):
     ran = []
     monkeypatch.setattr(cli, "execute_run", lambda *args: ran.append(args))
-    argv, out = run_flags(tmp_path, algorithms="single:PETRUN,MOANOFS", **{"--k": 99})
+    argv, out = run_flags(tmp_path, algorithms=algorithms, **{flag: value})
     assert main(argv) == EXIT_CONFIG
-    assert "k must lie in [2, 9], got 99" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert ran == []
     assert not out.exists()
 
@@ -200,7 +217,8 @@ def test_reported_std_is_sample_standard_deviation():
 
     ds, _ = generate_synthetic(SyntheticSpec(d=30, n_samples=150, n_relevant=5,
                                              density=0.3, label_noise=0.05, seed=2))
-    opts = RunOptions(timing=False, t_max=5)
+    roster = [LearnerConfig(v, measure_time=False) for v in DEFAULT_ROSTER]
+    opts = RunOptions(SystemConfig(roster=roster, k=len(roster), t_max=5), k=3)
     rows, outcomes = run_experiment(["single:PETRUN"], ds, runs=4, base_seed=9, opts=opts)
     per_run = [o.mistakes for o in outcomes["single:PETRUN"]]
     mean = sum(per_run) / len(per_run)

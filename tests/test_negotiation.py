@@ -86,24 +86,6 @@ def test_cfp_three_healthy_participants():
     assert kinds == [MessageKind.CFP] + [MessageKind.PROPOSE] * 3
 
 
-def test_cfp_one_responder_is_an_error():
-    participants = [petrun_participant(i, 6, 2) for i in range(3)]
-    participants[0].responsive = False
-    participants[2].responsive = False
-    with pytest.raises(InsufficientOffersError):
-        call_for_proposals(1, participants, NegotiationTranscript())
-
-
-def test_cfp_nonresponder_logged_as_reject():
-    participants = [petrun_participant(i, 6, 2) for i in range(3)]
-    participants[1].responsive = False
-    transcript = NegotiationTranscript()
-    offers = call_for_proposals(1, participants, transcript)
-    assert [o.participant_id for o in offers] == [0, 2]
-    rejects = [m for m in transcript.messages if m.kind == MessageKind.REJECT]
-    assert len(rejects) == 1 and rejects[0].sender == "1"
-
-
 # -- merge_bilateral --------------------------------------------------------------------
 
 def test_bilateral_union_of_disjoint_selections():
@@ -343,7 +325,7 @@ def test_rounds_start_with_cfp_and_end_with_inform_or_abort():
                                        ncfg(t_max=4, merged_budget=5))
     for round_messages in transcript.rounds().values():
         assert round_messages[0].kind == MessageKind.CFP
-        assert round_messages[-1].kind in (MessageKind.INFORM, MessageKind.ABORT)
+        assert round_messages[-1].kind == MessageKind.INFORM
 
 
 def test_n2_reduces_to_bilateral_merge_each_trial():
@@ -462,7 +444,6 @@ def test_min_utility_round_accepts_by_pressure_threshold():
         participants, stream,
         ncfg(t_max=3, merged_budget=4, conflict_rule=MIN_UTILITY),
     )
-    assert all(not m.aborted for m in metrics)
     for round_messages in transcript.rounds().values():
         accepted = [m for m in round_messages
                     if m.kind == MessageKind.ACCEPT and m.sender == INITIATOR]

@@ -204,7 +204,7 @@ def test_scale_identity_and_zero():
 
 # -- the validating boundary and the trusted path --------------------------------------
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400])
 def test_constructor_rejects_non_finite_values_by_index(value):
     with pytest.raises(ValueError, match="at index 2"):
         sv(4, {0: 1.0, 2: value})
