@@ -21,6 +21,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, budget, generate_synthetic, load_sparse_text, permute, stream_of
@@ -186,7 +187,6 @@ class RunOptions:
 @dataclass(frozen=True)
 class RunOutcome:
     algorithm: str
-    run_index: int
     mistakes: int
     instances: int
     error_rate: float
@@ -199,10 +199,8 @@ def execute_run(algorithm: str, dataset: Dataset, run_seed: int, opts: RunOption
     template = opts.system.roster[0]
     if algorithm.startswith("single:"):
         B = budget(dataset.dimension, opts.system.budget_fraction)
-        learner = Learner(
-            replace(template, variant=algorithm.split(":", 1)[1], B=B, seed=run_seed),
-            dataset.dimension,
-        )
+        variant = algorithm.split(":", 1)[1]
+        learner = Learner(replace(template, variant=variant), dataset.dimension, B, seed=run_seed)
         for x, y in stream_of(dataset, permute(dataset, run_seed)):
             learner.step(x, y)
         mistakes, instances = learner.mistakes, learner.instances
@@ -213,21 +211,19 @@ def execute_run(algorithm: str, dataset: Dataset, run_seed: int, opts: RunOption
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     cpu = time.process_time() - cpu_start if template.measure_time else 0.0
     error_rate = mistakes / instances if instances else 0.0
-    return RunOutcome(algorithm, 0, mistakes, instances, error_rate, cpu)
-
-
-def _run_one(payload) -> RunOutcome:
-    algorithm, dataset, run_index, run_seed, opts = payload
-    outcome = execute_run(algorithm, dataset, run_seed, opts)
-    return replace(outcome, run_index=run_index)
+    return RunOutcome(algorithm, mistakes, instances, error_rate, cpu)
 
 
 def thread_cap() -> int:
+    """Worker processes allowed by NEGOFS_THREADS (default 1: run in this process)."""
     raw = os.environ.get("NEGOFS_THREADS", "1")
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"NEGOFS_THREADS must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def run_experiment(
@@ -241,28 +237,22 @@ def run_experiment(
     for algorithm in algorithms:
         if algorithm in SYSTEMS:
             SYSTEMS[algorithm](opts)
-    payloads = [
-        (algorithm, dataset, r, derive_run_seed(base_seed, r), opts)
-        for algorithm in algorithms
-        for r in range(1, runs + 1)
-    ]
-    workers = min(thread_cap(), len(payloads))
+    names = [algorithm for algorithm in algorithms for _ in range(runs)]
+    seeds = [derive_run_seed(base_seed, r) for _ in algorithms for r in range(1, runs + 1)]
+    columns = (names, repeat(dataset), seeds, repeat(opts))
+    workers = min(thread_cap(), len(names))
+    # Both maps return results in input order: algorithm i owns the i-th block of runs.
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, payloads))
+            outcomes = list(pool.map(execute_run, *columns))
     else:
-        outcomes = [_run_one(p) for p in payloads]
-
-    by_algorithm: dict[str, list[RunOutcome]] = {a: [] for a in algorithms}
-    for outcome in outcomes:
-        by_algorithm[outcome.algorithm].append(outcome)
-    for results in by_algorithm.values():
-        results.sort(key=lambda o: o.run_index)
+        outcomes = list(map(execute_run, *columns))
 
     B = budget(dataset.dimension, opts.system.budget_fraction)
     rows = []
-    for algorithm in algorithms:
-        results = by_algorithm[algorithm]
+    by_algorithm: dict[str, list[RunOutcome]] = {}
+    for i, algorithm in enumerate(algorithms):
+        results = by_algorithm[algorithm] = outcomes[i * runs:(i + 1) * runs]
         mistake_counts = [float(o.mistakes) for o in results]
         rows.append(
             ResultRow(
@@ -308,6 +298,8 @@ def load_dataset(args) -> Dataset:
     if bool(args.dataset) == bool(args.synthetic):
         raise ConfigError("exactly one of --dataset and --synthetic is required")
     if args.synthetic:
+        if args.dim is not None:
+            raise ConfigError("--dim applies to --dataset only")
         spec = parse_synthetic(args.synthetic, args.seed)
         dataset, _ = generate_synthetic(spec)
         return dataset
@@ -349,9 +341,9 @@ def options_from(args) -> RunOptions:
 
 
 def cmd_run(args) -> int:
-    dataset = load_dataset(args)
     algorithms = parse_algorithms(args.algorithms)
     opts = options_from(args)
+    dataset = load_dataset(args)
     rows, _ = run_experiment(algorithms, dataset, args.runs, args.seed, opts)
     text = format_markdown(rows) if args.format == "markdown" else format_csv(rows)
     _emit(text, args.output)
@@ -362,8 +354,8 @@ def cmd_compare(args) -> int:
     algorithms = parse_algorithms(args.algorithms)
     if len(algorithms) < 2:
         raise ConfigError("compare needs at least 2 algorithms")
-    dataset = load_dataset(args)
     opts = options_from(args)
+    dataset = load_dataset(args)
     rows, _ = run_experiment(algorithms, dataset, args.runs, args.seed, opts)
     sys.stdout.write(format_markdown(rows) if args.format != "csv" else format_csv(rows))
     if args.output:
@@ -372,10 +364,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    if not args.synthetic:
-        raise ConfigError("recover requires --synthetic")
-    if parse_algorithms(args.algorithms) != ["MOANOFS"]:
-        raise ConfigError(f"recover runs MOANOFS only, got --algorithms {args.algorithms!r}")
     base_spec = parse_synthetic(args.synthetic, args.seed)
     opts = options_from(args)
 
@@ -427,12 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    synthetic_help = "synthetic spec, e.g. d=200,relevant=10,n=5000,density=0.1,noise=0.05"
+
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dataset", help="sparse text dataset path")
-        p.add_argument("--synthetic",
-                       help="synthetic spec, e.g. d=200,relevant=10,n=5000,density=0.1,noise=0.05")
-        p.add_argument("--algorithms", default="MOANOFS",
-                       help="comma-separated list, e.g. single:PETRUN,MANOFS,MOANOFS")
         p.add_argument("--budget-fraction", type=float, default=SystemConfig.budget_fraction)
         p.add_argument("--runs", type=positive_int, default=10)
         p.add_argument("--seed", type=int, default=1)
@@ -450,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--conflict-rule", choices=("min-error", "min-utility"),
                        default="min-error",
                        help="conflict rule for MOANOFS (BANOFS/MANOFS always use min-error)")
-        p.add_argument("--trust-c", type=float, default=TrustParams.c)
+        p.add_argument("--trust-c", type=float, default=TrustParams.c,
+                       help=f"trust reaction weight, in (0, {1.0 - TrustParams.threshold}]")
         p.add_argument("--epsilon", type=float, default=SystemConfig.epsilon,
                        help="feature-trust increment; default 1/participants")
         p.add_argument("--eta", type=float, default=LearnerConfig.eta)
@@ -459,24 +445,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--C", type=float, default=LearnerConfig.C)
         p.add_argument("--confidence", type=float, default=LearnerConfig.confidence)
         p.add_argument("--alpha-margin", type=float, default=LearnerConfig.alpha_margin)
-        p.add_argument("--dim", type=int, default=None,
-                       help="override the inferred dataset dimension")
         p.add_argument("--output", default=None, help="write results to this path")
-        p.add_argument("--format", choices=("csv", "markdown"), default=None)
         p.add_argument("--no-timing", action="store_true",
                        help="freeze all time measurements at zero (reproducible output)")
 
+    def benchmark(p: argparse.ArgumentParser) -> None:
+        # run and compare: a data source and the algorithms to run on it
+        p.add_argument("--dataset", help="sparse text dataset path")
+        p.add_argument("--synthetic", help=synthetic_help)
+        p.add_argument("--algorithms", default="MOANOFS",
+                       help="comma-separated list, e.g. single:PETRUN,MANOFS,MOANOFS")
+        p.add_argument("--dim", type=int, default=None,
+                       help="override the inferred dimension of --dataset")
+        p.add_argument("--format", choices=("csv", "markdown"), default=None)
+        common(p)
+
     run_p = sub.add_parser("run", help="run algorithms and emit a CSV of aggregates")
-    common(run_p)
+    benchmark(run_p)
     run_p.set_defaults(func=cmd_run, format="csv")
 
     cmp_p = sub.add_parser("compare", help="compare algorithms in a markdown table")
-    common(cmp_p)
+    benchmark(cmp_p)
     cmp_p.set_defaults(func=cmd_compare, format="markdown")
 
-    rec_p = sub.add_parser("recover", help="score recovery of planted features")
+    rec_p = sub.add_parser("recover", help="score recovery of planted features by MOANOFS")
+    rec_p.add_argument("--synthetic", required=True, help=synthetic_help)
     common(rec_p)
-    rec_p.set_defaults(func=cmd_recover, format="csv")
+    rec_p.set_defaults(func=cmd_recover)
 
     return parser
 
@@ -486,9 +481,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except DatasetError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATASET

@@ -61,14 +61,12 @@ def sign_of(margin: float) -> int:
 @dataclass(frozen=True)
 class LearnerConfig:
     variant: str
-    B: int | None = None          # feature budget; filled in from the dataset when None
     eta: float = 0.2              # learning rate (OGD, FOFS)
     lam: float = 0.01             # regularization (FOFS projection radius 1/sqrt(lam))
     r: float = 1.0                # second-order regularizer (SOP, AROW)
     confidence: float = 0.7       # CW/SCW probability constraint, in (0.5, 1)
     C: float = 1.0                # aggressiveness cap (PA, SCW)
     alpha_margin: float = 0.9     # ALMA approximation parameter, in (0, 1]
-    seed: int = 0
     measure_time: bool = True
 
     def __post_init__(self):
@@ -81,27 +79,26 @@ class LearnerConfig:
             raise ValueError(f"confidence must lie in (0.5, 1), got {self.confidence}")
         if not 0.0 < self.alpha_margin <= 1.0:
             raise ValueError(f"alpha_margin must lie in (0, 1], got {self.alpha_margin}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 class Learner:
-    """One agent-learner: weights, optional diagonal scale, and counters."""
+    """One agent-learner: weights, optional diagonal scale, and counters.
 
-    def __init__(self, config: LearnerConfig, dimension: int):
-        if config.B is None:
-            raise ValueError("LearnerConfig.B must be set before building a learner")
-        check_budget(config.B, dimension)
+    B is the feature budget; seed drives RAND's random mask.
+    """
+
+    def __init__(self, config: LearnerConfig, dimension: int, B: int, seed: int = 0):
+        check_budget(B, dimension)
         self.config = config
         self.dimension = dimension
-        self.B = config.B
+        self.B = B
         self.w = SparseVector(dimension)
         self.sigma: dict[int, float] = {}  # second-order scale, 1.0 where unstored
         self.mistakes = 0
         self.cumulative_time = 0.0
         self.updates = 0           # updates actually applied to w
         self.instances = 0
-        self.rng = random.Random(config.seed)
+        self.rng = random.Random(seed)
         self._alma_k = 1
         self._phi = NormalDist().inv_cdf(config.confidence)
 

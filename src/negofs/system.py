@@ -12,8 +12,8 @@ system (MANOFS, and BANOFS with a roster of two).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from .data import Dataset, Instance, budget, permute, stream_of
 from .learners import Learner, LearnerConfig, sign_of
@@ -28,7 +28,7 @@ from .negotiation import (
     score_chunk,
 )
 from .sparse import SparseVector, dot
-from .trust import TrustParams, TrustState, direct_trust
+from .trust import TrustParams, direct_trust
 from .utility import IssueWeightProfile
 
 
@@ -90,59 +90,42 @@ class RunReport:
         return self.system_mistakes / self.system_instances if self.system_instances else 0.0
 
 
-def elect_trustful(
-    trusts: Mapping[int, TrustState],
-    mistakes: Mapping[int, int],
-    times: Mapping[int, float],
-    k: int,
-) -> list[int]:
-    """The k most trustful learner ids, in election order.
+def elect_trustful(participants: Sequence[Participant], k: int) -> list[Participant]:
+    """The k most trustful participants, in election order.
 
-    Ties on trust fall back to fewer mistakes, then less cumulative time,
-    then the lower id, so the election is deterministic.
+    Ties on trust fall back to fewer mistakes, then the lower id, so the
+    election is deterministic; measured time never decides it.
     """
-    if k > len(trusts):
-        raise ValueError(f"cannot elect {k} of {len(trusts)} learners")
+    if k > len(participants):
+        raise ValueError(f"cannot elect {k} of {len(participants)} learners")
     ranked = sorted(
-        trusts,
-        key=lambda i: (-direct_trust(trusts[i]), mistakes[i], times[i], i),
+        participants,
+        key=lambda p: (-direct_trust(p.trust_state), p.learner.mistakes, p.id),
     )
     return ranked[:k]
 
 
 def calibrate(
-    learners: Sequence[Learner],
+    participants: Sequence[Participant],
     stream: Sequence[Instance],
     trust_params: TrustParams,
     window: int,
-) -> list[TrustState]:
-    """Run learners over a calibration stream, scoring trust per window."""
-    states = [TrustState() for _ in learners]
-    for li, learner in enumerate(learners):
+) -> None:
+    """Run each participant's learner over a calibration stream, scoring its trust per window."""
+    for p in participants:
         for start in range(0, len(stream), window):
-            _, states[li] = score_chunk(
-                learner, stream[start:start + window], states[li], trust_params
+            _, p.trust_state = score_chunk(
+                p.learner, stream[start:start + window], p.trust_state, trust_params
             )
-    return states
-
-
-def _effective_seed(system_seed: int, index: int, config_seed: int) -> int:
-    # Decorrelates learners across runs while still honouring a per-learner
-    # seed chosen in the roster config.
-    return (system_seed * 100003 + index * 7919 + config_seed) % 2 ** 32
 
 
 def build_learners(cfg: SystemConfig, dimension: int) -> list[Learner]:
     B = budget(dimension, cfg.budget_fraction)
-    learners = []
-    for i, lc in enumerate(cfg.roster):
-        effective = replace(
-            lc,
-            B=lc.B if lc.B is not None else B,
-            seed=_effective_seed(cfg.seed, i, lc.seed),
-        )
-        learners.append(Learner(effective, dimension))
-    return learners
+    # The seed decorrelates learners within a run and across runs.
+    return [
+        Learner(lc, dimension, B, seed=(cfg.seed * 100003 + i * 7919) % 2 ** 32)
+        for i, lc in enumerate(cfg.roster)
+    ]
 
 
 def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
@@ -160,31 +143,19 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
     d = dataset.dimension
     B = budget(d, cfg.budget_fraction)
     stream = stream_of(dataset, permute(dataset, cfg.seed))
-    n = len(cfg.roster)
-    learners = build_learners(cfg, d)
-
-    degenerate = False
-    if cfg.k < n:
-        n_cal = int(cfg.calibration_fraction * len(stream))
-        degenerate = n_cal == 0
-        window = max(1, math.ceil(n_cal / cfg.t_max))
-        trust_states = calibrate(learners, stream[:n_cal], cfg.trust_params, window)
-        elected = elect_trustful(
-            {i: trust_states[i] for i in range(n)},
-            {i: learners[i].mistakes for i in range(n)},
-            {i: learners[i].cumulative_time for i in range(n)},
-            cfg.k,
-        )
-        level2 = stream[n_cal:]
-    else:
-        n_cal = 0
-        trust_states = [TrustState() for _ in learners]
-        elected = list(range(n))
-        level2 = stream
-
     participants = [
-        Participant(i, learners[i], trust_states[i]) for i in elected
+        Participant(i, learner) for i, learner in enumerate(build_learners(cfg, d))
     ]
+
+    n_cal = 0
+    elected = participants
+    if cfg.k < len(participants):
+        n_cal = int(cfg.calibration_fraction * len(stream))
+        window = max(1, math.ceil(n_cal / cfg.t_max))
+        calibrate(participants, stream[:n_cal], cfg.trust_params, window)
+        elected = elect_trustful(participants, cfg.k)
+    level2 = stream[n_cal:]
+
     ncfg = NegotiationConfig(
         t_max=cfg.t_max,
         merged_budget=B,
@@ -193,22 +164,20 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
         issue_weights=cfg.issue_weights,
         trust_params=cfg.trust_params,
     )
-    merged, transcript, trials = run_negotiation(participants, level2, ncfg)
+    merged, transcript, trials = run_negotiation(elected, level2, ncfg)
 
-    for p in participants:
-        trust_states[p.id] = p.trust_state
     per_learner = [
         LearnerReport(
-            learner_id=i,
-            variant=learner.config.variant,
-            mistakes=learner.mistakes,
-            instances=learner.instances,
-            error_rate=learner.error_rate,
-            cumulative_time=learner.cumulative_time,
-            trust=direct_trust(trust_states[i]),
-            elected=i in elected,
+            learner_id=p.id,
+            variant=p.learner.config.variant,
+            mistakes=p.learner.mistakes,
+            instances=p.learner.instances,
+            error_rate=p.learner.error_rate,
+            cumulative_time=p.learner.cumulative_time,
+            trust=direct_trust(p.trust_state),
+            elected=p in elected,
         )
-        for i, learner in enumerate(learners)
+        for p in participants
     ]
 
     return RunReport(
@@ -216,13 +185,13 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
         B=B,
         conflict_rule=cfg.conflict_rule,
         per_learner=per_learner,
-        elected=elected,
+        elected=[p.id for p in elected],
         trials=trials,
         merged=merged,
         system_mistakes=sum(t.system_mistakes for t in trials),
         system_instances=len(level2),
         calibration_instances=n_cal,
-        calibration_degenerate=degenerate,
+        calibration_degenerate=cfg.k < len(participants) and n_cal == 0,
         transcript=transcript,
     )
 

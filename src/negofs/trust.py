@@ -18,11 +18,11 @@ class TrustParams:
     threshold: float = 0.25   # floor that keeps alpha from saturating
 
     def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"c must lie in (0, 1), got {self.c}")
-        if not 0.0 < self.threshold <= 1.0 - self.c:
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if not 0.0 < self.c <= 1.0 - self.threshold:
             raise ValueError(
-                f"threshold must lie in (0, 1 - c] = (0, {1.0 - self.c}], got {self.threshold}"
+                f"c must lie in (0, 1 - threshold] = (0, {1.0 - self.threshold}], got {self.c}"
             )
 
 

@@ -56,7 +56,7 @@ def test_criterion_1_budget_invariant_suite():
     # 10^4 fuzzed steps per learner variant
     for variant in VARIANTS:
         rng = random.Random(hash(variant) % 2 ** 30)
-        learner = Learner(LearnerConfig(variant, B=B, seed=3, measure_time=False), d)
+        learner = Learner(LearnerConfig(variant, measure_time=False), d, B, seed=3)
         for _ in range(10_000):
             x, y = random_instance(rng, d, max_nnz=8)
             learner.step(x, y)
@@ -68,7 +68,7 @@ def test_criterion_1_budget_invariant_suite():
     for rule in (MIN_ERROR, MIN_UTILITY):
         stream = [random_instance(rng, d, max_nnz=8) for _ in range(2000)]
         participants = [
-            Participant(i, Learner(LearnerConfig(v, B=B, seed=i, measure_time=False), d))
+            Participant(i, Learner(LearnerConfig(v, measure_time=False), d, B, seed=i))
             for i, v in enumerate(("PETRUN", "OGD", "PA", "AROW"))
         ]
         merged, _, _ = run_negotiation(
@@ -165,8 +165,7 @@ def test_criterion_6_learner_oracle_equivalence():
         for trial in range(4):
             seed = 500 + trial
             stream_rng = random.Random(seed * 13 + 7)
-            learner = Learner(LearnerConfig(variant, B=B, seed=seed,
-                                            measure_time=False), d)
+            learner = Learner(LearnerConfig(variant, measure_time=False), d, B, seed=seed)
             oracle = DenseLearner(variant, d, B, seed=seed)
             for _ in range(steps):
                 x, y = random_instance(stream_rng, d, max_nnz=5)
@@ -250,8 +249,7 @@ def test_criterion_9_reduction_identities():
     rng = random.Random(606)
     stream = [random_instance(rng, d, max_nnz=6) for _ in range(60)]
     participants = [
-        Participant(i, Learner(LearnerConfig("PETRUN", B=4, seed=i,
-                                             measure_time=False), d))
+        Participant(i, Learner(LearnerConfig("PETRUN", measure_time=False), d, 4, seed=i))
         for i in range(2)
     ]
     cfg = NegotiationConfig(t_max=5, merged_budget=d)

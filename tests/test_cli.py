@@ -128,12 +128,16 @@ def test_compare_needs_two_algorithms(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, algorithms", [
-    ("run", "single:PETRUN"), ("compare", "single:PETRUN,single:OGD"), ("recover", "MOANOFS"),
+    ("run", "single:PETRUN"), ("compare", "single:PETRUN,single:OGD"),
+    # recover always runs MOANOFS and takes no --algorithms
+    pytest.param("recover", None, id="recover-MOANOFS"),
 ])
 @pytest.mark.parametrize("flag", ["--runs", "--tmax"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_count_flags_below_one_exit_2(capsys, command, algorithms, flag, value):
-    argv = [command, "--synthetic", SYNTH, "--algorithms", algorithms, flag, value]
+    argv = [command, "--synthetic", SYNTH, flag, value]
+    if algorithms:
+        argv += ["--algorithms", algorithms]
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == EXIT_CONFIG
@@ -145,8 +149,10 @@ def test_count_flags_below_one_exit_2(capsys, command, algorithms, flag, value):
     ("single:PETRUN,MANOFS", "--epsilon", "-1", "epsilon must be positive"),
     ("single:PETRUN", "--epsilon", "0", "epsilon must be positive"),
     ("single:PETRUN", "--calibration", "1.0", "calibration_fraction must lie in (0, 1)"),
-    ("single:PETRUN", "--trust-c", "1.5", "c must lie in (0, 1), got 1.5"),
-], ids=["k-moanofs", "epsilon-manofs", "epsilon-single", "calibration-single", "trust-c-single"])
+    ("single:PETRUN", "--trust-c", "1.5", "c must lie in (0, 1 - threshold] = (0, 0.75], got 1.5"),
+    ("single:PETRUN", "--trust-c", "0.8", "c must lie in (0, 1 - threshold] = (0, 0.75], got 0.8"),
+], ids=["k-moanofs", "epsilon-manofs", "epsilon-single", "calibration-single", "trust-c-single",
+        "trust-c-cap"])
 def test_bad_flag_fails_before_any_run(tmp_path, capsys, monkeypatch,
                                        algorithms, flag, value, message):
     ran = []
@@ -154,6 +160,35 @@ def test_bad_flag_fails_before_any_run(tmp_path, capsys, monkeypatch,
     argv, out = run_flags(tmp_path, algorithms=algorithms, **{flag: value})
     assert main(argv) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, algorithms", [
+    ("run", "single:PETRUN"), ("compare", "single:PETRUN,single:OGD"),
+])
+def test_bad_flag_is_reported_before_the_dataset_is_read(tmp_path, capsys, command, algorithms):
+    argv = [command, "--dataset", str(tmp_path / "absent.txt"),
+            "--algorithms", algorithms, "--epsilon", "-1"]
+    assert main(argv) == EXIT_CONFIG
+    assert "epsilon must be positive" in capsys.readouterr().err
+
+
+def test_dim_with_synthetic_exits_2(tmp_path, capsys):
+    argv, out = run_flags(tmp_path, **{"--dim": 5})
+    assert main(argv) == EXIT_CONFIG
+    assert "--dim applies to --dataset only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_cap_fails_before_any_run(tmp_path, capsys, monkeypatch, value):
+    ran = []
+    monkeypatch.setattr(cli, "execute_run", lambda *args: ran.append(args))
+    monkeypatch.setenv("NEGOFS_THREADS", value)
+    argv, out = run_flags(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    assert f"NEGOFS_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
     assert ran == []
     assert not out.exists()
 
@@ -195,6 +230,17 @@ def test_csv_deterministic_across_invocations(tmp_path):
     argv2, out2 = run_flags(tmp_path, "b.csv", algorithms="single:PETRUN,MOANOFS")
     assert main(argv1) == 0
     assert main(argv2) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_negative_seed_runs_every_algorithm(tmp_path):
+    argv1, out1 = run_flags(tmp_path, "a.csv", seed=-5,
+                            algorithms="single:PETRUN,single:RAND,MOANOFS")
+    argv2, out2 = run_flags(tmp_path, "b.csv", seed=-5,
+                            algorithms="single:PETRUN,single:RAND,MOANOFS")
+    assert main(argv1) == 0
+    assert main(argv2) == 0
+    assert len(out1.read_text().splitlines()) == 4
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -329,13 +375,27 @@ def test_recover_honours_roster_and_k(tmp_path):
 @pytest.mark.parametrize("algorithms", ["MANOFS", "single:PETRUN", "MOANOFS,BANOFS"])
 def test_recover_rejects_other_algorithms(capsys, algorithms):
     argv = ["recover", "--synthetic", "d=40,relevant=5,n=300", "--algorithms", algorithms]
-    assert main(argv) == EXIT_CONFIG
-    assert "MOANOFS only" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --algorithms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--format", "markdown"), ("--dim", "99")])
+def test_recover_rejects_flags_it_never_reads(capsys, flag, value):
+    argv = ["recover", "--synthetic", "d=40,relevant=5,n=300", "--runs", "1", flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_recover_requires_synthetic(capsys):
     argv = ["recover", "--dataset", "whatever.txt"]
-    assert main(argv) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "the following arguments are required: --synthetic" in capsys.readouterr().err
 
 
 # -- console entry point ------------------------------------------------------------------------

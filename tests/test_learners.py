@@ -15,9 +15,9 @@ from negofs.learners import (
 from negofs.sparse import SparseVector, dot
 
 
-def make(variant, d=5, B=2, **kwargs):
+def make(variant, d=5, B=2, seed=0, **kwargs):
     kwargs.setdefault("measure_time", False)
-    return Learner(LearnerConfig(variant, B=B, **kwargs), d)
+    return Learner(LearnerConfig(variant, **kwargs), d, B, seed=seed)
 
 
 def sv(d, entries=()):
@@ -34,23 +34,23 @@ def random_instance(rng, d, max_nnz=None):
 
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError, match="unknown variant"):
-        LearnerConfig("SGD", B=2)
+        LearnerConfig("SGD")
 
 
 def test_parameter_ranges_enforced():
     with pytest.raises(ValueError):
-        LearnerConfig("OGD", B=2, eta=0.0)
+        LearnerConfig("OGD", eta=0.0)
     with pytest.raises(ValueError):
-        LearnerConfig("CW", B=2, confidence=0.5)
+        LearnerConfig("CW", confidence=0.5)
     with pytest.raises(ValueError):
-        LearnerConfig("ALMA", B=2, alpha_margin=0.0)
+        LearnerConfig("ALMA", alpha_margin=0.0)
 
 
 def test_budget_must_be_set_and_valid():
-    with pytest.raises(ValueError, match="B must be set"):
+    with pytest.raises(TypeError, match="'B'"):
         Learner(LearnerConfig("PETRUN"), 5)
     with pytest.raises(ValueError):
-        Learner(LearnerConfig("PETRUN", B=9), 5)
+        Learner(LearnerConfig("PETRUN"), 5, 9)
 
 
 # -- predict ----------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_flipped_labels_match_reference_simulation():
 
 
 def test_step_counts_time_and_instances():
-    learner = Learner(LearnerConfig("PETRUN", B=2, measure_time=True), 5)
+    learner = Learner(LearnerConfig("PETRUN", measure_time=True), 5, 2)
     learner.step(sv(5, {0: 1.0}), 1)
     learner.step(sv(5, {1: 1.0}), -1)
     assert learner.instances == 2

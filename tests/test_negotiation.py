@@ -39,7 +39,7 @@ def offer(pid, entries, err=0, d=6, cost_time=0.0, trust=0.0, instances=0):
 
 
 def petrun_participant(pid, d, B, seed=0):
-    learner = Learner(LearnerConfig("PETRUN", B=B, seed=seed, measure_time=False), d)
+    learner = Learner(LearnerConfig("PETRUN", measure_time=False), d, B, seed=seed)
     return Participant(pid, learner)
 
 
@@ -246,7 +246,7 @@ def test_merge_deterministic():
 
 def test_broadcast_replaces_weights_and_keeps_sigma():
     participants = [petrun_participant(i, 6, 3) for i in range(2)]
-    arow = Participant(2, Learner(LearnerConfig("AROW", B=3, measure_time=False), 6))
+    arow = Participant(2, Learner(LearnerConfig("AROW", measure_time=False), 6, 3))
     arow.learner.sigma[0] = 0.25
     participants.append(arow)
     merged = sv(6, {1: 0.7})
@@ -425,7 +425,7 @@ def test_negotiation_determinism():
 
 
 def test_score_chunk_counts_mistakes_and_refreshes_trust():
-    learner = Learner(LearnerConfig("PETRUN", B=2, measure_time=False), 3)
+    learner = Learner(LearnerConfig("PETRUN", measure_time=False), 3, 2)
     chunk = [(sv(3, {0: 1.0}), 1), (sv(3, {0: 1.0}), 1), (sv(3, {1: 1.0}), -1)]
     # zero model: first +1 is a mistake, the second is now right, -1 is right
     mistakes, state = score_chunk(learner, chunk, TrustState(), TrustParams())

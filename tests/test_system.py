@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negofs.data import Dataset, SyntheticSpec, budget, generate_synthetic, permute, stream_of
-from negofs.learners import Learner, LearnerConfig
-from negofs.negotiation import MIN_UTILITY, NegotiationConfig, Participant, run_negotiation
+from negofs.learners import VARIANTS, Learner, LearnerConfig
+from negofs.negotiation import MIN_ERROR, MIN_UTILITY, NegotiationConfig, Participant, run_negotiation
 from negofs.sparse import SparseVector
 from negofs.system import (
     SystemConfig,
@@ -22,8 +24,23 @@ def sv(d, entries=()):
     return SparseVector(d, entries)
 
 
-def states(*sats):
-    return {i: TrustState(sat=s, n=1) for i, s in enumerate(sats)}
+def candidates(*sats, mistakes=None, times=None):
+    """Participants with the given trust values, mistake counts and cumulative times."""
+    out = []
+    for i, sat in enumerate(sats):
+        learner = Learner(LearnerConfig("PETRUN", measure_time=False), 3, 1)
+        learner.mistakes = mistakes[i] if mistakes else 0
+        learner.cumulative_time = times[i] if times else 0.0
+        out.append(Participant(i, learner, TrustState(sat=sat, n=1)))
+    return out
+
+
+def ids(participants):
+    return [p.id for p in participants]
+
+
+def participant(pid, d, variant="PETRUN"):
+    return Participant(pid, Learner(LearnerConfig(variant, measure_time=False), d, 6))
 
 
 def small_dataset(seed=0, d=20, n=200, relevant=4, noise=0.02, density=0.3):
@@ -40,32 +57,28 @@ def roster(*variants, **kwargs):
 # -- elect_trustful ------------------------------------------------------------
 
 def test_elect_top_two_by_trust():
-    elected = elect_trustful(states(0.9, 0.3, 0.7), {0: 0, 1: 0, 2: 0},
-                             {0: 0.0, 1: 0.0, 2: 0.0}, k=2)
-    assert elected == [0, 2]
+    assert ids(elect_trustful(candidates(0.9, 0.3, 0.7), k=2)) == [0, 2]
 
 
 def test_elect_tie_break_chain():
-    elected = elect_trustful(states(0.5, 0.5, 0.5), {0: 5, 1: 2, 2: 9},
-                             {0: 0.0, 1: 0.0, 2: 0.0}, k=2)
-    assert elected == [1, 0]
+    elected = elect_trustful(candidates(0.5, 0.5, 0.5, mistakes=(5, 2, 9)), k=2)
+    assert ids(elected) == [1, 0]
 
 
-def test_elect_time_then_id_break_ties():
-    elected = elect_trustful(states(0.5, 0.5, 0.5), {0: 1, 1: 1, 2: 1},
-                             {0: 2.0, 1: 1.0, 2: 2.0}, k=2)
-    assert elected == [1, 0]
+def test_elect_unequal_times_leave_id_order():
+    # Measured time never decides the election: equal trust and mistakes fall to the id.
+    elected = elect_trustful(
+        candidates(0.5, 0.5, 0.5, mistakes=(1, 1, 1), times=(2.0, 1.0, 2.0)), k=2)
+    assert ids(elected) == [0, 1]
 
 
 def test_elect_all_when_k_equals_n():
-    elected = elect_trustful(states(0.1, 0.9, 0.4), {0: 0, 1: 0, 2: 0},
-                             {0: 0.0, 1: 0.0, 2: 0.0}, k=3)
-    assert set(elected) == {0, 1, 2}
+    assert set(ids(elect_trustful(candidates(0.1, 0.9, 0.4), k=3))) == {0, 1, 2}
 
 
 def test_elect_rejects_k_above_n():
     with pytest.raises(ValueError):
-        elect_trustful(states(0.5), {0: 0}, {0: 0.0}, k=2)
+        elect_trustful(candidates(0.5), k=2)
 
 
 # -- config validation -----------------------------------------------------------
@@ -98,12 +111,11 @@ def test_label_flipped_learner_gets_lowest_trust_and_loses_election():
     params = TrustParams()
     window = 16
 
-    clean = [Learner(LearnerConfig("PETRUN", B=6, measure_time=False), ds.dimension)
-             for _ in range(2)]
-    clean_states = calibrate(clean, stream, params, window=window)
+    clean = [participant(i, ds.dimension) for i in range(2)]
+    calibrate(clean, stream, params, window=window)
 
     from negofs.trust import update_trust
-    flipped = Learner(LearnerConfig("PETRUN", B=6, measure_time=False), ds.dimension)
+    flipped = Learner(LearnerConfig("PETRUN", measure_time=False), ds.dimension, 6)
     flipped_state = TrustState()
     correct = 0
     for i, (x, y) in enumerate(stream, 1):
@@ -114,11 +126,9 @@ def test_label_flipped_learner_gets_lowest_trust_and_loses_election():
             flipped_state = update_trust(flipped_state, correct / window, params)
             correct = 0
 
-    trusts = {0: clean_states[0], 1: clean_states[1], 2: flipped_state}
-    assert trusts[2].sat < min(trusts[0].sat, trusts[1].sat)
-    mistakes = {0: clean[0].mistakes, 1: clean[1].mistakes, 2: flipped.mistakes}
-    times = {i: 0.0 for i in range(3)}
-    assert 2 not in elect_trustful(trusts, mistakes, times, k=2)
+    assert flipped_state.sat < min(p.trust_state.sat for p in clean)
+    everyone = clean + [Participant(2, flipped, flipped_state)]
+    assert 2 not in ids(elect_trustful(everyone, k=2))
 
 
 def test_noise_learner_never_displaces_clean_ones():
@@ -132,18 +142,11 @@ def test_noise_learner_never_displaces_clean_ones():
         noise_stream = [(x, rng.choice((-1, 1))) for x, _ in stream]
         params = TrustParams()
 
-        clean = [Learner(LearnerConfig(v, B=6, measure_time=False), ds.dimension)
-                 for v in ("PETRUN", "OGD", "PA")]
-        noisy = Learner(LearnerConfig("PETRUN", B=6, measure_time=False), ds.dimension)
-        clean_states = calibrate(clean, stream, params, window=16)
-        noisy_states = calibrate([noisy], noise_stream, params, window=16)
-
-        trusts = dict(enumerate(clean_states))
-        trusts[3] = noisy_states[0]
-        mistakes = {i: lrn.mistakes for i, lrn in enumerate(clean)}
-        mistakes[3] = noisy.mistakes
-        times = {i: 0.0 for i in range(4)}
-        assert 3 not in elect_trustful(trusts, mistakes, times, k=3), f"rep {rep}"
+        clean = [participant(i, ds.dimension, v) for i, v in enumerate(("PETRUN", "OGD", "PA"))]
+        noisy = participant(3, ds.dimension)
+        calibrate(clean, stream, params, window=16)
+        calibrate([noisy], noise_stream, params, window=16)
+        assert 3 not in ids(elect_trustful(clean + [noisy], k=3)), f"rep {rep}"
 
 
 # -- run_moanofs -------------------------------------------------------------------------
@@ -171,8 +174,7 @@ def test_identical_petrun_roster_equals_single_learner():
     cfg = SystemConfig(roster=roster("PETRUN", "PETRUN", "PETRUN"), k=3,
                        t_max=4, seed=5)
     report = run_moanofs(ds, cfg)
-    single = Learner(LearnerConfig("PETRUN", B=report.B, measure_time=False),
-                     ds.dimension)
+    single = Learner(LearnerConfig("PETRUN", measure_time=False), ds.dimension, report.B)
     for x, y in stream_of(ds, permute(ds, 5)):
         single.step(x, y)
     assert report.merged == single.w
@@ -231,6 +233,43 @@ def test_moanofs_trust_feeds_offers():
     assert all(0.0 <= lr.trust <= 1.0 for lr in report.per_learner)
     # elected learners kept accumulating trust during negotiation
     assert all(lr.trust > 0.0 for lr in elected_reports)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_tiny_pipeline_invariants(data):
+    n = data.draw(st.integers(10, 40), label="n")
+    d = data.draw(st.integers(3, 12), label="d")
+    others = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=3))
+    variants = data.draw(st.permutations(["RAND", *others]), label="roster")
+    size = len(variants)
+    cfg = SystemConfig(
+        roster=roster(*variants),
+        k=data.draw(st.integers(2, size), label="k"),
+        t_max=data.draw(st.integers(1, 3 * n), label="t_max"),
+        calibration_fraction=data.draw(st.floats(0.01, 0.9), label="calibration"),
+        conflict_rule=data.draw(st.sampled_from((MIN_ERROR, MIN_UTILITY))),
+        seed=data.draw(st.integers(), label="seed"),
+    )
+    ds, _ = generate_synthetic(SyntheticSpec(d=d, n_samples=n, n_relevant=min(3, d),
+                                             density=0.4, label_noise=0.1,
+                                             seed=data.draw(st.integers(0, 2 ** 16))))
+    report = run_moanofs(ds, cfg)
+
+    assert len(report.merged) <= report.B
+    assert all(0.0 <= lr.trust <= 1.0 for lr in report.per_learner)
+    assert report.calibration_instances + report.system_instances == n
+    assert len(set(report.elected)) == len(report.elected) == cfg.k
+    assert set(report.elected) == {lr.learner_id for lr in report.per_learner if lr.elected}
+    for lr in report.per_learner:
+        assert lr.instances == (n if lr.elected else report.calibration_instances)
+    if cfg.k == size:
+        assert report.calibration_instances == 0
+        assert report.elected == list(range(size))
+    assert report.calibration_degenerate == (cfg.k < size and report.calibration_instances == 0)
+    assert all(t.stale == (t.chunk_size == 0) for t in report.trials)
+    assert sum(t.chunk_size for t in report.trials) == report.system_instances
+    assert run_moanofs(ds, cfg).transcript.serialize() == report.transcript.serialize()
 
 
 # -- evaluate_holdout -----------------------------------------------------------------------
