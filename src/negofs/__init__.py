@@ -10,12 +10,11 @@ from .negotiation import (
     NegotiationTranscript,
     Offer,
     Participant,
-    merge_bilateral,
     merge_multilateral,
     run_negotiation,
 )
 from .sparse import SparseVector, add_scaled, dot, project_l2_ball, truncate
-from .system import RunReport, SystemConfig, elect_trustful, evaluate_holdout, run_moanofs
+from .system import RunReport, SystemConfig, elect_trustful, run_moanofs
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
 from .utility import (
     DeadlineParams,
@@ -37,9 +36,9 @@ __all__ = [
     "VARIANTS", "Learner", "LearnerConfig", "Prediction",
     "FeatureTrust", "MIN_ERROR", "MIN_UTILITY", "NegotiationConfig",
     "NegotiationTranscript", "Offer", "Participant",
-    "merge_bilateral", "merge_multilateral", "run_negotiation",
+    "merge_multilateral", "run_negotiation",
     "SparseVector", "add_scaled", "dot", "project_l2_ball", "truncate",
-    "RunReport", "SystemConfig", "elect_trustful", "evaluate_holdout", "run_moanofs",
+    "RunReport", "SystemConfig", "elect_trustful", "run_moanofs",
     "TrustParams", "TrustState", "direct_trust", "satisfaction_of_window", "update_trust",
     "DeadlineParams", "IssueDomain", "IssueWeightProfile", "TimeStrategyParams",
     "aggregate_utility", "linear_score", "offer_cost", "time_dependent_value",

@@ -340,9 +340,17 @@ def options_from(args) -> RunOptions:
     return RunOptions(system, args.k)
 
 
-def cmd_run(args) -> int:
+def benchmark_options(args) -> tuple[list[str], RunOptions]:
+    """The algorithms and run template of run and compare, checked across flags."""
     algorithms = parse_algorithms(args.algorithms)
-    opts = options_from(args)
+    if args.conflict_rule == "min-utility" and "MOANOFS" not in algorithms:
+        raise ConfigError("--conflict-rule min-utility applies to MOANOFS only; "
+                          "add MOANOFS to --algorithms")
+    return algorithms, options_from(args)
+
+
+def cmd_run(args) -> int:
+    algorithms, opts = benchmark_options(args)
     dataset = load_dataset(args)
     rows, _ = run_experiment(algorithms, dataset, args.runs, args.seed, opts)
     text = format_markdown(rows) if args.format == "markdown" else format_csv(rows)
@@ -351,10 +359,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    algorithms = parse_algorithms(args.algorithms)
+    algorithms, opts = benchmark_options(args)
     if len(algorithms) < 2:
         raise ConfigError("compare needs at least 2 algorithms")
-    opts = options_from(args)
     dataset = load_dataset(args)
     rows, _ = run_experiment(algorithms, dataset, args.runs, args.seed, opts)
     sys.stdout.write(format_markdown(rows) if args.format != "csv" else format_csv(rows))
@@ -434,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trust,error,cost-time weights summing to 1")
         p.add_argument("--conflict-rule", choices=("min-error", "min-utility"),
                        default="min-error",
-                       help="conflict rule for MOANOFS (BANOFS/MANOFS always use min-error)")
+                       help="conflict rule for MOANOFS; min-utility needs MOANOFS among "
+                            "--algorithms (BANOFS/MANOFS always use min-error)")
         p.add_argument("--trust-c", type=float, default=TrustParams.c,
                        help=f"trust reaction weight, in (0, {1.0 - TrustParams.threshold}]")
         p.add_argument("--epsilon", type=float, default=SystemConfig.epsilon,

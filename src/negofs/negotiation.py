@@ -36,14 +36,6 @@ MIN_ERROR = "MIN_ERROR"
 MIN_UTILITY = "MIN_UTILITY"
 
 
-class NegotiationError(RuntimeError):
-    pass
-
-
-class InsufficientOffersError(NegotiationError):
-    """Fewer than two offers were handed to a merge."""
-
-
 class MessageKind(str, Enum):
     CFP = "CFP"
     PROPOSE = "PROPOSE"
@@ -72,23 +64,22 @@ class Offer:
 
 @dataclass(frozen=True)
 class ProtocolMessage:
+    """One protocol step; ``detail`` is the vector digest or the CFP's stale flag."""
+
     round: int
     kind: MessageKind
     sender: str
     receiver: str
-    payload: object = None
-    note: str = ""
+    detail: str = "-"
 
-    def digest(self) -> str:
-        """Support size and L2 norm of the payload vector, or the note."""
-        vec = self.payload.w if isinstance(self.payload, Offer) else self.payload
-        if isinstance(vec, SparseVector):
-            return f"{len(vec)};{vec.norm_l2():.6f}"
-        return self.note or "-"
+
+def _digest(w: SparseVector) -> str:
+    """Support size and L2 norm: all the transcript keeps of a vector."""
+    return f"{len(w)};{w.norm_l2():.6f}"
 
 
 class NegotiationTranscript:
-    """Append-only message log; one negotiation round per CFP..INFORM."""
+    """Append-only log of digests, never vectors; one round per CFP..INFORM."""
 
     def __init__(self):
         self.messages: list[ProtocolMessage] = []
@@ -101,16 +92,10 @@ class NegotiationTranscript:
     def __len__(self) -> int:
         return len(self.messages)
 
-    def rounds(self) -> dict[int, list[ProtocolMessage]]:
-        by_round: dict[int, list[ProtocolMessage]] = {}
-        for m in self.messages:
-            by_round.setdefault(m.round, []).append(m)
-        return by_round
-
     def serialize(self) -> str:
         lines = [
             "\t".join(
-                (str(m.round), m.kind.value, m.sender, m.receiver, m.digest())
+                (str(m.round), m.kind.value, m.sender, m.receiver, m.detail)
             )
             for m in self.messages
         ]
@@ -219,29 +204,15 @@ def call_for_proposals(
     """Open a round: CFP out, one PROPOSE per participant back."""
     transcript.append(
         ProtocolMessage(round_index, MessageKind.CFP, INITIATOR, EVERYONE,
-                        note="stale" if stale else "")
+                        "stale" if stale else "-")
     )
     offers = [p.make_offer() for p in participants]
     for offer in offers:
         transcript.append(
             ProtocolMessage(round_index, MessageKind.PROPOSE, str(offer.participant_id),
-                            INITIATOR, payload=offer)
+                            INITIATOR, _digest(offer.w))
         )
     return offers
-
-
-def merge_bilateral(o1: Offer, o2: Offer) -> SparseVector:
-    """Two-party merge: union of selections, fewer errors wins conflicts.
-
-    Equal error counts fall back to the lower participant id.
-    """
-    if o1.w.dimension != o2.w.dimension:
-        raise ValueError("offers must share a dimension")
-    if (o2.err_count, o2.participant_id) < (o1.err_count, o1.participant_id):
-        o1, o2 = o2, o1
-    merged = o2.w.to_dict()
-    merged.update(o1.w.items())  # o1 wins every conflict
-    return _from_dict(o1.w.dimension, merged)
 
 
 def offer_costs(
@@ -272,7 +243,7 @@ def merge_multilateral(
     then descending magnitude, then ascending index.
     """
     if len(offers) < 2:
-        raise InsufficientOffersError(f"{len(offers)} offer(s) cannot be merged")
+        raise ValueError(f"{len(offers)} offer(s) cannot be merged")
     dimension = offers[0].w.dimension
     for o in offers[1:]:
         if o.w.dimension != dimension:
@@ -324,7 +295,7 @@ def broadcast(
         p.learner.w = merged
     transcript.append(
         ProtocolMessage(round_index, MessageKind.INFORM, INITIATOR, EVERYONE,
-                        payload=merged)
+                        _digest(merged))
     )
 
 

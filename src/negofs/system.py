@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .data import Dataset, Instance, budget, permute, stream_of
-from .learners import Learner, LearnerConfig, sign_of
+from .learners import Learner, LearnerConfig
 from .negotiation import (
     MIN_ERROR,
     NegotiationConfig,
@@ -27,7 +27,7 @@ from .negotiation import (
     run_negotiation,
     score_chunk,
 )
-from .sparse import SparseVector, dot
+from .sparse import SparseVector
 from .trust import TrustParams, direct_trust
 from .utility import IssueWeightProfile
 
@@ -194,11 +194,3 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
         calibration_degenerate=cfg.k < len(participants) and n_cal == 0,
         transcript=transcript,
     )
-
-
-def evaluate_holdout(w: SparseVector, holdout: Sequence[Instance]) -> float:
-    """Fraction of holdout instances whose sign prediction disagrees."""
-    if not holdout:
-        raise ValueError("holdout must be non-empty")
-    wrong = sum(1 for x, y in holdout if sign_of(dot(w, x)) != y)
-    return wrong / len(holdout)

@@ -15,23 +15,17 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:  # pragma: no cover
     from .negotiation import Offer
 
-MINIMIZE = "MINIMIZE"
-MAXIMIZE = "MAXIMIZE"
-
 
 @dataclass(frozen=True)
 class IssueDomain:
-    """Acceptable value interval for one issue, with its preferred direction."""
+    """Acceptable value interval for one issue; lower values are better."""
 
     lower: float
     upper: float
-    direction: str = MINIMIZE
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError(f"degenerate domain [{self.lower}, {self.upper}]")
-        if self.direction not in (MINIMIZE, MAXIMIZE):
-            raise ValueError(f"unknown direction {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -86,12 +80,9 @@ class DeadlineParams:
 
 
 def linear_score(value: float, domain: IssueDomain) -> float:
-    """Linear score of an issue value into [0, 1]; out-of-range values clamp."""
+    """Score an issue value into [0, 1], 1 at the lower end; out-of-range values clamp."""
     v = min(max(value, domain.lower), domain.upper)
-    span = domain.upper - domain.lower
-    if domain.direction == MAXIMIZE:
-        return (v - domain.lower) / span
-    return (domain.upper - v) / span
+    return (domain.upper - v) / (domain.upper - domain.lower)
 
 
 def aggregate_utility(profile: IssueWeightProfile, scores: Sequence[float]) -> float:
@@ -104,8 +95,8 @@ def aggregate_utility(profile: IssueWeightProfile, scores: Sequence[float]) -> f
 
 def _badness(value: float, domain: Optional[IssueDomain]) -> float:
     # Lower raw values are better for error and time, so badness inverts the
-    # minimizing linear score. A missing domain means every offer tied this
-    # round and the issue carries no information.
+    # linear score. A missing domain means every offer tied this round and
+    # the issue carries no information.
     if domain is None:
         return 0.0
     return 1.0 - linear_score(value, domain)
@@ -134,7 +125,7 @@ def offer_cost(
 
 
 def round_domain(values: Sequence[float]) -> Optional[IssueDomain]:
-    """Minimizing domain spanning one round's observed issue values.
+    """Domain spanning one round's observed issue values.
 
     Returns None when all offers tie, in which case the issue is scored as
     zero badness for everyone.
@@ -142,7 +133,7 @@ def round_domain(values: Sequence[float]) -> Optional[IssueDomain]:
     lo, hi = min(values), max(values)
     if hi - lo <= 0.0:
         return None
-    return IssueDomain(lo, hi, MINIMIZE)
+    return IssueDomain(lo, hi)
 
 
 def time_dependent_value(t: float, p: TimeStrategyParams) -> float:

@@ -151,8 +151,12 @@ def test_count_flags_below_one_exit_2(capsys, command, algorithms, flag, value):
     ("single:PETRUN", "--calibration", "1.0", "calibration_fraction must lie in (0, 1)"),
     ("single:PETRUN", "--trust-c", "1.5", "c must lie in (0, 1 - threshold] = (0, 0.75], got 1.5"),
     ("single:PETRUN", "--trust-c", "0.8", "c must lie in (0, 1 - threshold] = (0, 0.75], got 0.8"),
+    ("MANOFS", "--conflict-rule", "min-utility",
+     "--conflict-rule min-utility applies to MOANOFS only; add MOANOFS to --algorithms"),
+    ("single:PETRUN,BANOFS", "--conflict-rule", "min-utility",
+     "--conflict-rule min-utility applies to MOANOFS only; add MOANOFS to --algorithms"),
 ], ids=["k-moanofs", "epsilon-manofs", "epsilon-single", "calibration-single", "trust-c-single",
-        "trust-c-cap"])
+        "trust-c-cap", "min-utility-manofs", "min-utility-banofs"])
 def test_bad_flag_fails_before_any_run(tmp_path, capsys, monkeypatch,
                                        algorithms, flag, value, message):
     ran = []
@@ -172,6 +176,21 @@ def test_bad_flag_is_reported_before_the_dataset_is_read(tmp_path, capsys, comma
             "--algorithms", algorithms, "--epsilon", "-1"]
     assert main(argv) == EXIT_CONFIG
     assert "epsilon must be positive" in capsys.readouterr().err
+
+
+def test_min_utility_without_moanofs_fails_before_the_dataset_is_read(tmp_path, capsys):
+    argv = ["compare", "--dataset", str(tmp_path / "absent.txt"),
+            "--algorithms", "single:PETRUN,MANOFS", "--conflict-rule", "min-utility"]
+    assert main(argv) == EXIT_CONFIG
+    assert "add MOANOFS to --algorithms" in capsys.readouterr().err
+
+
+def test_min_utility_runs_when_moanofs_is_requested(tmp_path):
+    argv, out = run_flags(tmp_path, algorithms="MANOFS,MOANOFS", runs=1,
+                          **{"--conflict-rule": "min-utility"})
+    assert main(argv) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [
+        "MANOFS", "MOANOFS"]
 
 
 def test_dim_with_synthetic_exits_2(tmp_path, capsys):

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negofs.data import (
     Dataset,
@@ -116,6 +118,40 @@ def test_round_trip(tmp_path):
     assert again.dimension == ds.dimension
     assert again.name == ds.name
     assert again.instances == ds.instances
+
+
+@st.composite
+def small_datasets(draw):
+    d = draw(st.integers(1, 8), label="d")
+    values = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: abs(v) >= 1e-15)
+    rows = draw(st.lists(st.tuples(st.dictionaries(st.integers(0, d - 1), values),
+                                   st.sampled_from((-1, 1))),
+                         min_size=1, max_size=6), label="rows")
+    return Dataset("rows", d, [(SparseVector(d, entries), y) for entries, y in rows])
+
+
+@given(ds=small_datasets(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_save_load_round_trip_and_bad_value_names_its_line(tmp_path_factory, ds, data):
+    path = tmp_path_factory.mktemp("round-trip") / "data.txt"
+    save_sparse_text(ds, path)
+    again = load_sparse_text(path, dimension=ds.dimension)
+    assert again.dimension == ds.dimension
+    assert again.instances == ds.instances
+
+    lines = path.read_text(encoding="utf-8").splitlines()
+    line_no = data.draw(st.integers(1, len(lines)), label="bad line")
+    tokens = lines[line_no - 1].split()
+    if len(tokens) > 1:
+        at = data.draw(st.integers(1, len(tokens) - 1), label="bad token")
+        tokens[at] = tokens[at].partition(":")[0] + ":abc"
+    else:  # an empty row: its only value is the label
+        tokens[0] = "abc"
+    lines[line_no - 1] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SparseTextParseError, match=f"^line {line_no}: malformed") as err:
+        load_sparse_text(path, dimension=ds.dimension)
+    assert err.value.line_no == line_no
 
 
 # -- permute -------------------------------------------------------------------

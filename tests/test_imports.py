@@ -1,7 +1,8 @@
 """Every name a negofs module imports is used: a standard-library unused-import check.
 
 A name counts as used when the module reads it anywhere, including inside a
-string annotation such as ``x: "Dataset"``.
+string annotation such as ``x: "Dataset"``, or when the module's ``__all__``
+lists it. The package's ``__all__`` must in turn name only what it imports.
 """
 
 import ast
@@ -10,11 +11,11 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "negofs"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line."""
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -23,8 +24,22 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+    return imported
 
-    used = set()
+
+def exported_names(tree: ast.Module) -> list[str]:
+    """The string entries of a module-level ``__all__`` list, if there is one."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [e.value for e in node.value.elts]
+    return []
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = imported_names(tree)
+    used = set(exported_names(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
@@ -50,8 +65,17 @@ def test_checker_finds_unused_and_honours_string_annotations():
         "    return []\n"
     )
     assert unused_imports(source) == ["line 1: os", "line 2: Iterable"]
+    assert unused_imports("from os import sep, path\n__all__ = ['sep']\n") == ["line 1: path"]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_package_exports_only_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = exported_names(tree)
+    assert exported
+    assert len(set(exported)) == len(exported)
+    assert sorted(set(exported) - set(imported_names(tree))) == []

@@ -1,17 +1,19 @@
-import math
 import random
+from itertools import groupby
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import merge_offers_reference
-from negofs.learners import Learner, LearnerConfig
+from negofs import negotiation
+from negofs.learners import VARIANTS, Learner, LearnerConfig
 from negofs.negotiation import (
     EVERYONE,
     INITIATOR,
     MIN_ERROR,
     MIN_UTILITY,
     FeatureTrust,
-    InsufficientOffersError,
     MessageKind,
     NegotiationConfig,
     NegotiationTranscript,
@@ -20,7 +22,6 @@ from negofs.negotiation import (
     ProtocolMessage,
     broadcast,
     call_for_proposals,
-    merge_bilateral,
     merge_multilateral,
     offer_costs,
     run_negotiation,
@@ -47,6 +48,30 @@ def ncfg(**kwargs):
     kwargs.setdefault("t_max", 3)
     kwargs.setdefault("merged_budget", 6)
     return NegotiationConfig(**kwargs)
+
+
+def bilateral(o1, o2):
+    """Two-offer merge under min-error with room for the whole union."""
+    merged, _ = merge_multilateral([o1, o2], FeatureTrust(0.5), ncfg(merged_budget=o1.w.dimension))
+    return merged
+
+
+def spy_on_merges(monkeypatch):
+    """Record (offers, merged) for every merge a negotiation runs."""
+    merges = []
+    real = negotiation.merge_multilateral
+
+    def spy(offers, feature_trust, cfg):
+        merged, feature_trust = real(offers, feature_trust, cfg)
+        merges.append((list(offers), merged))
+        return merged, feature_trust
+
+    monkeypatch.setattr(negotiation, "merge_multilateral", spy)
+    return merges
+
+
+def by_round(transcript):
+    return {r: list(ms) for r, ms in groupby(transcript.messages, key=lambda m: m.round)}
 
 
 # -- offers and feature trust ----------------------------------------------------
@@ -86,15 +111,15 @@ def test_cfp_three_healthy_participants():
     assert kinds == [MessageKind.CFP] + [MessageKind.PROPOSE] * 3
 
 
-# -- merge_bilateral --------------------------------------------------------------------
+# -- two-offer merges ---------------------------------------------------------------------
 
 def test_bilateral_union_of_disjoint_selections():
-    merged = merge_bilateral(offer(0, {0: 0.4}), offer(1, {1: -0.2}))
+    merged = bilateral(offer(0, {0: 0.4}), offer(1, {1: -0.2}))
     assert merged == sv(6, {0: 0.4, 1: -0.2})
 
 
 def test_bilateral_min_error_wins_conflict():
-    merged = merge_bilateral(
+    merged = bilateral(
         offer(0, {0: 0.4}, err=5), offer(1, {0: -0.6}, err=2)
     )
     assert merged == sv(6, {0: -0.6})
@@ -102,19 +127,19 @@ def test_bilateral_min_error_wins_conflict():
 
 def test_bilateral_identical_offers():
     o = offer(0, {0: 0.4, 3: 1.0}, err=3)
-    assert merge_bilateral(o, offer(1, {0: 0.4, 3: 1.0}, err=3)) == o.w
+    assert bilateral(o, offer(1, {0: 0.4, 3: 1.0}, err=3)) == o.w
 
 
 def test_bilateral_tie_breaks_on_lower_id():
-    merged = merge_bilateral(
+    merged = bilateral(
         offer(1, {0: -0.6}, err=2), offer(0, {0: 0.4}, err=2)
     )
     assert merged == sv(6, {0: 0.4})
 
 
 def test_bilateral_dimension_mismatch():
-    with pytest.raises(ValueError):
-        merge_bilateral(offer(0, {0: 1.0}, d=3), offer(1, {0: 1.0}, d=4))
+    with pytest.raises(ValueError, match="share a dimension"):
+        bilateral(offer(0, {0: 1.0}, d=3), offer(1, {0: 1.0}, d=4))
 
 
 # -- merge_multilateral -------------------------------------------------------------------
@@ -165,7 +190,7 @@ def test_multilateral_budget_ranks_by_tf_then_weight_then_index():
 
 
 def test_multilateral_requires_two_offers():
-    with pytest.raises(InsufficientOffersError):
+    with pytest.raises(ValueError, match="1 offer"):
         merge_multilateral([offer(0, {0: 1.0})], FeatureTrust(0.5), ncfg())
 
 
@@ -178,22 +203,6 @@ def test_multilateral_min_utility_conflict_rule():
     merged, _ = merge_multilateral([cheap, costly], FeatureTrust(0.5), cfg)
     winner = min(costs, key=lambda pid: (costs[pid], pid))
     assert merged.get(0) == (0.4 if winner == 0 else -0.6)
-
-
-def test_bilateral_multilateral_consistency():
-    rng = random.Random(77)
-    for _ in range(200):
-        d = rng.randint(2, 10)
-        offers = []
-        for pid in range(2):
-            nnz = rng.randint(0, d)
-            entries = {i: rng.uniform(-1, 1) for i in rng.sample(range(d), nnz)}
-            offers.append(offer(pid, entries, err=rng.randint(0, 5), d=d))
-        expected = merge_bilateral(offers[0], offers[1])
-        merged, _ = merge_multilateral(
-            offers, FeatureTrust(0.5), ncfg(merged_budget=d)
-        )
-        assert merged == expected
 
 
 def test_merge_matches_per_feature_reference():
@@ -285,10 +294,7 @@ def test_transcript_round_monotonicity_enforced():
 def test_transcript_serialization_format():
     transcript = NegotiationTranscript()
     transcript.append(ProtocolMessage(1, MessageKind.CFP, INITIATOR, EVERYONE))
-    transcript.append(
-        ProtocolMessage(1, MessageKind.INFORM, INITIATOR, EVERYONE,
-                        payload=sv(6, {0: 3.0, 1: 4.0}))
-    )
+    broadcast(sv(6, {0: 3.0, 1: 4.0}), [], transcript, 1)
     lines = transcript.serialize().splitlines()
     assert lines[0] == "1\tCFP\tinit\t*\t-"
     assert lines[1] == "1\tINFORM\tinit\t*\t2;5.000000"
@@ -323,24 +329,29 @@ def test_rounds_start_with_cfp_and_end_with_inform_or_abort():
     stream = build_stream(2, 5, 30)
     _, transcript, _ = run_negotiation(participants, stream,
                                        ncfg(t_max=4, merged_budget=5))
-    for round_messages in transcript.rounds().values():
+    for round_messages in by_round(transcript).values():
         assert round_messages[0].kind == MessageKind.CFP
         assert round_messages[-1].kind == MessageKind.INFORM
 
 
-def test_n2_reduces_to_bilateral_merge_each_trial():
+def test_n2_reduces_to_bilateral_merge_each_trial(monkeypatch):
     d = 5
     participants = [petrun_participant(i, d, 2, seed=i) for i in range(2)]
     stream = build_stream(3, d, 20)
-    merged, transcript, _ = run_negotiation(
+    merges = spy_on_merges(monkeypatch)
+    merged, _, _ = run_negotiation(
         participants, stream, ncfg(t_max=4, merged_budget=d)
     )
-    rounds = transcript.rounds()
-    for idx, messages in rounds.items():
-        proposals = [m.payload for m in messages if m.kind == MessageKind.PROPOSE]
-        inform = [m for m in messages if m.kind == MessageKind.INFORM][-1]
-        assert inform.payload == merge_bilateral(proposals[0], proposals[1])
-    assert merged == rounds[4][-1].payload
+    assert len(merges) == 4
+    for offers, round_merged in merges:
+        assert len(offers) == 2
+        errors = {o.participant_id: o.err_count for o in offers}
+        expected = merge_offers_reference(
+            [(o.participant_id, [o.w.get(i) for i in range(d)], o.err_count) for o in offers],
+            conflict_key=errors.__getitem__,
+        )
+        assert [round_merged.get(i) for i in range(d)] == expected
+    assert merged == merges[-1][1]
 
 
 def test_three_petrun_trace_matches_independent_simulation():
@@ -354,7 +365,7 @@ def test_three_petrun_trace_matches_independent_simulation():
     merged, transcript, metrics = run_negotiation(
         participants, stream, ncfg(t_max=3, merged_budget=d)
     )
-    assert len(transcript.rounds()) == 3
+    assert len(by_round(transcript)) == 3
 
     # independent simulation
     def dense_truncate(w, B):
@@ -397,7 +408,7 @@ def test_short_stream_flags_stale_rounds():
     stale_rounds = [m for m in metrics if m.stale]
     assert len(stale_rounds) == 3  # ceil(2/5) = 1 per chunk, data gone after 2
     stale_cfps = [m for m in transcript.messages
-                  if m.kind == MessageKind.CFP and m.note == "stale"]
+                  if m.kind == MessageKind.CFP and m.detail == "stale"]
     assert len(stale_cfps) == 3
 
 
@@ -444,10 +455,45 @@ def test_min_utility_round_accepts_by_pressure_threshold():
         participants, stream,
         ncfg(t_max=3, merged_budget=4, conflict_rule=MIN_UTILITY),
     )
-    for round_messages in transcript.rounds().values():
+    for round_messages in by_round(transcript).values():
         accepted = [m for m in round_messages
                     if m.kind == MessageKind.ACCEPT and m.sender == INITIATOR]
         assert len(accepted) >= 2
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
+    d = data.draw(st.integers(1, 8), label="d")
+    n = data.draw(st.integers(1, 30), label="n")
+    stream = build_stream(data.draw(st.integers(0, 2 ** 16), label="stream"), d, n,
+                          max_nnz=min(3, d))
+    variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=2, max_size=5),
+                         label="variants")
+    participants = [
+        Participant(i, Learner(LearnerConfig(v, measure_time=False), d,
+                               data.draw(st.integers(1, d), label=f"B{i}"), seed=i))
+        for i, v in enumerate(variants)
+    ]
+    cfg = ncfg(t_max=data.draw(st.integers(1, 2 * n), label="t_max"),
+               merged_budget=data.draw(st.integers(1, d), label="merged_budget"),
+               conflict_rule=MIN_UTILITY)
+    with pytest.MonkeyPatch.context() as mp:
+        merges = spy_on_merges(mp)
+        _, transcript, _ = run_negotiation(participants, stream, cfg)
+
+    rounds = by_round(transcript)
+    assert sorted(rounds) == list(range(1, cfg.t_max + 1)) and len(merges) == cfg.t_max
+    for (r, messages), (offers, merged) in zip(sorted(rounds.items()), merges):
+        decisions = [m for m in messages if m.kind in (MessageKind.ACCEPT, MessageKind.REJECT)]
+        assert sorted(int(m.receiver) for m in decisions) == list(range(len(participants)))
+        accepted = [int(m.receiver) for m in decisions if m.kind == MessageKind.ACCEPT]
+        assert len(accepted) >= 2
+        assert sorted(o.participant_id for o in offers) == sorted(accepted)
+        assert len(merged) <= cfg.merged_budget
+        inform = messages[-1]
+        assert inform.kind == MessageKind.INFORM
+        assert inform.detail == f"{len(merged)};{merged.norm_l2():.6f}"
 
 
 def test_empty_stream_rejected():

@@ -14,7 +14,6 @@ from negofs.system import (
     build_learners,
     calibrate,
     elect_trustful,
-    evaluate_holdout,
     run_moanofs,
 )
 from negofs.trust import TrustParams, TrustState
@@ -270,37 +269,3 @@ def test_tiny_pipeline_invariants(data):
     assert all(t.stale == (t.chunk_size == 0) for t in report.trials)
     assert sum(t.chunk_size for t in report.trials) == report.system_instances
     assert run_moanofs(ds, cfg).transcript.serialize() == report.transcript.serialize()
-
-
-# -- evaluate_holdout -----------------------------------------------------------------------
-
-def test_holdout_zero_error_for_planted_model():
-    ds, planted = small_dataset(seed=12, noise=0.0)
-    rng = random.Random(12)
-    order = sorted(rng.sample(range(ds.dimension), 4))
-    w_star = sv(ds.dimension, {i: float(rng.choice((-1, 1))) for i in order})
-    assert evaluate_holdout(w_star, ds.instances) == 0.0
-
-
-def test_holdout_zero_model_scores_positive_fraction():
-    ds, _ = small_dataset(seed=13)
-    rate = evaluate_holdout(sv(ds.dimension), ds.instances)
-    positives = sum(1 for _, y in ds.instances if y == 1)
-    assert rate == positives / len(ds)
-
-
-def test_holdout_random_weights_near_half():
-    rng = random.Random(123)
-    d = 50
-    w = sv(d, {i: rng.gauss(0, 1) for i in rng.sample(range(d), 10)})
-    holdout = []
-    for _ in range(10_000):
-        idx = rng.sample(range(d), 5)
-        x = sv(d, {i: rng.gauss(0, 1) for i in idx})
-        holdout.append((x, rng.choice((-1, 1))))
-    assert abs(evaluate_holdout(w, holdout) - 0.5) <= 0.05
-
-
-def test_holdout_requires_instances():
-    with pytest.raises(ValueError):
-        evaluate_holdout(sv(3), [])

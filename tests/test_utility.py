@@ -5,8 +5,6 @@ import pytest
 from negofs.negotiation import Offer
 from negofs.sparse import SparseVector
 from negofs.utility import (
-    MAXIMIZE,
-    MINIMIZE,
     DeadlineParams,
     IssueDomain,
     IssueWeightProfile,
@@ -26,27 +24,20 @@ def make_offer(pid=0, trust=0.5, err=5, instances=10, cost_time=1.0):
 
 # -- linear_score ------------------------------------------------------------
 
-def test_linear_score_endpoints():
-    dom = IssueDomain(2.0, 6.0, MAXIMIZE)
-    assert linear_score(2.0, dom) == 0.0
-    assert linear_score(6.0, dom) == 1.0
-
-
 def test_linear_score_minimize_best_at_lower():
-    dom = IssueDomain(2.0, 6.0, MINIMIZE)
+    dom = IssueDomain(2.0, 6.0)
     assert linear_score(2.0, dom) == 1.0
     assert linear_score(6.0, dom) == 0.0
 
 
 def test_linear_score_midpoint():
-    assert linear_score(4.0, IssueDomain(2.0, 6.0, MAXIMIZE)) == 0.5
-    assert linear_score(4.0, IssueDomain(2.0, 6.0, MINIMIZE)) == 0.5
+    assert linear_score(4.0, IssueDomain(2.0, 6.0)) == 0.5
 
 
 def test_linear_score_clamps_out_of_range():
-    dom = IssueDomain(0.0, 1.0, MAXIMIZE)
-    assert linear_score(-5.0, dom) == 0.0
-    assert linear_score(7.0, dom) == 1.0
+    dom = IssueDomain(0.0, 1.0)
+    assert linear_score(-5.0, dom) == 1.0
+    assert linear_score(7.0, dom) == 0.0
 
 
 def test_degenerate_domain_rejected():
@@ -96,16 +87,16 @@ def test_aggregate_monotone_in_each_score():
 def test_perfect_offer_costs_zero():
     profile = IssueWeightProfile(0.2, 0.5, 0.3)
     offer = make_offer(trust=1.0, err=0, instances=10, cost_time=0.1)
-    err_dom = IssueDomain(0.0, 0.5, MINIMIZE)
-    time_dom = IssueDomain(0.1, 2.0, MINIMIZE)
+    err_dom = IssueDomain(0.0, 0.5)
+    time_dom = IssueDomain(0.1, 2.0)
     assert offer_cost(offer, profile, err_dom, time_dom) == 0.0
 
 
 def test_worst_offer_costs_one():
     profile = IssueWeightProfile(0.2, 0.5, 0.3)
     offer = make_offer(trust=0.0, err=5, instances=10, cost_time=2.0)
-    err_dom = IssueDomain(0.0, 0.5, MINIMIZE)
-    time_dom = IssueDomain(0.1, 2.0, MINIMIZE)
+    err_dom = IssueDomain(0.0, 0.5)
+    time_dom = IssueDomain(0.1, 2.0)
     assert offer_cost(offer, profile, err_dom, time_dom) == pytest.approx(1.0)
 
 
@@ -113,8 +104,8 @@ def test_offer_cost_hand_sum():
     # trust 0.5, normalized error badness 0.4, normalized time badness 1.0
     profile = IssueWeightProfile(0.2, 0.5, 0.3)
     offer = make_offer(trust=0.5, err=4, instances=10, cost_time=2.0)
-    err_dom = IssueDomain(0.0, 1.0, MINIMIZE)
-    time_dom = IssueDomain(0.0, 2.0, MINIMIZE)
+    err_dom = IssueDomain(0.0, 1.0)
+    time_dom = IssueDomain(0.0, 2.0)
     cost = offer_cost(offer, profile, err_dom, time_dom)
     assert cost == pytest.approx(0.2 * 0.5 + 0.5 * 0.4 + 0.3 * 1.0)
 
@@ -134,9 +125,9 @@ def test_offer_cost_in_unit_interval_fuzz():
             cost_time=rng.uniform(0, 5),
         )
         lo, hi = sorted((rng.uniform(0, 1), rng.uniform(0, 1)))
-        err_dom = IssueDomain(lo, hi, MINIMIZE) if hi > lo else None
+        err_dom = IssueDomain(lo, hi) if hi > lo else None
         lo, hi = sorted((rng.uniform(0, 5), rng.uniform(0, 5)))
-        time_dom = IssueDomain(lo, hi, MINIMIZE) if hi > lo else None
+        time_dom = IssueDomain(lo, hi) if hi > lo else None
         cost = offer_cost(offer, profile, err_dom, time_dom)
         assert 0.0 <= cost <= 1.0 + 1e-12
 
