@@ -30,8 +30,9 @@ from typing import NamedTuple
 
 from .sparse import (
     SparseVector,
-    _from_dict,
+    _check_same_dimension,
     _restrict,
+    _truncated_from_dict,
     add_scaled,
     check_budget,
     dot,
@@ -73,8 +74,9 @@ class LearnerConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; valid: {', '.join(VARIANTS)}")
         for name in ("eta", "lam", "r", "C"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite, "
+                                 f"got {getattr(self, name)}")
         if not 0.5 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0.5, 1), got {self.confidence}")
         if not 0.0 < self.alpha_margin <= 1.0:
@@ -101,6 +103,7 @@ class Learner:
         self.rng = random.Random(seed)
         self._alma_k = 1
         self._phi = NormalDist().inv_cdf(config.confidence)
+        self._update_variant = getattr(self, f"_update_{config.variant.lower()}")
 
     # -- prediction ---------------------------------------------------------
 
@@ -136,17 +139,31 @@ class Learner:
             self.mistakes += 1
         if len(x) == 0:
             return
-        getattr(self, f"_update_{self.config.variant.lower()}")(x, y, margin)
+        self._update_variant(x, y, margin)
 
     def _set_weights(self, w: SparseVector) -> None:
         self.w = truncate(w, self.B)
         self.updates += 1
 
+    def _set_truncated(self, out: dict[int, float]) -> None:
+        """Take the updated entries as the weights, cut to the budget in one rebuild."""
+        self.w = _truncated_from_dict(self.dimension, out, self.B)
+        self.updates += 1
+
+    def _add_step(self, w: SparseVector, s: float, x: SparseVector) -> None:
+        """Set the weights to truncate(add_scaled(w, s, x), B), with the same arithmetic."""
+        _check_same_dimension(w, x)
+        out = w.to_dict()
+        get = out.get
+        for i, v in x.items():
+            out[i] = get(i, 0.0) + s * v
+        self._set_truncated(out)
+
     # -- perceptron-with-truncation family ------------------------------------
 
     def _update_petrun(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin <= 0:
-            self._set_weights(add_scaled(self.w, float(y), x))
+            self._add_step(self.w, float(y), x)
 
     def _update_rand(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin <= 0:
@@ -167,13 +184,13 @@ class Learner:
 
     def _update_ogd(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin < 1.0:
-            self._set_weights(add_scaled(self.w, self.config.eta * y, x))
+            self._add_step(self.w, self.config.eta * y, x)
 
     def _update_pa(self, x: SparseVector, y: int, margin: float) -> None:
         loss = max(0.0, 1.0 - y * margin)
         if loss > 0.0:
             tau = min(self.config.C, loss / x.norm_l2_sq())
-            self._set_weights(add_scaled(self.w, tau * y, x))
+            self._add_step(self.w, tau * y, x)
 
     def _update_romma(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin > 0:
@@ -182,11 +199,11 @@ class Learner:
         x_sq = x.norm_l2_sq()
         denom = x_sq * w_sq - margin * margin
         if denom <= _ROMMA_DEGENERATE * max(1.0, x_sq * w_sq):
-            self._set_weights(add_scaled(self.w, float(y), x))
+            self._add_step(self.w, float(y), x)
             return
         c = (x_sq * w_sq - y * margin) / denom
         d = w_sq * (1.0 - y * margin) / denom
-        self._set_weights(add_scaled(scale(self.w, c), d * y, x))
+        self._add_step(scale(self.w, c), d * y, x)
 
     def _update_alma(self, x: SparseVector, y: int, margin: float) -> None:
         alpha = self.config.alpha_margin
@@ -213,7 +230,7 @@ class Learner:
         out = self.w.to_dict()
         for i, v in x.items():
             out[i] = out.get(i, 0.0) + coeff * sigma.get(i, 1.0) * v
-        self._set_weights(_from_dict(self.dimension, out))
+        self._set_truncated(out)
 
     def _update_sop(self, x: SparseVector, y: int, margin: float) -> None:
         # Whitened perceptron: on a mistake, fold x into the per-dimension
@@ -243,6 +260,9 @@ class Learner:
         self._shrink_sigma(x, beta)
 
     def _cw_alpha(self, m: float, v_conf: float) -> float:
+        if v_conf <= 0.0:
+            # sigma has shrunk to zero on x's support: the step sigma*x is zero.
+            return 0.0
         phi = self._phi
         psi = 1.0 + phi * phi / 2.0
         zeta = 1.0 + phi * phi

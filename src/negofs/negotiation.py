@@ -20,9 +20,11 @@ then lowest-index) features are kept.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Mapping, Optional, Sequence
 
 from .learners import Learner, sign_of
 from .sparse import SparseVector, _from_dict, check_budget, dot
@@ -106,8 +108,8 @@ def _check_trial_settings(t_max: int, epsilon: Optional[float], conflict_rule: s
     """Checks shared by NegotiationConfig and the system config that builds one."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if epsilon is not None and epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if conflict_rule not in (MIN_ERROR, MIN_UTILITY):
         raise ValueError(f"unknown conflict rule {conflict_rule!r}")
 
@@ -139,10 +141,11 @@ class FeatureTrust:
     def value(self, index: int) -> float:
         return self._tf.get(index, self.INITIAL)
 
-    def bump(self, index: int, selections: int) -> float:
-        tf = min(1.0, self.value(index) + self.epsilon * selections)
-        self._tf[index] = tf
-        return tf
+    def award(self, selections: Mapping[int, int]) -> None:
+        """Add epsilon per selection to each selected feature's trust, capped at 1."""
+        tf, eps, initial = self._tf, self.epsilon, self.INITIAL
+        for i, count in selections.items():
+            tf[i] = min(1.0, tf.get(i, initial) + eps * count)
 
 
 class Participant:
@@ -198,20 +201,21 @@ class TrialMetrics:
 def call_for_proposals(
     round_index: int,
     participants: Sequence[Participant],
-    transcript: NegotiationTranscript,
+    transcript: NegotiationTranscript | None = None,
     stale: bool = False,
 ) -> list[Offer]:
     """Open a round: CFP out, one PROPOSE per participant back."""
-    transcript.append(
-        ProtocolMessage(round_index, MessageKind.CFP, INITIATOR, EVERYONE,
-                        "stale" if stale else "-")
-    )
     offers = [p.make_offer() for p in participants]
-    for offer in offers:
+    if transcript is not None:
         transcript.append(
-            ProtocolMessage(round_index, MessageKind.PROPOSE, str(offer.participant_id),
-                            INITIATOR, _digest(offer.w))
+            ProtocolMessage(round_index, MessageKind.CFP, INITIATOR, EVERYONE,
+                            "stale" if stale else "-")
         )
+        for offer in offers:
+            transcript.append(
+                ProtocolMessage(round_index, MessageKind.PROPOSE, str(offer.participant_id),
+                                INITIATOR, _digest(offer.w))
+            )
     return offers
 
 
@@ -255,20 +259,11 @@ def merge_multilateral(
     else:
         ranked = sorted(offers, key=lambda o: (o.err_count, o.participant_id))
 
-    # Walking the offers best first, the first value seen for a feature is
-    # the conflict winner's.
+    # Filled worst first, so the conflict winner's value is written last.
     merged: dict[int, float] = {}
-    selectors: dict[int, int] = {}
-    for offer in ranked:
-        for i, v in offer.w.items():
-            if i in merged:
-                selectors[i] += 1
-            else:
-                merged[i] = v
-                selectors[i] = 1
-
-    for i, count in selectors.items():
-        feature_trust.bump(i, count)
+    for offer in reversed(ranked):
+        merged.update(offer.w.items())
+    feature_trust.award(Counter(chain.from_iterable(o.w.indices() for o in offers)))
 
     if len(merged) > cfg.merged_budget:
         kept = sorted(
@@ -283,7 +278,7 @@ def merge_multilateral(
 def broadcast(
     merged: SparseVector,
     participants: Sequence[Participant],
-    transcript: NegotiationTranscript,
+    transcript: NegotiationTranscript | None,
     round_index: int,
 ) -> None:
     """Replace every participant's weights with the merged vector.
@@ -293,17 +288,18 @@ def broadcast(
     """
     for p in participants:
         p.learner.w = merged
-    transcript.append(
-        ProtocolMessage(round_index, MessageKind.INFORM, INITIATOR, EVERYONE,
-                        _digest(merged))
-    )
+    if transcript is not None:
+        transcript.append(
+            ProtocolMessage(round_index, MessageKind.INFORM, INITIATOR, EVERYONE,
+                            _digest(merged))
+        )
 
 
 def _accept_offers(
     offers: list[Offer],
     cfg: NegotiationConfig,
     round_index: int,
-    transcript: NegotiationTranscript,
+    transcript: NegotiationTranscript | None,
 ) -> list[Offer]:
     """Decide which offers enter this round's merge, logging ACCEPT/REJECT."""
     if cfg.conflict_rule == MIN_UTILITY:
@@ -322,12 +318,13 @@ def _accept_offers(
     else:
         acceptable = list(offers)
 
-    accepted_ids = {o.participant_id for o in acceptable}
-    for o in offers:
-        kind = MessageKind.ACCEPT if o.participant_id in accepted_ids else MessageKind.REJECT
-        transcript.append(
-            ProtocolMessage(round_index, kind, INITIATOR, str(o.participant_id))
-        )
+    if transcript is not None:
+        accepted_ids = {o.participant_id for o in acceptable}
+        for o in offers:
+            kind = MessageKind.ACCEPT if o.participant_id in accepted_ids else MessageKind.REJECT
+            transcript.append(
+                ProtocolMessage(round_index, kind, INITIATOR, str(o.participant_id))
+            )
     return acceptable
 
 
@@ -336,7 +333,7 @@ def run_negotiation(
     stream: Sequence[tuple[SparseVector, int]],
     cfg: NegotiationConfig,
     transcript: NegotiationTranscript | None = None,
-) -> tuple[SparseVector, NegotiationTranscript, list[TrialMetrics]]:
+) -> tuple[SparseVector, NegotiationTranscript | None, list[TrialMetrics]]:
     """Drive t_max negotiation trials over a labelled stream.
 
     The stream is cut into t_max contiguous chunks. Each trial: every
@@ -344,7 +341,10 @@ def run_negotiation(
     chunk accuracy), then CFP -> merge -> broadcast. The initiator also
     predicts each instance with the current merged vector, which gives the
     system-level online mistake count. Trials past the end of a short stream
-    negotiate on stale offers and are flagged in the transcript.
+    negotiate on stale offers and are flagged in the metrics.
+
+    Protocol messages are recorded only into a transcript the caller passes
+    in, which is returned as given; with none, no message is built.
     """
     if not stream:
         raise ValueError("stream must be non-empty")
@@ -353,7 +353,6 @@ def run_negotiation(
     dimension = participants[0].learner.dimension
     check_budget(cfg.merged_budget, dimension)
 
-    transcript = transcript if transcript is not None else NegotiationTranscript()
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1.0 / len(participants)
     feature_trust = FeatureTrust(epsilon)
     merged = SparseVector(dimension)

@@ -8,7 +8,7 @@ The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-finite values. Vectors the package computes from vectors it
 already holds skip it through the private helpers at the bottom of this
 module, which only sort the keys (or keep the existing order) and drop
-entries below ZERO_EPS.
+entries below ZERO_EPS; a learner update also cuts to its budget there.
 """
 
 from __future__ import annotations
@@ -197,6 +197,23 @@ def _from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
     return SparseVector._trusted(
         dimension, {i: v for i in sorted(out) if abs(v := out[i]) >= ZERO_EPS}
     )
+
+
+def _truncated_from_dict(dimension: int, out: dict[int, float], B: int) -> SparseVector:
+    """truncate(_from_dict(dimension, out), B), built in one pass when it can be.
+
+    When no tie straddles the B-th largest magnitude and that magnitude is at
+    least ZERO_EPS, the B entries kept are exactly those at or above it, so
+    sorting, dropping noise and cutting happen in a single comprehension.
+    """
+    if len(out) > B:
+        magnitudes = sorted(map(abs, out.values()), reverse=True)
+        cut = magnitudes[B - 1]
+        if magnitudes[B] < cut and cut >= ZERO_EPS:
+            return SparseVector._trusted(
+                dimension, {i: v for i in sorted(out) if abs(v := out[i]) >= cut}
+            )
+    return truncate(_from_dict(dimension, out), B)
 
 
 def _restrict(w: SparseVector, keep) -> SparseVector:

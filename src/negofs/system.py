@@ -83,7 +83,6 @@ class RunReport:
     system_instances: int
     calibration_instances: int
     calibration_degenerate: bool
-    transcript: NegotiationTranscript
 
     @property
     def system_error_rate(self) -> float:
@@ -128,14 +127,17 @@ def build_learners(cfg: SystemConfig, dimension: int) -> list[Learner]:
     ]
 
 
-def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
+def run_moanofs(
+    dataset: Dataset, cfg: SystemConfig, transcript: NegotiationTranscript | None = None
+) -> RunReport:
     """Execute the full two-level pipeline on a dataset.
 
     The stream order comes from a permutation seeded by the config. When
     k < n, the first calibration_fraction of the stream elects the roster
     and only the remainder is negotiated; calibration and negotiation
     instances never overlap. When k = n the whole stream is negotiated by
-    the full roster.
+    the full roster. The negotiation's protocol messages are recorded into
+    transcript when one is given.
     """
     if len(dataset) < 10:
         raise ValueError(f"dataset must have at least 10 instances, got {len(dataset)}")
@@ -164,7 +166,7 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
         issue_weights=cfg.issue_weights,
         trust_params=cfg.trust_params,
     )
-    merged, transcript, trials = run_negotiation(elected, level2, ncfg)
+    merged, _, trials = run_negotiation(elected, level2, ncfg, transcript)
 
     per_learner = [
         LearnerReport(
@@ -192,5 +194,4 @@ def run_moanofs(dataset: Dataset, cfg: SystemConfig) -> RunReport:
         system_instances=len(level2),
         calibration_instances=n_cal,
         calibration_degenerate=cfg.k < len(participants) and n_cal == 0,
-        transcript=transcript,
     )

@@ -9,7 +9,7 @@ alpha from collapsing to a constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def update_trust(state: TrustState, sat_cur: float, params: TrustParams) -> Trus
     else:
         alpha = params.threshold + params.c * delta / (1.0 + xi)
     sat = alpha * sat_cur + (1.0 - alpha) * state.sat
-    return replace(state, sat=sat, xi=xi, n=state.n + 1)
+    return TrustState(sat, xi, state.n + 1)
 
 
 def direct_trust(state: TrustState) -> float:

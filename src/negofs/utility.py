@@ -9,6 +9,7 @@ deadline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -38,8 +39,8 @@ class IssueWeightProfile:
 
     def __post_init__(self):
         for name, w in zip(("trust", "error", "cost_time"), self.as_tuple()):
-            if w < 0:
-                raise ValueError(f"issue weight {name} must be >= 0, got {w}")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"issue weight {name} must be finite and >= 0, got {w}")
         total = self.trust + self.error + self.cost_time
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"issue weights must sum to 1, got {total}")

@@ -22,6 +22,7 @@ from negofs.negotiation import (
     MIN_UTILITY,
     FeatureTrust,
     NegotiationConfig,
+    NegotiationTranscript,
     Offer,
     Participant,
     merge_multilateral,
@@ -279,7 +280,8 @@ def test_criterion_9_reduction_identities(monkeypatch):
     dataset, _ = generate_synthetic(spec)
     roster = [LearnerConfig(v, measure_time=False) for v in ("PETRUN", "OGD", "PA", "AROW")]
     cfg_sys = SystemConfig(roster=roster, k=4, t_max=6, conflict_rule=MIN_ERROR, seed=12)
-    moanofs = run_moanofs(dataset, cfg_sys)
+    recorded = NegotiationTranscript()
+    moanofs = run_moanofs(dataset, cfg_sys, recorded)
     B = budget(dataset.dimension, cfg_sys.budget_fraction)
     direct = [
         Participant(i, learner, TrustState())
@@ -289,11 +291,12 @@ def test_criterion_9_reduction_identities(monkeypatch):
         direct, stream_of(dataset, permute(dataset, cfg_sys.seed)),
         NegotiationConfig(t_max=cfg_sys.t_max, merged_budget=B,
                           conflict_rule=cfg_sys.conflict_rule),
+        NegotiationTranscript(),
     )
     reduction_ok = (
         moanofs.merged == ref_merged
         and moanofs.system_mistakes == sum(t.system_mistakes for t in ref_trials)
-        and moanofs.transcript.serialize() == ref_transcript.serialize()
+        and recorded.serialize() == ref_transcript.serialize()
     )
     verdict(9, bilateral_ok and reduction_ok,
             f"bilateral_rounds_ok={bilateral_ok} k_eq_n_bitwise={reduction_ok}")

@@ -25,6 +25,7 @@ from negofs.cli import (
 )
 from negofs.data import SyntheticSpec, generate_synthetic, load_sparse_text, permute
 from negofs.learners import LearnerConfig
+from negofs.negotiation import NegotiationTranscript
 from negofs.system import SystemConfig, run_moanofs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -155,8 +156,18 @@ def test_count_flags_below_one_exit_2(capsys, command, algorithms, flag, value):
      "--conflict-rule min-utility applies to MOANOFS only; add MOANOFS to --algorithms"),
     ("single:PETRUN,BANOFS", "--conflict-rule", "min-utility",
      "--conflict-rule min-utility applies to MOANOFS only; add MOANOFS to --algorithms"),
+    ("single:OGD,MOANOFS", "--eta", "nan", "eta must be strictly positive and finite, got nan"),
+    ("single:OGD,MOANOFS", "--eta", "inf", "eta must be strictly positive and finite, got inf"),
+    ("single:OGD,MOANOFS", "--lambda", "nan", "lam must be strictly positive and finite"),
+    ("single:OGD,MOANOFS", "--r", "nan", "r must be strictly positive and finite"),
+    ("single:OGD,MOANOFS", "--C", "nan", "C must be strictly positive and finite"),
+    ("single:OGD,MOANOFS", "--epsilon", "nan", "epsilon must be positive and finite, got nan"),
+    ("single:OGD,MOANOFS", "--epsilon", "inf", "epsilon must be positive and finite, got inf"),
+    ("single:OGD,MOANOFS", "--issue-weights", "nan,0.5,0.5",
+     "issue weight trust must be finite and >= 0, got nan"),
 ], ids=["k-moanofs", "epsilon-manofs", "epsilon-single", "calibration-single", "trust-c-single",
-        "trust-c-cap", "min-utility-manofs", "min-utility-banofs"])
+        "trust-c-cap", "min-utility-manofs", "min-utility-banofs", "eta-nan", "eta-inf",
+        "lambda-nan", "r-nan", "C-nan", "epsilon-nan", "epsilon-inf", "issue-weights-nan"])
 def test_bad_flag_fails_before_any_run(tmp_path, capsys, monkeypatch,
                                        algorithms, flag, value, message):
     ran = []
@@ -261,6 +272,17 @@ def test_negative_seed_runs_every_algorithm(tmp_path):
     assert main(argv2) == 0
     assert len(out1.read_text().splitlines()) == 4
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_execute_run_records_no_transcript(monkeypatch):
+    def refuse(self, message):
+        raise AssertionError(f"the CLI recorded {message}")
+
+    monkeypatch.setattr(NegotiationTranscript, "append", refuse)
+    args = build_parser().parse_args(["run", "--synthetic", SYNTH, "--tmax", "40",
+                                      "--conflict-rule", "min-utility", "--no-timing"])
+    outcome = cli.execute_run("MOANOFS", cli.load_dataset(args), 7, options_from(args))
+    assert outcome.instances > 0
 
 
 def test_csv_schema_and_bounds(tmp_path):

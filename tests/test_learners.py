@@ -259,6 +259,18 @@ def test_cw_updates_only_when_constraint_violated():
     assert learner.w == sv(5, {0: 10.0})
 
 
+@pytest.mark.parametrize("variant", ["CW", "SCW"])
+def test_cw_with_collapsed_sigma_takes_no_step(variant):
+    # The shrink s - beta*s*s*v*v can cancel to exactly 0 on a short stream;
+    # the closed form then divides by x'Sigma x = 0.
+    learner = make(variant, B=5)
+    learner.sigma[0] = 0.0
+    learner.step(sv(5, {0: 1.0}), 1)
+    assert learner.w == sv(5)
+    assert learner.sigma == {0: 0.0}
+    assert learner.mistakes == 1
+
+
 # -- step / stream behaviour -----------------------------------------------------------
 
 def test_separable_stream_single_mistake():

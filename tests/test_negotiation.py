@@ -86,15 +86,18 @@ def test_offer_validation():
 def test_feature_trust_starts_at_initial_and_clamps():
     ft = FeatureTrust(epsilon=1 / 3)
     assert ft.value(4) == 0.05
-    assert ft.bump(4, 1) == pytest.approx(0.05 + 1 / 3)
-    assert ft.bump(4, 3) == 1.0  # clamped
+    ft.award({4: 1})
+    assert ft.value(4) == pytest.approx(0.05 + 1 / 3)
+    ft.award({4: 3})
+    assert ft.value(4) == 1.0  # clamped
 
 
 def test_feature_trust_never_decreases():
     ft = FeatureTrust(epsilon=0.25)
     last = 0.0
     for _ in range(10):
-        value = ft.bump(0, 1)
+        ft.award({0: 1})
+        value = ft.value(0)
         assert value >= last
         last = value
 
@@ -109,6 +112,7 @@ def test_cfp_three_healthy_participants():
     assert len(transcript) == 4  # CFP + 3 PROPOSE
     kinds = [m.kind for m in transcript.messages]
     assert kinds == [MessageKind.CFP] + [MessageKind.PROPOSE] * 3
+    assert call_for_proposals(2, participants) == offers  # no transcript, same offers
 
 
 # -- two-offer merges ---------------------------------------------------------------------
@@ -180,7 +184,7 @@ def test_multilateral_conflict_and_tf_clamp():
 
 def test_multilateral_budget_ranks_by_tf_then_weight_then_index():
     ft = FeatureTrust(0.1)
-    ft.bump(3, 3)  # feature 3 pre-trusted
+    ft.award({3: 3})  # feature 3 pre-trusted
     merged, _ = merge_multilateral(
         [offer(0, {0: 0.9, 3: 0.1}), offer(1, {1: 0.5, 2: 0.5})],
         ft, ncfg(merged_budget=2),
@@ -316,7 +320,7 @@ def test_tmax_one_single_cycle():
     participants = [petrun_participant(i, 4, 2, seed=i) for i in range(2)]
     stream = build_stream(1, 4, 8)
     merged, transcript, metrics = run_negotiation(
-        participants, stream, ncfg(t_max=1, merged_budget=2)
+        participants, stream, ncfg(t_max=1, merged_budget=2), NegotiationTranscript()
     )
     assert len(metrics) == 1
     kinds = [m.kind for m in transcript.messages]
@@ -328,7 +332,7 @@ def test_rounds_start_with_cfp_and_end_with_inform_or_abort():
     participants = [petrun_participant(i, 5, 2, seed=i) for i in range(3)]
     stream = build_stream(2, 5, 30)
     _, transcript, _ = run_negotiation(participants, stream,
-                                       ncfg(t_max=4, merged_budget=5))
+                                       ncfg(t_max=4, merged_budget=5), NegotiationTranscript())
     for round_messages in by_round(transcript).values():
         assert round_messages[0].kind == MessageKind.CFP
         assert round_messages[-1].kind == MessageKind.INFORM
@@ -363,7 +367,7 @@ def test_three_petrun_trace_matches_independent_simulation():
     budgets = [1, 2, 3]
     participants = [petrun_participant(i, d, budgets[i]) for i in range(3)]
     merged, transcript, metrics = run_negotiation(
-        participants, stream, ncfg(t_max=3, merged_budget=d)
+        participants, stream, ncfg(t_max=3, merged_budget=d), NegotiationTranscript()
     )
     assert len(by_round(transcript)) == 3
 
@@ -403,7 +407,7 @@ def test_short_stream_flags_stale_rounds():
     participants = [petrun_participant(i, 4, 2, seed=i) for i in range(2)]
     stream = build_stream(5, 4, 2)
     merged, transcript, metrics = run_negotiation(
-        participants, stream, ncfg(t_max=5, merged_budget=4)
+        participants, stream, ncfg(t_max=5, merged_budget=4), NegotiationTranscript()
     )
     stale_rounds = [m for m in metrics if m.stale]
     assert len(stale_rounds) == 3  # ceil(2/5) = 1 per chunk, data gone after 2
@@ -429,10 +433,23 @@ def test_negotiation_determinism():
     for _ in range(2):
         participants = [petrun_participant(i, 6, 2, seed=i) for i in range(3)]
         merged, transcript, _ = run_negotiation(
-            participants, stream, ncfg(t_max=4, merged_budget=3)
+            participants, stream, ncfg(t_max=4, merged_budget=3), NegotiationTranscript()
         )
         outcomes.append((merged, transcript.serialize(), transcript.messages))
     assert outcomes[0] == outcomes[1]
+
+
+def test_transcript_is_recorded_only_when_passed():
+    stream = build_stream(11, 6, 24)
+    runs = []
+    for transcript in (None, NegotiationTranscript()):
+        participants = [petrun_participant(i, 6, 2, seed=i) for i in range(3)]
+        cfg = ncfg(t_max=4, merged_budget=3, conflict_rule=MIN_UTILITY)
+        merged, returned, metrics = run_negotiation(participants, stream, cfg, transcript)
+        assert returned is transcript
+        runs.append((merged, metrics))
+    assert runs[0] == runs[1]
+    assert len(transcript) == 4 * (1 + 3 + 3 + 1)  # CFP, PROPOSEs, decisions, INFORM
 
 
 def test_score_chunk_counts_mistakes_and_refreshes_trust():
@@ -453,7 +470,7 @@ def test_min_utility_round_accepts_by_pressure_threshold():
     stream = build_stream(12, 4, 30)
     merged, transcript, metrics = run_negotiation(
         participants, stream,
-        ncfg(t_max=3, merged_budget=4, conflict_rule=MIN_UTILITY),
+        ncfg(t_max=3, merged_budget=4, conflict_rule=MIN_UTILITY), NegotiationTranscript(),
     )
     for round_messages in by_round(transcript).values():
         accepted = [m for m in round_messages
@@ -480,7 +497,7 @@ def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
                conflict_rule=MIN_UTILITY)
     with pytest.MonkeyPatch.context() as mp:
         merges = spy_on_merges(mp)
-        _, transcript, _ = run_negotiation(participants, stream, cfg)
+        _, transcript, _ = run_negotiation(participants, stream, cfg, NegotiationTranscript())
 
     rounds = by_round(transcript)
     assert sorted(rounds) == list(range(1, cfg.t_max + 1)) and len(merges) == cfg.t_max

@@ -3,13 +3,16 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import negofs
 from negofs.sparse import (
+    ZERO_EPS,
     DimensionMismatchError,
     SparseVector,
+    _from_dict,
+    _truncated_from_dict,
     add_scaled,
     check_budget,
     dot,
@@ -262,6 +265,28 @@ def test_truncate_ties_keep_the_lower_indices(d, data):
     out = truncate(w, B)
     assert out.to_dict() == expected
     assert_same_vector(out)
+
+
+# The raw dicts a learner update builds: keys in any order, halves whose
+# magnitudes tie across the cut, exact zeros and values either side of ZERO_EPS.
+_RAW_VALUES = st.one_of(
+    st.integers(-4, 4).map(lambda k: k / 2),
+    st.floats(-5, 5, allow_nan=False),
+    st.sampled_from([ZERO_EPS, -ZERO_EPS, 0.5 * ZERO_EPS, -1e-300]),
+)
+
+
+@given(st.dictionaries(st.integers(0, 11), _RAW_VALUES, max_size=12), st.integers(1, 12))
+@example({5: 1.0, 0: 0.5, 2: 1e-16}, 2)          # exactly B survive the ZERO_EPS drop
+@example({0: 1.0, 1: 1e-16, 2: 1e-17}, 2)        # fewer than B survive it
+@example({3: 0.5, 1: -0.5, 0: 0.5, 7: 2.0}, 2)   # a tie straddles the cut
+@example({4: 1.0, 2: -1.5}, 3)                   # already within budget
+@settings(max_examples=500)
+def test_truncated_rebuild_equals_truncate_of_the_rebuild(out, B):
+    expected = truncate(_from_dict(12, out), B)
+    got = _truncated_from_dict(12, out, B)
+    assert got == expected
+    assert list(got.items()) == list(expected.items())
 
 
 def test_only_sparse_calls_the_trusted_constructor():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 from negofs.data import Dataset, SyntheticSpec, budget, generate_synthetic, permute, stream_of
 from negofs.learners import VARIANTS, Learner, LearnerConfig
-from negofs.negotiation import MIN_ERROR, MIN_UTILITY, NegotiationConfig, Participant, run_negotiation
+from negofs.negotiation import (
+    MIN_ERROR,
+    MIN_UTILITY,
+    NegotiationConfig,
+    NegotiationTranscript,
+    Participant,
+    run_negotiation,
+)
 from negofs.sparse import SparseVector
 from negofs.system import (
     SystemConfig,
@@ -153,17 +161,19 @@ def test_noise_learner_never_displaces_clean_ones():
 def test_k_equals_n_is_passthrough_to_manofs():
     ds, _ = small_dataset(seed=2)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=3, t_max=4, seed=9)
-    moanofs = run_moanofs(ds, cfg)
+    recorded = NegotiationTranscript()
+    moanofs = run_moanofs(ds, cfg, recorded)
     participants = [Participant(i, learner, TrustState())
                     for i, learner in enumerate(build_learners(cfg, ds.dimension))]
     merged, transcript, trials = run_negotiation(
         participants, stream_of(ds, permute(ds, cfg.seed)),
         NegotiationConfig(t_max=cfg.t_max,
                           merged_budget=budget(ds.dimension, cfg.budget_fraction)),
+        NegotiationTranscript(),
     )
     assert moanofs.merged == merged
     assert moanofs.system_mistakes == sum(t.system_mistakes for t in trials)
-    assert moanofs.transcript.serialize() == transcript.serialize()
+    assert recorded.serialize() == transcript.serialize()
     assert moanofs.calibration_instances == 0
     assert moanofs.elected == [0, 1, 2]
 
@@ -224,6 +234,21 @@ def test_min_utility_rule_is_recorded_and_runs():
     assert len(report.merged) <= report.B
 
 
+def test_min_utility_transcript_bytes_are_pinned():
+    # One min-utility run with an election and rejected offers. A different
+    # hash means the negotiation itself, or its record, changed.
+    ds, _ = small_dataset(seed=21, d=40, n=300, relevant=5, noise=0.05)
+    cfg = SystemConfig(roster=roster("PETRUN", "ROMMA", "ALMA", "OGD", "PA",
+                                     "SOP", "CW", "AROW", "SCW"),
+                       k=4, t_max=30, conflict_rule=MIN_UTILITY, seed=8)
+    transcript = NegotiationTranscript()
+    report = run_moanofs(ds, cfg, transcript)
+    assert report.elected == [7, 2, 0, 6]
+    assert len(transcript) == 300
+    assert hashlib.sha256(transcript.serialize().encode()).hexdigest() == (
+        "b0f7b7f73f5ec9c98e09c83bc7a53fa9b02c907065410dd4035666d2858c4082")
+
+
 def test_moanofs_trust_feeds_offers():
     ds, _ = small_dataset(seed=11)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=2, t_max=4, seed=2)
@@ -268,4 +293,7 @@ def test_tiny_pipeline_invariants(data):
     assert report.calibration_degenerate == (cfg.k < size and report.calibration_instances == 0)
     assert all(t.stale == (t.chunk_size == 0) for t in report.trials)
     assert sum(t.chunk_size for t in report.trials) == report.system_instances
-    assert run_moanofs(ds, cfg).transcript.serialize() == report.transcript.serialize()
+    first, second = NegotiationTranscript(), NegotiationTranscript()
+    assert run_moanofs(ds, cfg, first).merged == report.merged
+    run_moanofs(ds, cfg, second)
+    assert first.serialize() == second.serialize()
