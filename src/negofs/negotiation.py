@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .learners import Learner, sign_of
-from .sparse import SparseVector, _from_dict, check_budget, dot
+from .sparse import SparseVector, _from_dict, _overlay, check_budget, dot
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
 from .utility import DeadlineParams, IssueWeightProfile, offer_cost, round_domain, time_pressure
 
@@ -128,24 +128,34 @@ class NegotiationConfig:
 
 
 class FeatureTrust:
-    """Per-feature trust layer: starts at 0.05, earns epsilon per selection."""
+    """Per-feature trust layer: starts at 0.05, earns epsilon per selection, capped at 1.
+
+    ``capped`` holds the features whose trust has reached 1.0. No award can
+    change them again, so the merge neither awards nor ranks them one by one.
+    """
 
     INITIAL = 0.05
 
     def __init__(self, epsilon: float):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         self.epsilon = epsilon
         self._tf: dict[int, float] = {}
+        self.capped: set[int] = set()
 
     def value(self, index: int) -> float:
         return self._tf.get(index, self.INITIAL)
 
     def award(self, selections: Mapping[int, int]) -> None:
         """Add epsilon per selection to each selected feature's trust, capped at 1."""
-        tf, eps, initial = self._tf, self.epsilon, self.INITIAL
+        tf, capped, eps, initial = self._tf, self.capped, self.epsilon, self.INITIAL
         for i, count in selections.items():
-            tf[i] = min(1.0, tf.get(i, initial) + eps * count)
+            trust = tf.get(i, initial) + eps * count
+            if trust < 1.0:
+                tf[i] = trust
+            else:
+                tf[i] = 1.0
+                capped.add(i)
 
 
 class Participant:
@@ -245,6 +255,9 @@ def merge_multilateral(
     of every selected feature grows by epsilon per selecting offer. If the
     union exceeds the merged budget, features are kept by descending trust,
     then descending magnitude, then ascending index.
+
+    Only features below the trust cap are counted and awarded, and the cut
+    ranks capped features only when it must drop some of them.
     """
     if len(offers) < 2:
         raise ValueError(f"{len(offers)} offer(s) cannot be merged")
@@ -260,17 +273,24 @@ def merge_multilateral(
         ranked = sorted(offers, key=lambda o: (o.err_count, o.participant_id))
 
     # Filled worst first, so the conflict winner's value is written last.
-    merged: dict[int, float] = {}
-    for offer in reversed(ranked):
-        merged.update(offer.w.items())
-    feature_trust.award(Counter(chain.from_iterable(o.w.indices() for o in offers)))
+    merged, supports = _overlay([o.w for o in reversed(ranked)])
+    pending = set(merged).difference(feature_trust.capped)
+    if len(pending) < len(merged):  # else every offered index is pending: count as is
+        supports = [s & pending for s in supports]
+    if pending:
+        feature_trust.award(Counter(chain.from_iterable(supports)))
 
-    if len(merged) > cfg.merged_budget:
-        kept = sorted(
-            merged.items(),
-            key=lambda iv: (-feature_trust.value(iv[0]), -abs(iv[1]), iv[0]),
-        )[: cfg.merged_budget]
-        merged = dict(kept)
+    excess = len(merged) - cfg.merged_budget
+    if excess > 0:
+        # Drop the excess lowest by (trust, |v|, -index), the reverse of the
+        # keep order. Capped features all tie at 1.0 above the rest, so they
+        # are ranked only when the cut reaches past every uncapped one.
+        value, capped = feature_trust.value, feature_trust.capped
+        order = sorted((t, abs(merged[i]), -i) for i in pending if (t := value(i)) < 1.0)
+        if excess > len(order):
+            order += sorted((1.0, abs(v), -i) for i, v in merged.items() if i in capped)
+        for _, _, negated in order[:excess]:
+            del merged[-negated]
 
     return _from_dict(dimension, merged), feature_trust
 

@@ -14,7 +14,7 @@ entries below ZERO_EPS; a learner update also cuts to its budget there.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, KeysView, Mapping, Sequence, Union
 
 # Entries below this magnitude are treated as cancellation noise and dropped.
 ZERO_EPS = 1e-15
@@ -214,6 +214,21 @@ def _truncated_from_dict(dimension: int, out: dict[int, float], B: int) -> Spars
                 dimension, {i: v for i in sorted(out) if abs(v := out[i]) >= cut}
             )
     return truncate(_from_dict(dimension, out), B)
+
+
+def _overlay(
+    vectors: Sequence[SparseVector],
+) -> tuple[dict[int, float], list[KeysView[int]]]:
+    """All the vectors' entries in one new dict, and each vector's index set.
+
+    The dict is filled vector by vector, so where several vectors hold an
+    index the last one's value wins. The index sets are read-only views for
+    set algebra.
+    """
+    out: dict[int, float] = {}
+    for w in vectors:
+        out.update(w._data)
+    return out, [w._data.keys() for w in vectors]
 
 
 def _restrict(w: SparseVector, keep) -> SparseVector:

@@ -60,10 +60,13 @@ class TimeStrategyParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        for name in ("f1", "f2", "t_init", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.t_init < self.t_max:
             raise ValueError(f"t_init must precede t_max ({self.t_init} >= {self.t_max})")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,9 @@ class DeadlineParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.t_d <= 0:
-            raise ValueError(f"deadline must be positive, got {self.t_d}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        for name in ("t_d", "beta"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 def linear_score(value: float, domain: IssueDomain) -> float:

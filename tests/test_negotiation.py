@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import groupby
 
 import pytest
@@ -100,6 +101,12 @@ def test_feature_trust_never_decreases():
         value = ft.value(0)
         assert value >= last
         last = value
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.5, float("nan"), float("inf")])
+def test_feature_trust_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="^epsilon must"):
+        FeatureTrust(epsilon)
 
 
 # -- call_for_proposals --------------------------------------------------------------
@@ -244,6 +251,63 @@ def test_merge_matches_per_feature_reference():
             kept = set(ranked[:merged_budget])
             assert [merged.get(i) for i in range(d)] == [
                 dense[i] if i in kept else 0.0 for i in range(d)]
+
+
+def test_merges_across_rounds_match_a_reference_that_carries_trust():
+    # One FeatureTrust over many rounds, against the direct method: every
+    # offered index counted, then the whole union sorted by (-trust, -|v|,
+    # index). Magnitudes come from a short list so the cut often breaks ties
+    # on index.
+    rng = random.Random(8080)
+    seen = dict.fromkeys(("capped before", "capped during", "cut past uncapped",
+                          "cut within uncapped", "never capped"), 0)
+    for rule in (MIN_ERROR, MIN_UTILITY):
+        for epsilon in (0.45, 0.2, 1e-6):
+            for _ in range(12):
+                d = rng.randint(2, 14)
+                feature_trust, trust = FeatureTrust(epsilon), {}
+                for _ in range(rng.randint(1, 30)):
+                    n_offers = rng.randint(2, 4)
+                    offers = []
+                    for pid in range(n_offers):
+                        support = rng.sample(range(d), rng.randint(0, d))
+                        entries = {i: rng.choice((-1.0, -0.5, 0.25, 0.5, 1.0)) for i in support}
+                        offers.append(offer(pid, entries, err=rng.randint(0, 3), d=d,
+                                            cost_time=rng.choice([0.0, 0.5]),
+                                            trust=rng.random(), instances=rng.choice([0, 10])))
+                    cfg = ncfg(merged_budget=rng.randint(1, d), conflict_rule=rule)
+                    merged, feature_trust = merge_multilateral(offers, feature_trust, cfg)
+
+                    if rule == MIN_UTILITY:
+                        key = offer_costs(offers, cfg.issue_weights)
+                    else:
+                        key = {o.participant_id: o.err_count for o in offers}
+                    dense = merge_offers_reference(
+                        [(o.participant_id, [o.w.get(i) for i in range(d)], o.err_count)
+                         for o in offers],
+                        conflict_key=key.__getitem__,
+                    )
+                    union = [i for i in range(d) if dense[i] != 0.0]
+                    before = dict(trust)
+                    for i, count in Counter(i for o in offers for i in o.w.indices()).items():
+                        trust[i] = min(1.0, trust.get(i, FeatureTrust.INITIAL) + epsilon * count)
+                    ranked = sorted(union, key=lambda i: (-trust[i], -abs(dense[i]), i))
+                    kept = set(ranked[:cfg.merged_budget])
+                    assert [merged.get(i) for i in range(d)] == [
+                        dense[i] if i in kept else 0.0 for i in range(d)]
+                    assert [feature_trust.value(i) for i in range(d)] == [
+                        trust.get(i, FeatureTrust.INITIAL) for i in range(d)]
+
+                    seen["capped before"] += any(before.get(i) == 1.0 for i in union)
+                    seen["capped during"] += any(before.get(i, 0.0) < 1.0 and trust[i] == 1.0
+                                                 for i in union)
+                    excess = len(union) - cfg.merged_budget
+                    uncapped = sum(trust[i] < 1.0 for i in union)
+                    seen["cut past uncapped"] += excess > uncapped
+                    seen["cut within uncapped"] += 0 < excess <= uncapped
+                    seen["never capped"] += epsilon == 1e-6 and excess > 0
+                    assert epsilon > 1e-6 or max(trust.values(), default=0.0) < 1.0
+    assert all(seen.values()), seen
 
 
 def test_merge_deterministic():

@@ -249,6 +249,38 @@ def test_min_utility_transcript_bytes_are_pinned():
         "b0f7b7f73f5ec9c98e09c83bc7a53fa9b02c907065410dd4035666d2858c4082")
 
 
+WIDE = dict(seed=5, d=60, n=400, relevant=8, noise=0.03)
+NARROW = dict(seed=9, d=40, n=300, relevant=5, noise=0.05)
+
+
+@pytest.mark.parametrize("rule, k, t_max, data, epsilon, expected", [
+    (MIN_ERROR, 4, 200, WIDE, None,
+     "46ddab783f4fc28a765613ea504152f50268398c6344ed8dbe9bff6933aebda6"),
+    (MIN_ERROR, 9, 100, NARROW, 0.02,
+     "57cb68080f0884cb478800574a9716a42c73c5620ca5492edeac9850cd548d4a"),
+    (MIN_UTILITY, 4, 100, NARROW, 0.02,
+     "bc8a764581f7d7e0f12b30c24634ed830789e77e21ba94490b3ebc5e3bfb6a48"),
+    (MIN_UTILITY, 9, 200, WIDE, None,
+     "83860577915f3e26b8b53baacd11a8eb36d4a9624d56f6dc06821842e9869fe9"),
+])
+def test_run_bytes_are_pinned(rule, k, t_max, data, epsilon, expected):
+    # Transcript, merged vector, mistakes and election of k < n and k = n runs
+    # whose merges cut into features at full trust. A different hash means
+    # the negotiation itself, or its record, changed.
+    ds, _ = small_dataset(**data)
+    cfg = SystemConfig(roster=roster("PETRUN", "ROMMA", "ALMA", "OGD", "PA",
+                                     "SOP", "CW", "AROW", "SCW"),
+                       k=k, t_max=t_max, conflict_rule=rule, seed=8, epsilon=epsilon)
+    transcript = NegotiationTranscript()
+    report = run_moanofs(ds, cfg, transcript)
+    digest = hashlib.sha256(transcript.serialize().encode())
+    digest.update(repr(sorted(report.merged.items())).encode())
+    digest.update(repr((report.system_mistakes,
+                        [(lr.learner_id, lr.mistakes) for lr in report.per_learner],
+                        report.elected)).encode())
+    assert digest.hexdigest() == expected
+
+
 def test_moanofs_trust_feeds_offers():
     ds, _ = small_dataset(seed=11)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=2, t_max=4, seed=2)

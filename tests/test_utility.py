@@ -223,3 +223,33 @@ def test_param_validation():
         TimeStrategyParams(f1=0, f2=1, t_init=0, t_max=5, beta=0)
     with pytest.raises(ValueError):
         DeadlineParams(t_d=0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("f1", dict(f1=NAN)),
+    ("f1", dict(f1=-INF)),
+    ("f2", dict(f2=INF)),
+    ("t_init", dict(t_init=-INF)),
+    ("t_init", dict(t_init=NAN)),
+    ("t_max", dict(t_max=INF)),
+    ("beta", dict(beta=NAN)),
+    ("beta", dict(beta=INF)),
+])
+def test_time_strategy_rejects_non_finite(field, kwargs):
+    params = dict(f1=2.0, f2=8.0, t_init=1.0, t_max=5.0, beta=1.0) | kwargs
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        TimeStrategyParams(**params)
+
+
+@pytest.mark.parametrize("field, args", [
+    ("t_d", (NAN,)),
+    ("t_d", (INF,)),
+    ("beta", (10.0, NAN)),
+    ("beta", (10.0, INF)),
+])
+def test_deadline_rejects_non_finite(field, args):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        DeadlineParams(*args)
