@@ -203,10 +203,11 @@ def budget(dimension: int, fraction: float) -> int:
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, frozenset[int]]:
     """Draw a stream labelled by a planted ±1 sparse model.
 
-    Each instance carries round(density*d) standard-normal coordinates at
-    random positions; the label is the sign of the planted model's margin,
-    flipped with probability ``label_noise``. Returns the dataset together
-    with the planted support for recovery scoring.
+    Each instance carries max(1, floor(density*d + 0.5)) standard-normal
+    coordinates (density*d rounded half up, at least 1) at random positions;
+    the label is the sign of the planted model's margin, flipped with
+    probability ``label_noise``. Returns the dataset together with the
+    planted support for recovery scoring.
     """
     rng = random.Random(spec.seed)
     planted_indices = sorted(rng.sample(range(spec.d), spec.n_relevant))

@@ -31,8 +31,8 @@ from typing import NamedTuple
 from .sparse import (
     SparseVector,
     _check_same_dimension,
+    _cut_in_place,
     _restrict,
-    _truncated_from_dict,
     add_scaled,
     check_budget,
     dot,
@@ -145,11 +145,6 @@ class Learner:
         self.w = truncate(w, self.B)
         self.updates += 1
 
-    def _set_truncated(self, out: dict[int, float]) -> None:
-        """Take the updated entries as the weights, cut to the budget in one rebuild."""
-        self.w = _truncated_from_dict(self.dimension, out, self.B)
-        self.updates += 1
-
     def _add_step(self, w: SparseVector, s: float, x: SparseVector) -> None:
         """Set the weights to truncate(add_scaled(w, s, x), B), with the same arithmetic."""
         _check_same_dimension(w, x)
@@ -157,7 +152,8 @@ class Learner:
         get = out.get
         for i, v in x.items():
             out[i] = get(i, 0.0) + s * v
-        self._set_truncated(out)
+        self.w = _cut_in_place(w, out, x, self.B)
+        self.updates += 1
 
     # -- perceptron-with-truncation family ------------------------------------
 
@@ -230,7 +226,8 @@ class Learner:
         out = self.w.to_dict()
         for i, v in x.items():
             out[i] = out.get(i, 0.0) + coeff * sigma.get(i, 1.0) * v
-        self._set_truncated(out)
+        self.w = _cut_in_place(self.w, out, x, self.B)
+        self.updates += 1
 
     def _update_sop(self, x: SparseVector, y: int, margin: float) -> None:
         # Whitened perceptron: on a mistake, fold x into the per-dimension

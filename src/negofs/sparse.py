@@ -8,7 +8,9 @@ The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-finite values. Vectors the package computes from vectors it
 already holds skip it through the private helpers at the bottom of this
 module, which only sort the keys (or keep the existing order) and drop
-entries below ZERO_EPS; a learner update also cuts to its budget there.
+entries below ZERO_EPS. A learner update also cuts to its budget there: when
+the excess falls on entries the update itself wrote, it deletes them from the
+copy it already made, and otherwise it rebuilds the vector once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ class DimensionMismatchError(ValueError):
 class SparseVector:
     """Immutable sparse vector: only nonzero entries are stored, index-sorted."""
 
-    __slots__ = ("dimension", "_data")
+    # _floor is a cached lower bound on the magnitudes (None until needed);
+    # only this module reads it, and it plays no part in ==, hash, repr or pickling.
+    __slots__ = ("dimension", "_data", "_floor")
 
     def __init__(self, dimension: int, entries: EntrySource = ()):
         if dimension <= 0:
@@ -49,13 +53,20 @@ class SparseVector:
             raise ValueError(f"value out of float range at index {i}") from None
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_floor", None)
 
     @classmethod
-    def _trusted(cls, dimension: int, data: dict[int, float]) -> "SparseVector":
-        """Wrap data that is already index-sorted, in range and free of |v| < ZERO_EPS."""
+    def _trusted(
+        cls, dimension: int, data: dict[int, float], floor: float | None = None
+    ) -> "SparseVector":
+        """Wrap data that is already index-sorted, in range and free of |v| < ZERO_EPS.
+
+        floor, when given, must be at most the smallest magnitude in data.
+        """
         vector = object.__new__(cls)
         object.__setattr__(vector, "dimension", dimension)
         object.__setattr__(vector, "_data", data)
+        object.__setattr__(vector, "_floor", floor)
         return vector
 
     def __setattr__(self, name, value):
@@ -104,6 +115,7 @@ class SparseVector:
     def __setstate__(self, state):
         object.__setattr__(self, "dimension", state[0])
         object.__setattr__(self, "_data", state[1])
+        object.__setattr__(self, "_floor", None)
 
 
 def check_budget(B: int, dimension: int) -> int:
@@ -211,9 +223,55 @@ def _truncated_from_dict(dimension: int, out: dict[int, float], B: int) -> Spars
         cut = magnitudes[B - 1]
         if magnitudes[B] < cut and cut >= ZERO_EPS:
             return SparseVector._trusted(
-                dimension, {i: v for i in sorted(out) if abs(v := out[i]) >= cut}
+                dimension, {i: v for i in sorted(out) if abs(v := out[i]) >= cut}, cut
             )
     return truncate(_from_dict(dimension, out), B)
+
+
+def _cut_in_place(
+    base: SparseVector, out: dict[int, float], x: SparseVector, B: int
+) -> SparseVector:
+    """_truncated_from_dict(base.dimension, out, B), cutting out itself when it can.
+
+    out must be a copy of base's entries with x's indices rewritten. When the
+    entries to drop are all among those x wrote, and lie strictly below the
+    floor of base's magnitudes, they are deleted from out, which keeps base's
+    index order unless a new index survives. Otherwise out is rebuilt once,
+    at once when most of it is cut (the rebuild is then the cheaper way).
+    """
+    excess = len(out) - B
+    if 2 * excess > len(out):
+        return _truncated_from_dict(base.dimension, out, B)
+    floor = _magnitude_floor(base)
+    below = []  # x's writes below the floor, the only ones the cut may drop
+    for i in x._data:
+        if (m := abs(out[i])) < ZERO_EPS:
+            del out[i]  # _from_dict would drop it too
+            excess -= 1
+        elif m < floor:
+            below.append((m, -i))
+    if excess > len(below):
+        return _truncated_from_dict(base.dimension, out, B)
+    if excess > 0:
+        below.sort()
+        for _, negated in below[:excess]:
+            del out[-negated]
+        del below[:excess]
+    if below:
+        floor = min(below)[0]
+    held = base._data
+    if any(i in out and i not in held for i in x._data):
+        out = {i: out[i] for i in sorted(out)}
+    return SparseVector._trusted(base.dimension, out, floor)
+
+
+def _magnitude_floor(w: SparseVector) -> float:
+    """A lower bound on w's magnitudes (inf when w is empty), computed once."""
+    floor = w._floor
+    if floor is None:
+        floor = min(map(abs, w._data.values()), default=math.inf)
+        object.__setattr__(w, "_floor", floor)
+    return floor
 
 
 def _overlay(

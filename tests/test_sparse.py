@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from negofs.sparse import (
     ZERO_EPS,
     DimensionMismatchError,
     SparseVector,
+    _cut_in_place,
     _from_dict,
     _truncated_from_dict,
     add_scaled,
@@ -289,7 +292,86 @@ def test_truncated_rebuild_equals_truncate_of_the_rebuild(out, B):
     assert list(got.items()) == list(expected.items())
 
 
+def _updated(w, s, x):
+    """w's entries with x's indices rewritten to w_i + s*x_i, as a learner update builds them."""
+    out = w.to_dict()
+    for i, v in x.items():
+        out[i] = out.get(i, 0.0) + s * v
+    return out
+
+
+def assert_floor_holds(w):
+    assert w._floor is None or all(w._floor <= abs(v) for _, v in w.items())
+
+
+# Halves make magnitude ties across the cut and exact cancellations common; the
+# tiny values and the small steps land x's writes below ZERO_EPS.
+_STEP_VALUES = st.one_of(
+    st.integers(-4, 4).filter(bool).map(lambda k: k / 2),
+    st.floats(-5, 5, allow_nan=False).filter(lambda v: abs(v) >= ZERO_EPS),
+    st.sampled_from([ZERO_EPS, -2 * ZERO_EPS]),
+)
+_STEP_SCALES = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 1e-16]),
+                         st.floats(-3, 3, allow_nan=False))
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_in_place_cut_equals_the_rebuild(data):
+    # Chained updates carry each result's floor into the next; the first base
+    # may exceed the budget, as the merged vector does right after a broadcast.
+    d = 12
+    entries = st.dictionaries(st.integers(0, d - 1), _STEP_VALUES, max_size=d)
+    B = data.draw(st.integers(1, d))
+    w = sv(d, data.draw(entries))
+    for _ in range(data.draw(st.integers(1, 6))):
+        x = sv(d, data.draw(entries))
+        out = _updated(w, data.draw(_STEP_SCALES), x)
+        expected = truncate(_from_dict(d, dict(out)), B)
+        got = _cut_in_place(w, out, x, B)
+        assert got == expected
+        assert list(got.items()) == list(expected.items())
+        assert_floor_holds(got)
+        w = got
+
+
+@pytest.mark.parametrize("w, x, B, expected, in_place", [
+    # The excess falls on x's writes only, below the floor: deleted from the copy.
+    ({0: 3.0, 1: 2.0, 5: 1.0}, {5: -0.875, 7: 1e-16}, 2, {0: 3.0, 1: 2.0}, True),
+    # x's write ties the floor at a lower index, so the base entry goes: rebuilt.
+    ({3: 2.0, 5: 1.0}, {0: 1.0}, 2, {0: 1.0, 3: 2.0}, False),
+])
+def test_in_place_cut_only_when_it_is_exact(w, x, B, expected, in_place):
+    w, x = sv(10, w), sv(10, x)
+    out = _updated(w, 1.0, x)
+    got = _cut_in_place(w, out, x, B)
+    assert list(got.items()) == sorted(expected.items())
+    assert (got._data is out) == in_place
+    assert_floor_holds(got)
+
+
+def test_a_cached_floor_is_invisible():
+    w = sv(10, {0: 3.0, 1: 2.0, 5: 1.0, 8: -0.5})
+    x = sv(10, {5: 0.25, 6: 1.5})
+    got = _cut_in_place(w, _updated(w, 1.0, x), x, 3)
+    assert got._floor is not None
+    fresh = sv(10, got.to_dict())
+    assert fresh._floor is None
+    assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
+    assert pickle.dumps(got) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(got)) == got
+
+
 def test_only_sparse_calls_the_trusted_constructor():
     package = Path(negofs.__file__).parent
     callers = sorted(p.name for p in package.glob("*.py") if "_trusted" in p.read_text())
     assert callers == ["sparse.py"]
+
+
+def test_only_sparse_reads_vector_internals():
+    # The floor is a cache that only sparse.py keeps right: a read elsewhere
+    # could cut the wrong entries without any error.
+    package = Path(negofs.__file__).parent
+    readers = sorted(p.name for p in package.glob("*.py")
+                     if re.search(r"\._(data|floor)\b", p.read_text()))
+    assert readers == ["sparse.py"]
