@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from .sparse import (
     SparseVector,
+    _add_normalize_truncate,
     _check_same_dimension,
     _cut_in_place,
     _restrict,
@@ -117,9 +118,13 @@ class Learner:
 
     # -- stream consumption -------------------------------------------------
 
-    def step(self, x: SparseVector, y: int) -> Prediction:
-        """Predict, count the mistake, apply the timed update."""
-        pred = self.predict(x)
+    def step(self, x: SparseVector, y: int, margin: float | None = None) -> Prediction:
+        """Predict, count the mistake, apply the timed update.
+
+        margin, when given, must equal dot(self.w, x): a caller that already
+        computed it for the same two vectors passes it instead.
+        """
+        pred = self.predict(x) if margin is None else Prediction(sign_of(margin), margin)
         if self.config.measure_time:
             start = time.perf_counter()
             self.update(x, y, margin=pred.margin)
@@ -208,11 +213,8 @@ class Learner:
         gamma = (1.0 / alpha) / math.sqrt(self._alma_k)
         if y * margin_hat <= (1.0 - alpha) * gamma:
             eta_k = math.sqrt(2.0) / math.sqrt(self._alma_k)
-            w_next = add_scaled(self.w, eta_k * y / x_norm, x)
-            norm = w_next.norm_l2()
-            if norm > 1.0:
-                w_next = scale(w_next, 1.0 / norm)
-            self._set_weights(w_next)
+            self.w = _add_normalize_truncate(self.w, eta_k * y / x_norm, x, self.B)
+            self.updates += 1
             self._alma_k += 1
 
     # -- diagonal second-order variants ----------------------------------------

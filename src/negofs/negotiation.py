@@ -15,21 +15,23 @@ Merge rules, per feature:
 Every selection also earns the feature trust points; when the merged
 support would exceed the merged budget, the most trusted (then largest,
 then lowest-index) features are kept.
+
+The initiator's margin dot(merged, x) on a chunk's first instance is
+computed once and handed to every participant that still holds the merged
+vector, so with one instance per trial each trial takes a single dot.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .learners import Learner, sign_of
-from .sparse import SparseVector, _from_dict, _overlay, check_budget, dot
+from .sparse import SparseVector, _overlay, _sorted_from_dict, check_budget, dot
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
-from .utility import DeadlineParams, IssueWeightProfile, offer_cost, round_domain, time_pressure
+from .utility import DeadlineParams, IssueWeightProfile, _costs, round_domain, time_pressure
 
 INITIATOR = "init"
 EVERYONE = "*"
@@ -60,6 +62,8 @@ class Offer:
     def __post_init__(self):
         if self.err_count < 0:
             raise ValueError("err_count must be non-negative")
+        if self.instances < 0:
+            raise ValueError("instances must be non-negative")
         if not 0.0 <= self.trust <= 1.0:
             raise ValueError(f"trust must lie in [0, 1], got {self.trust}")
 
@@ -183,16 +187,20 @@ def score_chunk(
     chunk: Sequence[tuple[SparseVector, int]],
     state: TrustState,
     params: TrustParams,
+    first_margin: float | None = None,
 ) -> tuple[int, TrustState]:
     """Step a learner through one chunk and refresh its trust with the chunk accuracy.
 
-    Returns the chunk's mistakes and the new trust state; an empty chunk
-    leaves the state as it was.
+    first_margin, when given, must equal dot(learner.w, x) for the chunk's
+    first instance x. Returns the chunk's mistakes and the new trust state;
+    an empty chunk leaves the state as it was.
     """
     correct = 0
+    margin = first_margin
     for x, y in chunk:
-        if learner.step(x, y).sign == y:
+        if learner.step(x, y, margin).sign == y:
             correct += 1
+        margin = None
     if chunk:
         state = update_trust(state, satisfaction_of_window(correct, len(chunk)), params)
     return len(chunk) - correct, state
@@ -232,15 +240,12 @@ def call_for_proposals(
 def offer_costs(
     offers: Sequence[Offer], weights: IssueWeightProfile
 ) -> dict[int, float]:
-    """Composite cost per offer, normalized within this round's ranges."""
-    err_domain = round_domain(
-        [o.err_count / o.instances if o.instances else 0.0 for o in offers]
-    )
-    time_domain = round_domain([o.cost_time for o in offers])
-    return {
-        o.participant_id: offer_cost(o, weights, err_domain, time_domain)
-        for o in offers
-    }
+    """Composite cost per offer (offer_cost), normalized within this round's ranges."""
+    rates = [o.err_count / o.instances if o.instances > 0 else 0.0 for o in offers]
+    times = [o.cost_time for o in offers]
+    costs = _costs(weights, zip([o.trust for o in offers], rates, times),
+                   round_domain(rates), round_domain(times))
+    return {o.participant_id: cost for o, cost in zip(offers, costs)}
 
 
 def merge_multilateral(
@@ -275,10 +280,8 @@ def merge_multilateral(
     # Filled worst first, so the conflict winner's value is written last.
     merged, supports = _overlay([o.w for o in reversed(ranked)])
     pending = set(merged).difference(feature_trust.capped)
-    if len(pending) < len(merged):  # else every offered index is pending: count as is
-        supports = [s & pending for s in supports]
     if pending:
-        feature_trust.award(Counter(chain.from_iterable(supports)))
+        feature_trust.award({i: sum(i in s for s in supports) for i in pending})
 
     excess = len(merged) - cfg.merged_budget
     if excess > 0:
@@ -292,7 +295,8 @@ def merge_multilateral(
         for _, _, negated in order[:excess]:
             del merged[-negated]
 
-    return _from_dict(dimension, merged), feature_trust
+    # Every offered value already has |v| >= ZERO_EPS: only the order is rebuilt.
+    return _sorted_from_dict(dimension, merged), feature_trust
 
 
 def broadcast(
@@ -383,15 +387,16 @@ def run_negotiation(
         chunk = stream[(trial - 1) * chunk_size: trial * chunk_size]
         stale = len(chunk) == 0
 
-        system_mistakes = 0
-        for x, y in chunk:
-            if sign_of(dot(merged, x)) != y:
-                system_mistakes += 1
+        margins = [dot(merged, x) for x, _ in chunk]
+        system_mistakes = sum(sign_of(m) != y for m, (_, y) in zip(margins, chunk))
 
+        # A participant that still holds the merged vector shares its first margin.
+        first_margin = margins[0] if margins else None
         participant_mistakes: dict[int, int] = {}
         for p in participants:
             participant_mistakes[p.id], p.trust_state = score_chunk(
-                p.learner, chunk, p.trust_state, cfg.trust_params
+                p.learner, chunk, p.trust_state, cfg.trust_params,
+                first_margin if p.learner.w is merged else None,
             )
 
         offers = call_for_proposals(trial, participants, transcript, stale=stale)

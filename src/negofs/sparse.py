@@ -10,7 +10,12 @@ already holds skip it through the private helpers at the bottom of this
 module, which only sort the keys (or keep the existing order) and drop
 entries below ZERO_EPS. A learner update also cuts to its budget there: when
 the excess falls on entries the update itself wrote, it deletes them from the
-copy it already made, and otherwise it rebuilds the vector once.
+copy it already made, and otherwise it rebuilds the vector once. ALMA's
+step, scale into the unit ball and cut share one copy and one final
+comprehension. The merge overlays each distinct offer vector once and only
+re-sorts the result, since offered values already clear ZERO_EPS. A vector
+may cache a lower bound on its magnitudes (its floor), which scale carries
+over to its result.
 """
 
 from __future__ import annotations
@@ -159,8 +164,12 @@ def scale(w: SparseVector, s: float) -> SparseVector:
     """Return s*w."""
     if s == 1.0:
         return w
+    # Rounding is monotone, so |s| times w's floor bounds the result's magnitudes.
+    floor = abs(s) * _magnitude_floor(w) if abs(s) > 0.0 else None
     return SparseVector._trusted(
-        w.dimension, {i: u for i, v in w._data.items() if abs(u := s * v) >= ZERO_EPS}
+        w.dimension,
+        {i: u for i, v in w._data.items() if abs(u := s * v) >= ZERO_EPS},
+        floor,
     )
 
 
@@ -209,6 +218,11 @@ def _from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
     return SparseVector._trusted(
         dimension, {i: v for i in sorted(out) if abs(v := out[i]) >= ZERO_EPS}
     )
+
+
+def _sorted_from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
+    """Wrap a dict of in-range int indices whose values all have |v| >= ZERO_EPS."""
+    return SparseVector._trusted(dimension, {i: out[i] for i in sorted(out)})
 
 
 def _truncated_from_dict(dimension: int, out: dict[int, float], B: int) -> SparseVector:
@@ -265,6 +279,41 @@ def _cut_in_place(
     return SparseVector._trusted(base.dimension, out, floor)
 
 
+def _add_normalize_truncate(
+    w: SparseVector, s: float, x: SparseVector, B: int
+) -> SparseVector:
+    """truncate(c * add_scaled(w, s, x), B), c = 1/||w + s*x|| when that norm exceeds 1.
+
+    Same arithmetic as the three steps, in two passes once the sum is built:
+    the norm over the sorted indices, then one comprehension that scales and
+    cuts. Scaling by c > 0 keeps the magnitudes' order, so when no tie
+    straddles the B-th largest scaled magnitude and it is at least ZERO_EPS,
+    the entries kept are exactly those at or above it.
+    """
+    _check_same_dimension(w, x)
+    out = w.to_dict()
+    get = out.get
+    for i, v in x._data.items():
+        if abs(u := get(i, 0.0) + s * v) >= ZERO_EPS:
+            out[i] = u
+        else:
+            out.pop(i, None)
+    keys = sorted(out)
+    norm = math.sqrt(sum(v * v for v in map(out.__getitem__, keys)))
+    c = 1.0 / norm if norm > 1.0 else 1.0
+    if len(out) > B:
+        magnitudes = sorted(map(abs, out.values()), reverse=True)
+        cut = c * magnitudes[B - 1]
+        if c * magnitudes[B] < cut and cut >= ZERO_EPS:
+            return SparseVector._trusted(
+                w.dimension, {i: u for i in keys if abs(u := c * out[i]) >= cut}, cut
+            )
+        return truncate(scale(_sorted_from_dict(w.dimension, out), c), B)
+    return SparseVector._trusted(
+        w.dimension, {i: u for i in keys if abs(u := c * out[i]) >= ZERO_EPS}
+    )
+
+
 def _magnitude_floor(w: SparseVector) -> float:
     """A lower bound on w's magnitudes (inf when w is empty), computed once."""
     floor = w._floor
@@ -279,13 +328,14 @@ def _overlay(
 ) -> tuple[dict[int, float], list[KeysView[int]]]:
     """All the vectors' entries in one new dict, and each vector's index set.
 
-    The dict is filled vector by vector, so where several vectors hold an
-    index the last one's value wins. The index sets are read-only views for
-    set algebra.
+    Where several vectors hold an index the last one's value wins, so a
+    vector listed more than once is written only at its last position. The
+    index sets are read-only views, one per position.
     """
     out: dict[int, float] = {}
-    for w in vectors:
-        out.update(w._data)
+    last = {id(w): k for k, w in enumerate(vectors)}
+    for k in sorted(last.values()):
+        out.update(vectors[k]._data)
     return out, [w._data.keys() for w in vectors]
 
 

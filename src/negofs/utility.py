@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .negotiation import Offer
@@ -96,13 +96,31 @@ def aggregate_utility(profile: IssueWeightProfile, scores: Sequence[float]) -> f
     return sum(w * s for w, s in zip(weights, scores))
 
 
-def _badness(value: float, domain: Optional[IssueDomain]) -> float:
-    # Lower raw values are better for error and time, so badness inverts the
-    # linear score. A missing domain means every offer tied this round and
-    # the issue carries no information.
-    if domain is None:
-        return 0.0
-    return 1.0 - linear_score(value, domain)
+def _costs(
+    profile: IssueWeightProfile,
+    issues: Iterable[tuple[float, float, float]],
+    error_domain: Optional[IssueDomain],
+    time_domain: Optional[IssueDomain],
+) -> list[float]:
+    """offer_cost for each (trust, error rate, cost time), all in one loop.
+
+    Lower raw values are better for error and time, so their badness is one
+    minus linear_score, written inline. A missing domain means every offer
+    tied this round and the issue carries no information.
+    """
+    w_trust, w_error, w_time = profile.as_tuple()
+    costs = []
+    for trust, err_rate, cost_time in issues:
+        err_bad = time_bad = 0.0
+        if error_domain is not None:
+            lo, hi = error_domain.lower, error_domain.upper
+            err_bad = 1.0 - (hi - min(max(err_rate, lo), hi)) / (hi - lo)
+        if time_domain is not None:
+            lo, hi = time_domain.lower, time_domain.upper
+            time_bad = 1.0 - (hi - min(max(cost_time, lo), hi)) / (hi - lo)
+        # sum() as in aggregate_utility: from CPython 3.12 it compensates, a + b + c does not.
+        costs.append(sum((w_trust * (1.0 - trust), w_error * err_bad, w_time * time_bad)))
+    return costs
 
 
 def offer_cost(
@@ -117,14 +135,8 @@ def offer_cost(
     normalized badness within the round's observed ranges.
     """
     err_rate = offer.err_count / offer.instances if offer.instances > 0 else 0.0
-    return aggregate_utility(
-        profile,
-        (
-            1.0 - offer.trust,
-            _badness(err_rate, error_domain),
-            _badness(offer.cost_time, time_domain),
-        ),
-    )
+    issues = ((offer.trust, err_rate, offer.cost_time),)
+    return _costs(profile, issues, error_domain, time_domain)[0]
 
 
 def round_domain(values: Sequence[float]) -> Optional[IssueDomain]:

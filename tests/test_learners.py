@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import DenseLearner
 from negofs.learners import (
@@ -315,6 +317,26 @@ def test_timing_disabled_keeps_zero_cost():
     learner = make("PETRUN")
     learner.step(sv(5, {0: 1.0}), 1)
     assert learner.cumulative_time == 0.0
+
+
+def _state(learner):
+    return (list(learner.w.items()), list(learner.sigma.items()), learner.mistakes,
+            learner.updates, learner.instances, learner._alma_k, learner.rng.getstate())
+
+
+@given(st.sampled_from(VARIANTS), st.integers(1, 8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_given_margin_steps_like_a_computed_one(variant, B, data):
+    # The negotiation passes each trial's shared dot(merged, x) to step.
+    values = st.one_of(st.integers(-4, 4).map(lambda k: k / 2), st.floats(-3, 3))
+    instances = st.tuples(st.dictionaries(st.integers(0, 7), values, max_size=8),
+                          st.sampled_from((-1, 1)))
+    given_margin, computed = make(variant, d=8, B=B, seed=5), make(variant, d=8, B=B, seed=5)
+    for entries, y in data.draw(st.lists(instances, min_size=1, max_size=25)):
+        x = sv(8, entries)
+        got = given_margin.step(x, y, dot(given_margin.w, x))
+        assert got == computed.step(x, y)
+        assert _state(given_margin) == _state(computed)
 
 
 # -- cross-variant invariants -------------------------------------------------------------

@@ -82,6 +82,8 @@ def test_offer_validation():
         offer(0, {0: 1.0}, err=-1)
     with pytest.raises(ValueError):
         Offer(0, sv(3, {0: 1.0}), 0, 0.0, trust=1.5)
+    with pytest.raises(ValueError, match="instances"):
+        offer(0, {0: 1.0}, instances=-1)
 
 
 def test_feature_trust_starts_at_initial_and_clamps():

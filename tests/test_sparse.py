@@ -13,8 +13,10 @@ from negofs.sparse import (
     ZERO_EPS,
     DimensionMismatchError,
     SparseVector,
+    _add_normalize_truncate,
     _cut_in_place,
     _from_dict,
+    _overlay,
     _truncated_from_dict,
     add_scaled,
     check_budget,
@@ -360,6 +362,86 @@ def test_a_cached_floor_is_invisible():
     assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
     assert pickle.dumps(got) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(got)) == got
+
+
+_FACTORS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e-15, 1e300, -1e300]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@given(st.dictionaries(st.integers(0, 11), st.floats(-1e3, 1e3, allow_nan=False), max_size=12),
+       _FACTORS, st.booleans())
+@example({}, 2.0, False)    # empty: the source floor is inf
+@example({}, 0.0, False)    # and 0 * inf would be NaN
+@example({3: 1e-3, 5: 2.0}, 1e-13, True)   # a tiny factor drops the smallest entry
+@settings(max_examples=500)
+def test_scale_carries_a_floor_that_bounds_every_magnitude(entries, s, known):
+    w = sv(12, entries)
+    if known:
+        w = scale(w, 1.0 + 2 ** -52)  # a source whose floor is already set
+    got = scale(w, s)
+    if got is w:
+        return
+    assert got._floor is None or not math.isnan(got._floor)
+    assert_floor_holds(got)
+    fresh = sv(12, got.to_dict())
+    assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
+    assert pickle.dumps(got) == pickle.dumps(fresh)
+
+
+def _three_steps(w, s, x, B):
+    """An ALMA update as add_scaled, then scale into the unit ball, then truncate."""
+    w_next = add_scaled(w, s, x)
+    norm = w_next.norm_l2()
+    if norm > 1.0:
+        w_next = scale(w_next, 1.0 / norm)
+    return truncate(w_next, B)
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_add_normalize_truncate_equals_the_three_steps(data):
+    d = 12
+    entries = st.dictionaries(st.integers(0, d - 1), _STEP_VALUES, max_size=d)
+    w, x = sv(d, data.draw(entries)), sv(d, data.draw(entries))
+    s = data.draw(st.one_of(_STEP_SCALES, st.sampled_from([8.0, -20.0])))
+    B = data.draw(st.integers(1, d))
+    expected = _three_steps(w, s, x, B)
+    got = _add_normalize_truncate(w, s, x, B)
+    assert got == expected
+    assert list(got.items()) == list(expected.items())
+    assert_floor_holds(got)
+
+
+@pytest.mark.parametrize("w, B", [
+    # Distinct magnitudes that tie once scaled into the unit ball.
+    ({0: 3.0, 1: 1.8700101551766397, 2: 1.8700101551766395}, 2),
+    # The B-th scaled magnitude falls below ZERO_EPS.
+    ({0: 4.0, 1: 2 * ZERO_EPS, 2: ZERO_EPS}, 2),
+    # Already within the ball and the budget.
+    ({0: 0.25, 4: -0.5}, 3),
+])
+def test_add_normalize_truncate_edge_cases(w, B):
+    w, x = sv(12, w), sv(12, {3: 0.5})
+    got = _add_normalize_truncate(w, 1.0, x, B)
+    expected = _three_steps(w, 1.0, x, B)
+    assert list(got.items()) == list(expected.items())
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=9), st.data())
+@settings(max_examples=300)
+def test_overlay_writes_each_vector_once_with_the_same_result(picks, data):
+    # Offers often share one vector object: the broadcast a participant kept.
+    entries = st.dictionaries(st.integers(0, 9), _STEP_VALUES, max_size=10)
+    pool = [sv(10, data.draw(entries)) for _ in range(3)]
+    vectors = [pool[k] for k in picks]
+    expected = {}
+    for w in vectors:
+        expected.update(w.to_dict())
+    merged, supports = _overlay(vectors)
+    assert merged == expected
+    assert [set(s) for s in supports] == [set(w.indices()) for w in vectors]
 
 
 def test_only_sparse_calls_the_trusted_constructor():

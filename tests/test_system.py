@@ -251,6 +251,8 @@ def test_min_utility_transcript_bytes_are_pinned():
 
 WIDE = dict(seed=5, d=60, n=400, relevant=8, noise=0.03)
 NARROW = dict(seed=9, d=40, n=300, relevant=5, noise=0.05)
+# t_max = n with k = n: one instance per trial, the negotiate-every-instance shape.
+EVERY = dict(seed=21, d=200, n=300, relevant=10, density=0.05, noise=0.05)
 
 
 @pytest.mark.parametrize("rule, k, t_max, data, epsilon, expected", [
@@ -262,6 +264,8 @@ NARROW = dict(seed=9, d=40, n=300, relevant=5, noise=0.05)
      "bc8a764581f7d7e0f12b30c24634ed830789e77e21ba94490b3ebc5e3bfb6a48"),
     (MIN_UTILITY, 9, 200, WIDE, None,
      "83860577915f3e26b8b53baacd11a8eb36d4a9624d56f6dc06821842e9869fe9"),
+    (MIN_UTILITY, 9, 300, EVERY, None,
+     "baa66b8567e4e1d4d395b2b4c82cb5d73650a532f4fd324e1e124168fd54c5e7"),
 ])
 def test_run_bytes_are_pinned(rule, k, t_max, data, epsilon, expected):
     # Transcript, merged vector, mistakes and election of k < n and k = n runs

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from negofs.negotiation import Offer
+from negofs.negotiation import Offer, offer_costs
 from negofs.sparse import SparseVector
 from negofs.utility import (
     DeadlineParams,
@@ -166,6 +168,53 @@ def test_argmin_invariant_under_time_rescaling():
             for o in offers
         ]
         assert argmin(offers) == argmin(rescaled)
+
+
+_PROFILES = [IssueWeightProfile(), IssueWeightProfile(1.0, 0.0, 0.0),
+             IssueWeightProfile(0.0, 1.0, 0.0), IssueWeightProfile(0.0, 0.0, 1.0),
+             IssueWeightProfile(0.1, 0.6, 0.3), IssueWeightProfile(0.7, 0.2, 0.1),
+             IssueWeightProfile(1 / 3, 1 / 3, 1 / 3)]
+
+
+@st.composite
+def _offer_rounds(draw):
+    """2-9 offers; each issue may tie across all of them (its domain is then None)."""
+    n = draw(st.integers(2, 9))
+    trusts = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    times = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1e3))
+    tied_error, tied_time = draw(st.booleans()), draw(st.booleans())
+    shared = (draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(times))
+    offers = []
+    for pid in range(n):
+        instances = shared[1] if tied_error else draw(st.integers(0, 40))
+        err = shared[0] if tied_error else draw(st.integers(0, max(instances, 3)))
+        cost_time = shared[2] if tied_time else draw(times)
+        offers.append(Offer(pid, SparseVector(4, {0: 1.0}), err, cost_time,
+                            draw(trusts), instances))
+    return offers
+
+
+@given(_offer_rounds(), st.sampled_from(_PROFILES))
+@settings(max_examples=400)
+def test_offer_costs_equal_offer_cost_bit_for_bit(offers, profile):
+    rates = [o.err_count / o.instances if o.instances > 0 else 0.0 for o in offers]
+    err_dom = round_domain(rates)
+    time_dom = round_domain([o.cost_time for o in offers])
+
+    def badness(value, dom):
+        return 0.0 if dom is None else 1.0 - linear_score(value, dom)
+
+    reference = {  # the formula as the public pieces state it
+        o.participant_id: aggregate_utility(
+            profile, (1.0 - o.trust, badness(rate, err_dom), badness(o.cost_time, time_dom)))
+        for o, rate in zip(offers, rates)
+    }
+    each = {o.participant_id: offer_cost(o, profile, err_dom, time_dom) for o in offers}
+    table = offer_costs(offers, profile)
+    assert list(table) == [o.participant_id for o in offers]
+    hexed = {pid: cost.hex() for pid, cost in reference.items()}
+    assert {pid: cost.hex() for pid, cost in table.items()} == hexed
+    assert {pid: cost.hex() for pid, cost in each.items()} == hexed
 
 
 # -- time functions ------------------------------------------------------------------
