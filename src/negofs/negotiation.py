@@ -19,6 +19,12 @@ then lowest-index) features are kept.
 The initiator's margin dot(merged, x) on a chunk's first instance is
 computed once and handed to every participant that still holds the merged
 vector, so with one instance per trial each trial takes a single dot.
+
+The protocol steps record nothing. An optional observer passed to
+run_negotiation sees each finished trial through
+``on_trial(round_index, stale, offers, accepted, merged)``; a
+NegotiationTranscript is one such observer and rebuilds the trial's CFP,
+PROPOSE, ACCEPT/REJECT and INFORM messages from those arguments.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Protocol, Sequence
 
 from .learners import Learner, sign_of
 from .sparse import SparseVector, _overlay, _sorted_from_dict, check_budget, dot
@@ -60,6 +66,8 @@ class Offer:
     instances: int = 0
 
     def __post_init__(self):
+        if not 0.0 <= self.cost_time < math.inf:
+            raise ValueError(f"cost_time must be finite and non-negative, got {self.cost_time}")
         if self.err_count < 0:
             raise ValueError("err_count must be non-negative")
         if self.instances < 0:
@@ -95,6 +103,22 @@ class NegotiationTranscript:
             raise ValueError("transcript rounds must be non-decreasing")
         self.messages.append(message)
 
+    def on_trial(self, round_index: int, stale: bool, offers: Sequence[Offer],
+                 accepted: Sequence[Offer], merged: SparseVector) -> None:
+        """Record one finished trial: CFP, PROPOSEs, ACCEPT/REJECTs, INFORM."""
+        append = self.append
+        append(ProtocolMessage(round_index, MessageKind.CFP, INITIATOR, EVERYONE,
+                               "stale" if stale else "-"))
+        for o in offers:
+            append(ProtocolMessage(round_index, MessageKind.PROPOSE, str(o.participant_id),
+                                   INITIATOR, _digest(o.w)))
+        accepted_ids = {o.participant_id for o in accepted}
+        for o in offers:
+            kind = MessageKind.ACCEPT if o.participant_id in accepted_ids else MessageKind.REJECT
+            append(ProtocolMessage(round_index, kind, INITIATOR, str(o.participant_id)))
+        append(ProtocolMessage(round_index, MessageKind.INFORM, INITIATOR, EVERYONE,
+                               _digest(merged)))
+
     def __len__(self) -> int:
         return len(self.messages)
 
@@ -106,6 +130,13 @@ class NegotiationTranscript:
             for m in self.messages
         ]
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+class TrialObserver(Protocol):
+    """Watches a negotiation: on_trial runs once per trial, after the broadcast."""
+
+    def on_trial(self, round_index: int, stale: bool, offers: Sequence[Offer],
+                 accepted: Sequence[Offer], merged: SparseVector) -> None: ...
 
 
 def _check_trial_settings(t_max: int, epsilon: Optional[float], conflict_rule: str) -> None:
@@ -129,6 +160,8 @@ class NegotiationConfig:
 
     def __post_init__(self):
         _check_trial_settings(self.t_max, self.epsilon, self.conflict_rule)
+        if isinstance(self.merged_budget, bool) or not self.merged_budget >= 1:
+            raise ValueError(f"merged_budget must be an int >= 1, got {self.merged_budget!r}")
 
 
 class FeatureTrust:
@@ -216,25 +249,9 @@ class TrialMetrics:
     merged_support: int
 
 
-def call_for_proposals(
-    round_index: int,
-    participants: Sequence[Participant],
-    transcript: NegotiationTranscript | None = None,
-    stale: bool = False,
-) -> list[Offer]:
+def call_for_proposals(participants: Sequence[Participant]) -> list[Offer]:
     """Open a round: CFP out, one PROPOSE per participant back."""
-    offers = [p.make_offer() for p in participants]
-    if transcript is not None:
-        transcript.append(
-            ProtocolMessage(round_index, MessageKind.CFP, INITIATOR, EVERYONE,
-                            "stale" if stale else "-")
-        )
-        for offer in offers:
-            transcript.append(
-                ProtocolMessage(round_index, MessageKind.PROPOSE, str(offer.participant_id),
-                                INITIATOR, _digest(offer.w))
-            )
-    return offers
+    return [p.make_offer() for p in participants]
 
 
 def offer_costs(
@@ -299,12 +316,7 @@ def merge_multilateral(
     return _sorted_from_dict(dimension, merged), feature_trust
 
 
-def broadcast(
-    merged: SparseVector,
-    participants: Sequence[Participant],
-    transcript: NegotiationTranscript | None,
-    round_index: int,
-) -> None:
+def broadcast(merged: SparseVector, participants: Sequence[Participant]) -> None:
     """Replace every participant's weights with the merged vector.
 
     Second-order scales are left untouched; a participant whose own budget
@@ -312,43 +324,19 @@ def broadcast(
     """
     for p in participants:
         p.learner.w = merged
-    if transcript is not None:
-        transcript.append(
-            ProtocolMessage(round_index, MessageKind.INFORM, INITIATOR, EVERYONE,
-                            _digest(merged))
-        )
 
 
-def _accept_offers(
-    offers: list[Offer],
-    cfg: NegotiationConfig,
-    round_index: int,
-    transcript: NegotiationTranscript | None,
-) -> list[Offer]:
-    """Decide which offers enter this round's merge, logging ACCEPT/REJECT."""
-    if cfg.conflict_rule == MIN_UTILITY:
-        costs = offer_costs(offers, cfg.issue_weights)
-        pressure = time_pressure(
-            float(round_index), DeadlineParams(float(cfg.t_max))
-        )
-        threshold = 1.0 - pressure
-        acceptable = [o for o in offers if costs[o.participant_id] <= threshold]
-        if len(acceptable) < 2:
-            # Cooperative fallback: the negotiation must conclude, so the two
-            # cheapest offers are taken even under early-round pressure.
-            acceptable = sorted(
-                offers, key=lambda o: (costs[o.participant_id], o.participant_id)
-            )[:2]
-    else:
-        acceptable = list(offers)
-
-    if transcript is not None:
-        accepted_ids = {o.participant_id for o in acceptable}
-        for o in offers:
-            kind = MessageKind.ACCEPT if o.participant_id in accepted_ids else MessageKind.REJECT
-            transcript.append(
-                ProtocolMessage(round_index, kind, INITIATOR, str(o.participant_id))
-            )
+def _accept_offers(offers: list[Offer], cfg: NegotiationConfig, round_index: int) -> list[Offer]:
+    """Decide which offers enter this round's merge."""
+    if cfg.conflict_rule != MIN_UTILITY:
+        return list(offers)
+    costs = offer_costs(offers, cfg.issue_weights)
+    threshold = 1.0 - time_pressure(float(round_index), DeadlineParams(float(cfg.t_max)))
+    acceptable = [o for o in offers if costs[o.participant_id] <= threshold]
+    if len(acceptable) < 2:
+        # Cooperative fallback: the negotiation must conclude, so the two
+        # cheapest offers are taken even under early-round pressure.
+        acceptable = sorted(offers, key=lambda o: (costs[o.participant_id], o.participant_id))[:2]
     return acceptable
 
 
@@ -356,8 +344,8 @@ def run_negotiation(
     participants: Sequence[Participant],
     stream: Sequence[tuple[SparseVector, int]],
     cfg: NegotiationConfig,
-    transcript: NegotiationTranscript | None = None,
-) -> tuple[SparseVector, NegotiationTranscript | None, list[TrialMetrics]]:
+    observer: TrialObserver | None = None,
+) -> tuple[SparseVector, TrialObserver | None, list[TrialMetrics]]:
     """Drive t_max negotiation trials over a labelled stream.
 
     The stream is cut into t_max contiguous chunks. Each trial: every
@@ -367,8 +355,9 @@ def run_negotiation(
     system-level online mistake count. Trials past the end of a short stream
     negotiate on stale offers and are flagged in the metrics.
 
-    Protocol messages are recorded only into a transcript the caller passes
-    in, which is returned as given; with none, no message is built.
+    After each trial's broadcast, the observer (returned as given) sees
+    ``on_trial(trial, stale, offers, accepted, merged)``; with none, nothing
+    is recorded.
     """
     if not stream:
         raise ValueError("stream must be non-empty")
@@ -399,11 +388,13 @@ def run_negotiation(
                 first_margin if p.learner.w is merged else None,
             )
 
-        offers = call_for_proposals(trial, participants, transcript, stale=stale)
-        merge_set = _accept_offers(offers, cfg, trial, transcript)
-        merged, feature_trust = merge_multilateral(merge_set, feature_trust, cfg)
-        broadcast(merged, participants, transcript, trial)
+        offers = call_for_proposals(participants)
+        accepted = _accept_offers(offers, cfg, trial)
+        merged, feature_trust = merge_multilateral(accepted, feature_trust, cfg)
+        broadcast(merged, participants)
+        if observer is not None:
+            observer.on_trial(trial, stale, offers, accepted, merged)
         metrics.append(TrialMetrics(trial, len(chunk), stale, participant_mistakes,
                                     system_mistakes, len(merged)))
 
-    return merged, transcript, metrics
+    return merged, observer, metrics

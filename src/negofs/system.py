@@ -7,6 +7,10 @@ keeps the top k. Level 2 hands the remaining stream to the negotiation
 engine. With k equal to the roster size there is nothing to elect, so the
 whole stream goes straight to the negotiation: that is the single-level
 system (MANOFS, and BANOFS with a roster of two).
+
+An optional observer passed to run_moanofs goes to the negotiation, which
+calls its ``on_trial`` once per finished trial (see negofs.negotiation); a
+NegotiationTranscript records the protocol messages that way.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from .learners import Learner, LearnerConfig
 from .negotiation import (
     MIN_ERROR,
     NegotiationConfig,
-    NegotiationTranscript,
     Participant,
     TrialMetrics,
+    TrialObserver,
     _check_trial_settings,
     run_negotiation,
     score_chunk,
@@ -128,7 +132,7 @@ def build_learners(cfg: SystemConfig, dimension: int) -> list[Learner]:
 
 
 def run_moanofs(
-    dataset: Dataset, cfg: SystemConfig, transcript: NegotiationTranscript | None = None
+    dataset: Dataset, cfg: SystemConfig, observer: TrialObserver | None = None
 ) -> RunReport:
     """Execute the full two-level pipeline on a dataset.
 
@@ -136,8 +140,7 @@ def run_moanofs(
     k < n, the first calibration_fraction of the stream elects the roster
     and only the remainder is negotiated; calibration and negotiation
     instances never overlap. When k = n the whole stream is negotiated by
-    the full roster. The negotiation's protocol messages are recorded into
-    transcript when one is given.
+    the full roster. The observer, when given, sees every negotiation trial.
     """
     if len(dataset) < 10:
         raise ValueError(f"dataset must have at least 10 instances, got {len(dataset)}")
@@ -166,7 +169,7 @@ def run_moanofs(
         issue_weights=cfg.issue_weights,
         trust_params=cfg.trust_params,
     )
-    merged, _, trials = run_negotiation(elected, level2, ncfg, transcript)
+    merged, _, trials = run_negotiation(elected, level2, ncfg, observer)
 
     per_learner = [
         LearnerReport(

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from dense_oracle import DenseLearner, merge_offers_reference
-from negofs import negotiation
 from negofs.cli import RunOptions, derive_run_seed, main, run_experiment
 from negofs.data import SyntheticSpec, budget, generate_synthetic, load_sparse_text, permute, stream_of
 from negofs.learners import VARIANTS, Learner, LearnerConfig
@@ -243,7 +242,7 @@ def test_criterion_8_synthetic_recovery():
             f"recalls={recalls} seeds_passing={hits}/5 elapsed={elapsed:.0f}s (budget 60s)")
 
 
-def test_criterion_9_reduction_identities(monkeypatch):
+def test_criterion_9_reduction_identities():
     # (a) two-participant negotiation reproduces bilateral merge semantics:
     # every round's merge equals the per-feature reference on its two offers.
     d = 12
@@ -254,24 +253,25 @@ def test_criterion_9_reduction_identities(monkeypatch):
         for i in range(2)
     ]
     cfg = NegotiationConfig(t_max=5, merged_budget=d)
-    merges = []
-    real_merge = negotiation.merge_multilateral
 
-    def spy(offers, feature_trust, merge_cfg):
-        merged, feature_trust = real_merge(offers, feature_trust, merge_cfg)
-        merges.append((list(offers), merged))
-        return merged, feature_trust
+    class MergeRecorder:
+        def __init__(self):
+            self.merges = []
 
-    monkeypatch.setattr(negotiation, "merge_multilateral", spy)
-    merged, _, _ = run_negotiation(participants, stream, cfg)
-    bilateral_ok = len(merges) == cfg.t_max and merged == merges[-1][1]
-    for offers, round_merged in merges:
+        def on_trial(self, round_index, stale, offers, accepted, merged):
+            self.merges.append((list(offers), list(accepted), merged))
+
+    merged, recorder, _ = run_negotiation(participants, stream, cfg, MergeRecorder())
+    merges = recorder.merges
+    bilateral_ok = len(merges) == cfg.t_max and merged == merges[-1][2]
+    for offers, accepted, round_merged in merges:
         errors = {o.participant_id: o.err_count for o in offers}
         expected = merge_offers_reference(
             [(o.participant_id, [o.w.get(i) for i in range(d)], o.err_count) for o in offers],
             conflict_key=errors.__getitem__,
         )
-        if len(offers) != 2 or [round_merged.get(i) for i in range(d)] != expected:
+        if (len(offers) != 2 or accepted != offers
+                or [round_merged.get(i) for i in range(d)] != expected):
             bilateral_ok = False
 
     # (b) the two-level pipeline with k = n is bitwise the single-level system

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import merge_offers_reference
-from negofs import negotiation
 from negofs.learners import VARIANTS, Learner, LearnerConfig
 from negofs.negotiation import (
     EVERYONE,
@@ -30,6 +29,7 @@ from negofs.negotiation import (
 )
 from negofs.sparse import SparseVector, dot
 from negofs.trust import TrustParams, TrustState, update_trust
+from negofs.utility import DeadlineParams, time_pressure
 
 
 def sv(d, entries=()):
@@ -57,18 +57,16 @@ def bilateral(o1, o2):
     return merged
 
 
-def spy_on_merges(monkeypatch):
-    """Record (offers, merged) for every merge a negotiation runs."""
-    merges = []
-    real = negotiation.merge_multilateral
+class MergeSpy(NegotiationTranscript):
+    """A transcript that also keeps (all offers, accepted offers, merged) per trial."""
 
-    def spy(offers, feature_trust, cfg):
-        merged, feature_trust = real(offers, feature_trust, cfg)
-        merges.append((list(offers), merged))
-        return merged, feature_trust
+    def __init__(self):
+        super().__init__()
+        self.merges = []
 
-    monkeypatch.setattr(negotiation, "merge_multilateral", spy)
-    return merges
+    def on_trial(self, round_index, stale, offers, accepted, merged):
+        super().on_trial(round_index, stale, offers, accepted, merged)
+        self.merges.append((list(offers), list(accepted), merged))
 
 
 def by_round(transcript):
@@ -84,6 +82,15 @@ def test_offer_validation():
         Offer(0, sv(3, {0: 1.0}), 0, 0.0, trust=1.5)
     with pytest.raises(ValueError, match="instances"):
         offer(0, {0: 1.0}, instances=-1)
+    for cost_time in (float("nan"), float("inf"), float("-inf"), -1e-9):
+        with pytest.raises(ValueError, match="^cost_time must"):
+            offer(0, {0: 1.0}, cost_time=cost_time)
+
+
+@pytest.mark.parametrize("merged_budget", [0, -1, True])
+def test_negotiation_config_rejects_bad_merged_budget(merged_budget):
+    with pytest.raises(ValueError, match="^merged_budget must"):
+        ncfg(merged_budget=merged_budget)
 
 
 def test_feature_trust_starts_at_initial_and_clamps():
@@ -115,13 +122,15 @@ def test_feature_trust_rejects_bad_epsilon(epsilon):
 
 def test_cfp_three_healthy_participants():
     participants = [petrun_participant(i, 6, 2) for i in range(3)]
+    offers = call_for_proposals(participants)
+    assert [o.participant_id for o in offers] == [0, 1, 2]
+    assert all(o.w is p.learner.w for o, p in zip(offers, participants))
+    assert call_for_proposals(participants) == offers
     transcript = NegotiationTranscript()
-    offers = call_for_proposals(1, participants, transcript)
-    assert len(offers) == 3
-    assert len(transcript) == 4  # CFP + 3 PROPOSE
+    transcript.on_trial(1, False, offers, offers[1:], sv(6))
     kinds = [m.kind for m in transcript.messages]
-    assert kinds == [MessageKind.CFP] + [MessageKind.PROPOSE] * 3
-    assert call_for_proposals(2, participants) == offers  # no transcript, same offers
+    assert kinds == ([MessageKind.CFP] + [MessageKind.PROPOSE] * 3
+                     + [MessageKind.REJECT] + [MessageKind.ACCEPT] * 2 + [MessageKind.INFORM])
 
 
 # -- two-offer merges ---------------------------------------------------------------------
@@ -329,24 +338,22 @@ def test_broadcast_replaces_weights_and_keeps_sigma():
     arow.learner.sigma[0] = 0.25
     participants.append(arow)
     merged = sv(6, {1: 0.7})
-    transcript = NegotiationTranscript()
-    broadcast(merged, participants, transcript, 1)
+    broadcast(merged, participants)
     for p in participants:
         assert p.learner.w is merged
     assert arow.learner.sigma == {0: 0.25}
-    assert transcript.messages[-1].kind == MessageKind.INFORM
 
 
 def test_broadcast_zero_vector_resets_models():
     participants = [petrun_participant(i, 6, 3) for i in range(2)]
     participants[0].learner.w = sv(6, {0: 1.0})
-    broadcast(sv(6), participants, NegotiationTranscript(), 1)
+    broadcast(sv(6), participants)
     assert all(len(p.learner.w) == 0 for p in participants)
 
 
 def test_over_budget_broadcast_retruncates_on_next_update():
     p = petrun_participant(0, 6, B=2)
-    broadcast(sv(6, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}), [p], NegotiationTranscript(), 1)
+    broadcast(sv(6, {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}), [p])
     assert len(p.learner.w) == 4  # broadcast does not truncate
     p.learner.step(sv(6, {5: 1.0}), -1)  # mistake forces an update
     assert len(p.learner.w) <= 2
@@ -363,8 +370,7 @@ def test_transcript_round_monotonicity_enforced():
 
 def test_transcript_serialization_format():
     transcript = NegotiationTranscript()
-    transcript.append(ProtocolMessage(1, MessageKind.CFP, INITIATOR, EVERYONE))
-    broadcast(sv(6, {0: 3.0, 1: 4.0}), [], transcript, 1)
+    transcript.on_trial(1, False, [], [], sv(6, {0: 3.0, 1: 4.0}))
     lines = transcript.serialize().splitlines()
     assert lines[0] == "1\tCFP\tinit\t*\t-"
     assert lines[1] == "1\tINFORM\tinit\t*\t2;5.000000"
@@ -404,24 +410,24 @@ def test_rounds_start_with_cfp_and_end_with_inform_or_abort():
         assert round_messages[-1].kind == MessageKind.INFORM
 
 
-def test_n2_reduces_to_bilateral_merge_each_trial(monkeypatch):
+def test_n2_reduces_to_bilateral_merge_each_trial():
     d = 5
     participants = [petrun_participant(i, d, 2, seed=i) for i in range(2)]
     stream = build_stream(3, d, 20)
-    merges = spy_on_merges(monkeypatch)
-    merged, _, _ = run_negotiation(
-        participants, stream, ncfg(t_max=4, merged_budget=d)
+    merged, spy, _ = run_negotiation(
+        participants, stream, ncfg(t_max=4, merged_budget=d), MergeSpy()
     )
+    merges = spy.merges
     assert len(merges) == 4
-    for offers, round_merged in merges:
-        assert len(offers) == 2
+    for offers, accepted, round_merged in merges:
+        assert len(offers) == 2 and accepted == offers
         errors = {o.participant_id: o.err_count for o in offers}
         expected = merge_offers_reference(
             [(o.participant_id, [o.w.get(i) for i in range(d)], o.err_count) for o in offers],
             conflict_key=errors.__getitem__,
         )
         assert [round_merged.get(i) for i in range(d)] == expected
-    assert merged == merges[-1][1]
+    assert merged == merges[-1][2]
 
 
 def test_three_petrun_trace_matches_independent_simulation():
@@ -561,18 +567,30 @@ def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
     cfg = ncfg(t_max=data.draw(st.integers(1, 2 * n), label="t_max"),
                merged_budget=data.draw(st.integers(1, d), label="merged_budget"),
                conflict_rule=MIN_UTILITY)
-    with pytest.MonkeyPatch.context() as mp:
-        merges = spy_on_merges(mp)
-        _, transcript, _ = run_negotiation(participants, stream, cfg, NegotiationTranscript())
+    _, transcript, _ = run_negotiation(participants, stream, cfg, MergeSpy())
+    merges = transcript.merges
 
     rounds = by_round(transcript)
     assert sorted(rounds) == list(range(1, cfg.t_max + 1)) and len(merges) == cfg.t_max
-    for (r, messages), (offers, merged) in zip(sorted(rounds.items()), merges):
+    feature_trust = FeatureTrust(1.0 / len(participants))  # the default epsilon
+    for (r, messages), (offers, merge_set, merged) in zip(sorted(rounds.items()), merges):
+        # The merged vector is the merge of the accepted offers, with trust carried over.
+        expected_merged, feature_trust = merge_multilateral(merge_set, feature_trust, cfg)
+        assert merged == expected_merged
         decisions = [m for m in messages if m.kind in (MessageKind.ACCEPT, MessageKind.REJECT)]
         assert sorted(int(m.receiver) for m in decisions) == list(range(len(participants)))
         accepted = [int(m.receiver) for m in decisions if m.kind == MessageKind.ACCEPT]
         assert len(accepted) >= 2
-        assert sorted(o.participant_id for o in offers) == sorted(accepted)
+        assert sorted(o.participant_id for o in merge_set) == sorted(accepted)
+        assert all(o in offers for o in merge_set)
+        # The accept rule, from the offers alone: every offer within the
+        # time-pressure threshold, or else the two cheapest.
+        costs = offer_costs(offers, cfg.issue_weights)
+        threshold = 1.0 - time_pressure(float(r), DeadlineParams(float(cfg.t_max)))
+        expected = [o.participant_id for o in offers if costs[o.participant_id] <= threshold]
+        if len(expected) < 2:
+            expected = sorted(costs, key=lambda pid: (costs[pid], pid))[:2]
+        assert sorted(accepted) == sorted(expected)
         assert len(merged) <= cfg.merged_budget
         inform = messages[-1]
         assert inform.kind == MessageKind.INFORM

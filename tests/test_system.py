@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negofs import system
 from negofs.data import Dataset, SyntheticSpec, budget, generate_synthetic, permute, stream_of
 from negofs.learners import VARIANTS, Learner, LearnerConfig
 from negofs.negotiation import (
@@ -16,7 +17,7 @@ from negofs.negotiation import (
     Participant,
     run_negotiation,
 )
-from negofs.sparse import SparseVector
+from negofs.sparse import SparseVector, dot
 from negofs.system import (
     SystemConfig,
     build_learners,
@@ -176,6 +177,55 @@ def test_k_equals_n_is_passthrough_to_manofs():
     assert recorded.serialize() == transcript.serialize()
     assert moanofs.calibration_instances == 0
     assert moanofs.elected == [0, 1, 2]
+
+
+def learner_state(learner):
+    """Everything a learner carries from one instance to the next."""
+    return {k: v.getstate() if k == "rng" else v
+            for k, v in vars(learner).items() if k != "_update_variant"}
+
+
+@pytest.mark.parametrize("k, rule", [(2, MIN_UTILITY), (4, MIN_ERROR)])
+def test_an_observer_changes_nothing(monkeypatch, k, rule):
+    ds, _ = small_dataset(seed=12)
+    cfg = SystemConfig(roster=roster("PETRUN", "RAND", "OGD", "AROW"), k=k, t_max=7,
+                       conflict_rule=rule, seed=4)
+    built = []
+    real_build = system.build_learners
+    monkeypatch.setattr(system, "build_learners",
+                        lambda *args: built.append(real_build(*args)) or built[-1])
+
+    class Recorder:
+        """An arbitrary observer: keeps its arguments and who holds the merged vector."""
+
+        def __init__(self):
+            self.trials, self.holders = [], []
+
+        def on_trial(self, round_index, stale, offers, accepted, merged):
+            self.trials.append((round_index, stale, list(offers), list(accepted), merged))
+            self.holders.append([i for i, lr in enumerate(built[-1]) if lr.w is merged])
+
+    recorder = Recorder()
+    reports = [run_moanofs(ds, cfg, observer)
+               for observer in (None, NegotiationTranscript(), recorder)]
+    assert reports[0] == reports[1] == reports[2]
+    states = [[learner_state(lr) for lr in learners] for learners in built]
+    assert states[0] == states[1] == states[2]
+
+    report = reports[0]
+    assert [t[0] for t in recorder.trials] == list(range(1, cfg.t_max + 1))
+    assert [t[1] for t in recorder.trials] == [t.stale for t in report.trials]
+    assert recorder.holders == [sorted(report.elected)] * cfg.t_max
+    assert recorder.trials[-1][4] == report.merged
+    # Each round's merged vector is what the next round predicts with.
+    level2 = stream_of(ds, permute(ds, cfg.seed))[report.calibration_instances:]
+    size = math.ceil(len(level2) / cfg.t_max)
+    starts = [sv(ds.dimension)] + [t[4] for t in recorder.trials[:-1]]
+    for r, (start, trial) in enumerate(zip(starts, report.trials)):
+        chunk = level2[r * size:(r + 1) * size]
+        assert trial.system_mistakes == sum((1 if dot(start, x) > 0 else -1) != y
+                                            for x, y in chunk)
+        assert trial.merged_support == len(recorder.trials[r][4])
 
 
 def test_identical_petrun_roster_equals_single_learner():
