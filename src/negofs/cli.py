@@ -6,10 +6,11 @@ random-mask learner), ``MANOFS`` for the full roster negotiating the whole
 stream, and ``MOANOFS`` for the two-level pipeline with trust election.
 
 Each run r permutes the dataset with seed ``base*1000003 + r`` and reports
-the mistake count, error rate and the CPU time spent in update/merge code.
+the mistake count, error rate and the CPU time (``time.process_time``) of
+the whole run: permutation, learner set-up, steps and merges.
 ``--no-timing`` freezes all time measurements at zero so output files are
 byte-reproducible. ``NEGOFS_THREADS`` caps how many runs execute in
-parallel worker processes.
+parallel worker processes; the pool modules load only when it is above 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -243,6 +243,9 @@ def run_experiment(
     workers = min(thread_cap(), len(names))
     # Both maps return results in input order: algorithm i owns the i-th block of runs.
     if workers > 1:
+        # Imported here so a single-process run never loads the multiprocessing stack.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(execute_run, *columns))
     else:

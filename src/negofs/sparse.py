@@ -5,22 +5,23 @@ pure: they return new vectors and never mutate their inputs, so vectors can
 be shared freely between learners after a broadcast.
 
 The public constructor is the one validating boundary: it sorts, range-checks
-and rejects non-finite values. Vectors the package computes from vectors it
-already holds skip it through the private helpers at the bottom of this
-module, which only sort the keys (or keep the existing order) and drop
-entries below ZERO_EPS. A learner update also cuts to its budget there: when
-the excess falls on entries the update itself wrote, it deletes them from the
-copy it already made, and otherwise it rebuilds the vector once. ALMA's
-step, scale into the unit ball and cut share one copy and one final
-comprehension. The merge overlays each distinct offer vector once and only
-re-sorts the result, since offered values already clear ZERO_EPS. A vector
-may cache a lower bound on its magnitudes (its floor), which scale carries
-over to its result.
+and rejects non-integer or repeated indices and non-finite values. Vectors
+the package computes from vectors it already holds skip it through the
+private helpers at the bottom of this module, which only sort the keys (or
+keep the existing order) and drop entries below ZERO_EPS. A learner update
+also cuts to its budget there: when the excess falls on entries the update
+itself wrote, it deletes them from the copy it already made, and otherwise it
+rebuilds the vector once. ALMA's step, scale into the unit ball and cut share
+one copy and one final comprehension. The merge overlays each distinct offer
+vector once and only re-sorts the result, since offered values already clear
+ZERO_EPS. A vector may cache a lower bound on its magnitudes (its floor),
+which scale carries over to its result.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator, KeysView, Mapping, Sequence, Union
 
 # Entries below this magnitude are treated as cancellation noise and dropped.
@@ -44,18 +45,24 @@ class SparseVector:
         if dimension <= 0:
             raise ValueError(f"dimension must be positive, got {dimension}")
         items = entries.items() if isinstance(entries, Mapping) else entries
+        pairs = sorted(items)
         data: dict[int, float] = {}
-        eps, inf = ZERO_EPS, math.inf  # locals: the loop runs once per loaded entry
+        eps, inf, as_index = ZERO_EPS, math.inf, operator.index  # locals for the per-entry loop
         try:
-            for i, v in sorted(items):
+            for i, v in pairs:
                 if not 0 <= i < dimension:
                     raise IndexError(f"index {i} out of range for dimension {dimension}")
                 if eps <= abs(v) < inf:
-                    data[int(i)] = float(v)
+                    data[as_index(i)] = float(v)  # TypeError for a non-integer index
                 elif not abs(v) < eps:  # NaN or ±inf
                     raise ValueError(f"non-finite value {v!r} at index {i}")
         except OverflowError:  # an int beyond the float range
             raise ValueError(f"value out of float range at index {i}") from None
+        if len(data) != len(pairs):  # entries were dropped or repeated: check every index
+            indices = [as_index(i) for i, _ in pairs]
+            for i, j in zip(indices, indices[1:]):
+                if i == j:
+                    raise ValueError(f"duplicate index {i}")
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "_floor", None)

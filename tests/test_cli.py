@@ -9,6 +9,7 @@ import pytest
 from dense_oracle import DenseLearner
 from negofs import cli
 from negofs.cli import (
+    CSV_HEADER,
     DEFAULT_ROSTER,
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -459,3 +460,23 @@ def test_subprocess_invocations_byte_identical(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_single_process_run_loads_no_pool_modules(tmp_path):
+    # A fresh interpreter, so no other test's imports are in sys.modules.
+    out = tmp_path / "one.csv"
+    argv = ["run", "--synthetic", "d=30,relevant=4,n=200,density=0.3,noise=0.02",
+            "--algorithms", "single:PETRUN,MOANOFS", "--runs", "2",
+            "--seed", "7", "--tmax", "5", "--no-timing", "--output", str(out)]
+    script = (
+        "import sys\n"
+        "from negofs.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    env = dict(os.environ, NEGOFS_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert out.read_text().startswith(CSV_HEADER)
+    assert proc.stdout.decode().split() == []

@@ -53,6 +53,22 @@ def test_constructor_rejects_out_of_range_indices():
         sv(0)
 
 
+@pytest.mark.parametrize("entries", [
+    [(1.5, 2.0)], {1.9: 4.0}, [(2.0, 1.0)], [(1.5, 0.0)], [("1", 1.0)],
+], ids=["pair-float", "mapping-float", "integral-float", "float-dropped-value", "str"])
+def test_constructor_rejects_non_integer_indices(entries):
+    with pytest.raises(TypeError):
+        sv(5, entries)
+
+
+@pytest.mark.parametrize("entries", [
+    [(1, 2.0), (1, 3.0)], [(3, 1.0), (1, 2.0), (3, 1.0)], [(1, 0.0), (1, 3.0)], [(1, 0.0), (1, 0.0)],
+], ids=["last-wins", "unsorted-equal", "one-dropped", "both-dropped"])
+def test_constructor_rejects_duplicate_indices(entries):
+    with pytest.raises(ValueError, match="duplicate index"):
+        sv(5, entries)
+
+
 def test_vector_is_immutable():
     v = sv(3, {0: 1.0})
     with pytest.raises(AttributeError):
