@@ -209,7 +209,7 @@ def execute_run(algorithm: str, dataset: Dataset, run_seed: int, opts: RunOption
         mistakes, instances = report.system_mistakes, report.system_instances
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    cpu = time.process_time() - cpu_start if template.measure_time else 0.0
+    cpu = time.process_time() - cpu_start if opts.system.measure_time else 0.0
     error_rate = mistakes / instances if instances else 0.0
     return RunOutcome(algorithm, mistakes, instances, error_rate, cpu)
 
@@ -325,7 +325,6 @@ def options_from(args) -> RunOptions:
             confidence=args.confidence,
             C=args.C,
             alpha_margin=args.alpha_margin,
-            measure_time=not args.no_timing,
         )
         for v in parse_roster(args.roster)
     ]
@@ -339,6 +338,7 @@ def options_from(args) -> RunOptions:
         trust_params=TrustParams(c=args.trust_c),
         conflict_rule=MIN_UTILITY if args.conflict_rule == "min-utility" else MIN_ERROR,
         epsilon=args.epsilon,
+        measure_time=not args.no_timing,
     )
     return RunOptions(system, args.k)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
@@ -69,7 +68,6 @@ class LearnerConfig:
     confidence: float = 0.7       # CW/SCW probability constraint, in (0.5, 1)
     C: float = 1.0                # aggressiveness cap (PA, SCW)
     alpha_margin: float = 0.9     # ALMA approximation parameter, in (0, 1]
-    measure_time: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -98,7 +96,6 @@ class Learner:
         self.w = SparseVector(dimension)
         self.sigma: dict[int, float] = {}  # second-order scale, 1.0 where unstored
         self.mistakes = 0
-        self.cumulative_time = 0.0
         self.updates = 0           # updates actually applied to w
         self.instances = 0
         self.rng = random.Random(seed)
@@ -119,32 +116,22 @@ class Learner:
     # -- stream consumption -------------------------------------------------
 
     def step(self, x: SparseVector, y: int, margin: float | None = None) -> Prediction:
-        """Predict, count the mistake, apply the timed update.
+        """Predict, count the mistake, apply the variant's update; return the prediction.
 
         margin, when given, must equal dot(self.w, x): a caller that already
         computed it for the same two vectors passes it instead.
         """
-        pred = self.predict(x) if margin is None else Prediction(sign_of(margin), margin)
-        if self.config.measure_time:
-            start = time.perf_counter()
-            self.update(x, y, margin=pred.margin)
-            self.cumulative_time += time.perf_counter() - start
-        else:
-            self.update(x, y, margin=pred.margin)
-        self.instances += 1
-        return pred
-
-    def update(self, x: SparseVector, y: int, margin: float | None = None) -> None:
-        """Apply the variant's update for one labelled instance."""
         if y not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {y}")
         if margin is None:
             margin = dot(self.w, x)
-        if sign_of(margin) != y:
+        pred = Prediction(sign_of(margin), margin)
+        if pred.sign != y:
             self.mistakes += 1
-        if len(x) == 0:
-            return
-        self._update_variant(x, y, margin)
+        if len(x):
+            self._update_variant(x, y, margin)
+        self.instances += 1
+        return pred
 
     def _set_weights(self, w: SparseVector) -> None:
         self.w = truncate(w, self.B)

@@ -4,7 +4,8 @@ Each trial the initiator issues a call for proposals, every participant
 answers with an offer (its weight vector plus error count, cost time and
 trust value), the offers are merged feature by feature, and the
 merged vector is broadcast back so every participant starts the next trial
-from the agreed selection.
+from the agreed selection. Cost time is the seconds a participant's learner
+has spent stepping through its chunks (0.0 unless cfg.measure_time is set).
 
 Merge rules, per feature:
   * selected by nobody: stays zero;
@@ -30,6 +31,7 @@ PROPOSE, ACCEPT/REJECT and INFORM messages from those arguments.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Protocol, Sequence
@@ -157,6 +159,7 @@ class NegotiationConfig:
     conflict_rule: str = MIN_ERROR
     issue_weights: IssueWeightProfile = field(default_factory=IssueWeightProfile)
     trust_params: TrustParams = field(default_factory=TrustParams)
+    measure_time: bool = True     # False: every offer's cost time stays 0.0
 
     def __post_init__(self):
         _check_trial_settings(self.t_max, self.epsilon, self.conflict_rule)
@@ -196,47 +199,53 @@ class FeatureTrust:
 
 
 class Participant:
-    """A learner enrolled in the negotiation, with its trust bookkeeping."""
+    """A learner enrolled in the negotiation, with its trust and cost-time bookkeeping."""
 
     def __init__(self, participant_id: int, learner: Learner,
                  trust_state: TrustState | None = None):
         self.id = participant_id
         self.learner = learner
         self.trust_state = trust_state if trust_state is not None else TrustState()
+        self.cost_time = 0.0
 
     def make_offer(self) -> Offer:
         return Offer(
             participant_id=self.id,
             w=self.learner.w,
             err_count=self.learner.mistakes,
-            cost_time=self.learner.cumulative_time,
+            cost_time=self.cost_time,
             trust=direct_trust(self.trust_state),
             instances=self.learner.instances,
         )
 
 
 def score_chunk(
-    learner: Learner,
+    p: Participant,
     chunk: Sequence[tuple[SparseVector, int]],
-    state: TrustState,
     params: TrustParams,
+    measure_time: bool,
     first_margin: float | None = None,
-) -> tuple[int, TrustState]:
-    """Step a learner through one chunk and refresh its trust with the chunk accuracy.
+) -> int:
+    """Step p's learner through one chunk and refresh p's trust with the chunk accuracy.
 
-    first_margin, when given, must equal dot(learner.w, x) for the chunk's
-    first instance x. Returns the chunk's mistakes and the new trust state;
-    an empty chunk leaves the state as it was.
+    first_margin, when given, must equal dot(p.learner.w, x) for the chunk's
+    first instance x. When measure_time is set, the seconds the chunk took
+    are added to p.cost_time. Returns the chunk's mistakes; an empty chunk
+    leaves the trust state as it was.
     """
+    start = time.perf_counter() if measure_time else 0.0
     correct = 0
     margin = first_margin
     for x, y in chunk:
-        if learner.step(x, y, margin).sign == y:
+        if p.learner.step(x, y, margin).sign == y:
             correct += 1
         margin = None
     if chunk:
-        state = update_trust(state, satisfaction_of_window(correct, len(chunk)), params)
-    return len(chunk) - correct, state
+        p.trust_state = update_trust(p.trust_state, satisfaction_of_window(correct, len(chunk)),
+                                     params)
+    if measure_time:
+        p.cost_time += time.perf_counter() - start
+    return len(chunk) - correct
 
 
 @dataclass
@@ -383,8 +392,8 @@ def run_negotiation(
         first_margin = margins[0] if margins else None
         participant_mistakes: dict[int, int] = {}
         for p in participants:
-            participant_mistakes[p.id], p.trust_state = score_chunk(
-                p.learner, chunk, p.trust_state, cfg.trust_params,
+            participant_mistakes[p.id] = score_chunk(
+                p, chunk, cfg.trust_params, cfg.measure_time,
                 first_margin if p.learner.w is merged else None,
             )
 

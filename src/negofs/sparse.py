@@ -42,7 +42,9 @@ class SparseVector:
     __slots__ = ("dimension", "_data", "_floor")
 
     def __init__(self, dimension: int, entries: EntrySource = ()):
-        if dimension <= 0:
+        if isinstance(dimension, bool):
+            raise TypeError("dimension must be an int, got bool")
+        if operator.index(dimension) <= 0:  # TypeError for a non-integer dimension
             raise ValueError(f"dimension must be positive, got {dimension}")
         items = entries.items() if isinstance(entries, Mapping) else entries
         pairs = sorted(items)

@@ -48,6 +48,7 @@ class SystemConfig:
     conflict_rule: str = MIN_ERROR
     seed: int = 0
     epsilon: Optional[float] = None       # None: 1 / number of negotiators
+    measure_time: bool = True             # False: every cost time stays 0.0
 
     def __post_init__(self):
         n = len(self.roster)
@@ -113,13 +114,12 @@ def calibrate(
     stream: Sequence[Instance],
     trust_params: TrustParams,
     window: int,
+    measure_time: bool = True,
 ) -> None:
     """Run each participant's learner over a calibration stream, scoring its trust per window."""
     for p in participants:
         for start in range(0, len(stream), window):
-            _, p.trust_state = score_chunk(
-                p.learner, stream[start:start + window], p.trust_state, trust_params
-            )
+            score_chunk(p, stream[start:start + window], trust_params, measure_time)
 
 
 def build_learners(cfg: SystemConfig, dimension: int) -> list[Learner]:
@@ -157,7 +157,7 @@ def run_moanofs(
     if cfg.k < len(participants):
         n_cal = int(cfg.calibration_fraction * len(stream))
         window = max(1, math.ceil(n_cal / cfg.t_max))
-        calibrate(participants, stream[:n_cal], cfg.trust_params, window)
+        calibrate(participants, stream[:n_cal], cfg.trust_params, window, cfg.measure_time)
         elected = elect_trustful(participants, cfg.k)
     level2 = stream[n_cal:]
 
@@ -168,6 +168,7 @@ def run_moanofs(
         conflict_rule=cfg.conflict_rule,
         issue_weights=cfg.issue_weights,
         trust_params=cfg.trust_params,
+        measure_time=cfg.measure_time,
     )
     merged, _, trials = run_negotiation(elected, level2, ncfg, observer)
 
@@ -178,7 +179,7 @@ def run_moanofs(
             mistakes=p.learner.mistakes,
             instances=p.learner.instances,
             error_rate=p.learner.error_rate,
-            cumulative_time=p.learner.cumulative_time,
+            cumulative_time=p.cost_time,
             trust=direct_trust(p.trust_state),
             elected=p in elected,
         )

@@ -1,10 +1,10 @@
 """Issue scoring, weighted multi-objective offer utility, and time pressure.
 
 Offers are judged on three issues: the proposer's trust, its error rate and
-its cumulative update time. Each issue value is scored into [0, 1] and the
-weighted sum gives a scalar cost (lower is better). Time-dependent decision
-functions model how an initiator concedes as a negotiation approaches its
-deadline.
+its cost time, the seconds its learner spent stepping through its chunks
+(0.0 in an untimed run). Each issue is scored into [0, 1] and the weighted
+sum gives a scalar cost (lower is better). Time-dependent decision functions
+model how an initiator concedes as a negotiation approaches its deadline.
 """
 
 from __future__ import annotations

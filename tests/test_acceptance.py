@@ -55,7 +55,7 @@ def test_criterion_1_budget_invariant_suite():
     # 10^4 fuzzed steps per learner variant
     for variant in VARIANTS:
         rng = random.Random(hash(variant) % 2 ** 30)
-        learner = Learner(LearnerConfig(variant, measure_time=False), d, B, seed=3)
+        learner = Learner(LearnerConfig(variant), d, B, seed=3)
         for _ in range(10_000):
             x, y = random_instance(rng, d, max_nnz=8)
             learner.step(x, y)
@@ -67,12 +67,12 @@ def test_criterion_1_budget_invariant_suite():
     for rule in (MIN_ERROR, MIN_UTILITY):
         stream = [random_instance(rng, d, max_nnz=8) for _ in range(2000)]
         participants = [
-            Participant(i, Learner(LearnerConfig(v, measure_time=False), d, B, seed=i))
+            Participant(i, Learner(LearnerConfig(v), d, B, seed=i))
             for i, v in enumerate(("PETRUN", "OGD", "PA", "AROW"))
         ]
         merged, _, _ = run_negotiation(
             participants, stream,
-            NegotiationConfig(t_max=20, merged_budget=B, conflict_rule=rule),
+            NegotiationConfig(t_max=20, merged_budget=B, conflict_rule=rule, measure_time=False),
         )
         if len(merged) > B:
             violations += 1
@@ -164,7 +164,7 @@ def test_criterion_6_learner_oracle_equivalence():
         for trial in range(4):
             seed = 500 + trial
             stream_rng = random.Random(seed * 13 + 7)
-            learner = Learner(LearnerConfig(variant, measure_time=False), d, B, seed=seed)
+            learner = Learner(LearnerConfig(variant), d, B, seed=seed)
             oracle = DenseLearner(variant, d, B, seed=seed)
             for _ in range(steps):
                 x, y = random_instance(stream_rng, d, max_nnz=5)
@@ -205,8 +205,9 @@ def test_criterion_7_directional_ensemble_claim():
     start = time.perf_counter()
     dataset = spambase_like_dataset()
     singles = [f"single:{v}" for v in SCALE_MATCHED_ROSTER]
-    roster = [LearnerConfig(v, measure_time=False) for v in SCALE_MATCHED_ROSTER]
-    opts = RunOptions(SystemConfig(roster=roster, k=len(roster), t_max=16), k=3)
+    roster = [LearnerConfig(v) for v in SCALE_MATCHED_ROSTER]
+    opts = RunOptions(SystemConfig(roster=roster, k=len(roster), t_max=16, measure_time=False),
+                      k=3)
     rows, _ = run_experiment(singles + ["MANOFS", "MOANOFS"], dataset,
                              runs=10, base_seed=42, opts=opts)
     best_single = min(r.mean_error_rate for r in rows
@@ -228,10 +229,10 @@ def test_criterion_8_synthetic_recovery():
         spec = SyntheticSpec(d=200, n_samples=5000, n_relevant=10, density=0.1,
                              label_noise=0.05, seed=1000 + s)
         dataset, planted = generate_synthetic(spec)
-        roster = [LearnerConfig(v, measure_time=False)
+        roster = [LearnerConfig(v)
                   for v in ("PETRUN", "ROMMA", "ALMA", "OGD", "PA",
                             "SOP", "CW", "AROW", "SCW")]
-        cfg = SystemConfig(roster=roster, k=3, t_max=10, seed=1000 + s)
+        cfg = SystemConfig(roster=roster, k=3, t_max=10, seed=1000 + s, measure_time=False)
         report = run_moanofs(dataset, cfg)
         selected = set(report.merged.indices())
         recall = len(selected & planted) / len(planted)
@@ -249,10 +250,10 @@ def test_criterion_9_reduction_identities():
     rng = random.Random(606)
     stream = [random_instance(rng, d, max_nnz=6) for _ in range(60)]
     participants = [
-        Participant(i, Learner(LearnerConfig("PETRUN", measure_time=False), d, 4, seed=i))
+        Participant(i, Learner(LearnerConfig("PETRUN"), d, 4, seed=i))
         for i in range(2)
     ]
-    cfg = NegotiationConfig(t_max=5, merged_budget=d)
+    cfg = NegotiationConfig(t_max=5, merged_budget=d, measure_time=False)
 
     class MergeRecorder:
         def __init__(self):
@@ -278,8 +279,9 @@ def test_criterion_9_reduction_identities():
     spec = SyntheticSpec(d=30, n_samples=400, n_relevant=5, density=0.3,
                          label_noise=0.05, seed=77)
     dataset, _ = generate_synthetic(spec)
-    roster = [LearnerConfig(v, measure_time=False) for v in ("PETRUN", "OGD", "PA", "AROW")]
-    cfg_sys = SystemConfig(roster=roster, k=4, t_max=6, conflict_rule=MIN_ERROR, seed=12)
+    roster = [LearnerConfig(v) for v in ("PETRUN", "OGD", "PA", "AROW")]
+    cfg_sys = SystemConfig(roster=roster, k=4, t_max=6, conflict_rule=MIN_ERROR, seed=12,
+                           measure_time=False)
     recorded = NegotiationTranscript()
     moanofs = run_moanofs(dataset, cfg_sys, recorded)
     B = budget(dataset.dimension, cfg_sys.budget_fraction)
@@ -290,7 +292,7 @@ def test_criterion_9_reduction_identities():
     ref_merged, ref_transcript, ref_trials = run_negotiation(
         direct, stream_of(dataset, permute(dataset, cfg_sys.seed)),
         NegotiationConfig(t_max=cfg_sys.t_max, merged_budget=B,
-                          conflict_rule=cfg_sys.conflict_rule),
+                          conflict_rule=cfg_sys.conflict_rule, measure_time=False),
         NegotiationTranscript(),
     )
     reduction_ok = (

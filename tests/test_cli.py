@@ -305,8 +305,9 @@ def test_reported_std_is_sample_standard_deviation():
 
     ds, _ = generate_synthetic(SyntheticSpec(d=30, n_samples=150, n_relevant=5,
                                              density=0.3, label_noise=0.05, seed=2))
-    roster = [LearnerConfig(v, measure_time=False) for v in DEFAULT_ROSTER]
-    opts = RunOptions(SystemConfig(roster=roster, k=len(roster), t_max=5), k=3)
+    roster = [LearnerConfig(v) for v in DEFAULT_ROSTER]
+    opts = RunOptions(SystemConfig(roster=roster, k=len(roster), t_max=5, measure_time=False),
+                      k=3)
     rows, outcomes = run_experiment(["single:PETRUN"], ds, runs=4, base_seed=9, opts=opts)
     per_run = [o.mistakes for o in outcomes["single:PETRUN"]]
     mean = sum(per_run) / len(per_run)
@@ -319,6 +320,15 @@ def test_single_run_reports_zero_std(tmp_path):
     argv, out = run_flags(tmp_path, runs=1)
     assert main(argv) == 0
     assert out.read_text().splitlines()[1].split(",")[5] == "0.000000"
+
+
+def test_timing_follows_the_run_level_switch(tmp_path):
+    untimed, out = run_flags(tmp_path, algorithms="single:PETRUN,MOANOFS", runs=1)
+    timed = [arg for arg in untimed if arg != "--no-timing"]
+    assert main(timed) == 0
+    assert all(float(line.split(",")[7]) > 0.0 for line in out.read_text().splitlines()[1:])
+    assert main(untimed) == 0
+    assert [line.split(",")[7] for line in out.read_text().splitlines()[1:]] == ["0.000000"] * 2
 
 
 def test_markdown_format_for_run(tmp_path, capsys):
@@ -405,8 +415,8 @@ def test_recover_honours_roster_and_k(tmp_path):
         seed = derive_run_seed(5, r)
         dataset, planted = generate_synthetic(SyntheticSpec(
             d=40, n_samples=300, n_relevant=5, density=0.25, label_noise=0.02, seed=seed))
-        cfg = SystemConfig(roster=[LearnerConfig(v, measure_time=False) for v in ("PETRUN", "OGD")],
-                           k=2, t_max=5, seed=seed)
+        cfg = SystemConfig(roster=[LearnerConfig(v) for v in ("PETRUN", "OGD")],
+                           k=2, t_max=5, seed=seed, measure_time=False)
         selected = set(run_moanofs(dataset, cfg).merged.indices())
         hit = len(selected & planted)
         expected.append(f"{r},{seed},{hit / len(selected):.6f},{hit / len(planted):.6f},"

@@ -18,7 +18,6 @@ from negofs.sparse import SparseVector, dot
 
 
 def make(variant, d=5, B=2, seed=0, **kwargs):
-    kwargs.setdefault("measure_time", False)
     return Learner(LearnerConfig(variant, **kwargs), d, B, seed=seed)
 
 
@@ -55,6 +54,11 @@ def test_budget_must_be_set_and_valid():
         Learner(LearnerConfig("PETRUN"), 5, 9)
 
 
+def test_dimension_must_be_an_int():
+    with pytest.raises(TypeError):
+        Learner(LearnerConfig("PETRUN"), 2.5, 1)
+
+
 # -- predict ----------------------------------------------------------------------
 
 def test_zero_model_predicts_negative():
@@ -88,7 +92,7 @@ def test_petrun_mistake_on_zero_model():
 def test_petrun_correct_prediction_leaves_state():
     learner = make("PETRUN")
     learner.w = sv(5, {0: 1.0})
-    learner.update(sv(5, {0: 1.0}), 1)
+    learner.step(sv(5, {0: 1.0}), 1)
     assert learner.w == sv(5, {0: 1.0})
     assert learner.mistakes == 0
 
@@ -96,7 +100,7 @@ def test_petrun_correct_prediction_leaves_state():
 def test_petrun_update_then_tie_break():
     learner = make("PETRUN", d=3, B=1)
     learner.w = sv(3, {0: 0.2})
-    learner.update(sv(3, {0: 1.0, 1: 1.0, 2: 1.0}), -1)
+    learner.step(sv(3, {0: 1.0, 1: 1.0, 2: 1.0}), -1)
     assert learner.w == sv(3, {1: -1.0})
     assert learner.mistakes == 1
 
@@ -303,20 +307,6 @@ def test_flipped_labels_match_reference_simulation():
         oracle.step([x.get(i) for i in range(d)], y)
     assert learner.mistakes == oracle.mistakes
     assert learner.mistakes > 50
-
-
-def test_step_counts_time_and_instances():
-    learner = Learner(LearnerConfig("PETRUN", measure_time=True), 5, 2)
-    learner.step(sv(5, {0: 1.0}), 1)
-    learner.step(sv(5, {1: 1.0}), -1)
-    assert learner.instances == 2
-    assert learner.cumulative_time > 0.0
-
-
-def test_timing_disabled_keeps_zero_cost():
-    learner = make("PETRUN")
-    learner.step(sv(5, {0: 1.0}), 1)
-    assert learner.cumulative_time == 0.0
 
 
 def _state(learner):

@@ -41,13 +41,14 @@ def offer(pid, entries, err=0, d=6, cost_time=0.0, trust=0.0, instances=0):
 
 
 def petrun_participant(pid, d, B, seed=0):
-    learner = Learner(LearnerConfig("PETRUN", measure_time=False), d, B, seed=seed)
+    learner = Learner(LearnerConfig("PETRUN"), d, B, seed=seed)
     return Participant(pid, learner)
 
 
 def ncfg(**kwargs):
     kwargs.setdefault("t_max", 3)
     kwargs.setdefault("merged_budget", 6)
+    kwargs.setdefault("measure_time", False)
     return NegotiationConfig(**kwargs)
 
 
@@ -334,7 +335,7 @@ def test_merge_deterministic():
 
 def test_broadcast_replaces_weights_and_keeps_sigma():
     participants = [petrun_participant(i, 6, 3) for i in range(2)]
-    arow = Participant(2, Learner(LearnerConfig("AROW", measure_time=False), 6, 3))
+    arow = Participant(2, Learner(LearnerConfig("AROW"), 6, 3))
     arow.learner.sigma[0] = 0.25
     participants.append(arow)
     merged = sv(6, {1: 0.7})
@@ -525,14 +526,17 @@ def test_transcript_is_recorded_only_when_passed():
 
 
 def test_score_chunk_counts_mistakes_and_refreshes_trust():
-    learner = Learner(LearnerConfig("PETRUN", measure_time=False), 3, 2)
+    p = petrun_participant(0, 3, 2)
     chunk = [(sv(3, {0: 1.0}), 1), (sv(3, {0: 1.0}), 1), (sv(3, {1: 1.0}), -1)]
     # zero model: first +1 is a mistake, the second is now right, -1 is right
-    mistakes, state = score_chunk(learner, chunk, TrustState(), TrustParams())
+    mistakes = score_chunk(p, chunk, TrustParams(), measure_time=False)
+    state = p.trust_state
     assert mistakes == 1
     assert state == update_trust(TrustState(), 2 / 3, TrustParams())
-    assert learner.instances == 3
-    assert score_chunk(learner, [], state, TrustParams()) == (0, state)
+    assert p.learner.instances == 3
+    assert score_chunk(p, [], TrustParams(), measure_time=False) == 0
+    assert p.trust_state == state
+    assert p.cost_time == 0.0
 
 
 def test_min_utility_round_accepts_by_pressure_threshold():
@@ -560,7 +564,7 @@ def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
     variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=2, max_size=5),
                          label="variants")
     participants = [
-        Participant(i, Learner(LearnerConfig(v, measure_time=False), d,
+        Participant(i, Learner(LearnerConfig(v), d,
                                data.draw(st.integers(1, d), label=f"B{i}"), seed=i))
         for i, v in enumerate(variants)
     ]

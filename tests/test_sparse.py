@@ -61,6 +61,15 @@ def test_constructor_rejects_non_integer_indices(entries):
         sv(5, entries)
 
 
+@pytest.mark.parametrize("dimension", [2.5, 2.0, "3", True],
+                         ids=["float", "integral-float", "str", "bool"])
+def test_constructor_rejects_non_integer_dimension(dimension):
+    with pytest.raises(TypeError):
+        sv(dimension, {0: 1.0})
+    with pytest.raises(TypeError):
+        sv(dimension)
+
+
 @pytest.mark.parametrize("entries", [
     [(1, 2.0), (1, 3.0)], [(3, 1.0), (1, 2.0), (3, 1.0)], [(1, 0.0), (1, 3.0)], [(1, 0.0), (1, 0.0)],
 ], ids=["last-wins", "unsorted-equal", "one-dropped", "both-dropped"])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,13 +34,13 @@ def sv(d, entries=()):
 
 
 def candidates(*sats, mistakes=None, times=None):
-    """Participants with the given trust values, mistake counts and cumulative times."""
+    """Participants with the given trust values, mistake counts and cost times."""
     out = []
     for i, sat in enumerate(sats):
-        learner = Learner(LearnerConfig("PETRUN", measure_time=False), 3, 1)
+        learner = Learner(LearnerConfig("PETRUN"), 3, 1)
         learner.mistakes = mistakes[i] if mistakes else 0
-        learner.cumulative_time = times[i] if times else 0.0
         out.append(Participant(i, learner, TrustState(sat=sat, n=1)))
+        out[-1].cost_time = times[i] if times else 0.0
     return out
 
 
@@ -48,7 +49,7 @@ def ids(participants):
 
 
 def participant(pid, d, variant="PETRUN"):
-    return Participant(pid, Learner(LearnerConfig(variant, measure_time=False), d, 6))
+    return Participant(pid, Learner(LearnerConfig(variant), d, 6))
 
 
 def small_dataset(seed=0, d=20, n=200, relevant=4, noise=0.02, density=0.3):
@@ -58,7 +59,6 @@ def small_dataset(seed=0, d=20, n=200, relevant=4, noise=0.02, density=0.3):
 
 
 def roster(*variants, **kwargs):
-    kwargs.setdefault("measure_time", False)
     return [LearnerConfig(v, **kwargs) for v in variants]
 
 
@@ -123,13 +123,13 @@ def test_label_flipped_learner_gets_lowest_trust_and_loses_election():
     calibrate(clean, stream, params, window=window)
 
     from negofs.trust import update_trust
-    flipped = Learner(LearnerConfig("PETRUN", measure_time=False), ds.dimension, 6)
+    flipped = Learner(LearnerConfig("PETRUN"), ds.dimension, 6)
     flipped_state = TrustState()
     correct = 0
     for i, (x, y) in enumerate(stream, 1):
         pred = flipped.predict(x)
         correct += pred.sign == y
-        flipped.update(x, -y, margin=pred.margin)
+        flipped.step(x, -y, margin=pred.margin)
         if i % window == 0:
             flipped_state = update_trust(flipped_state, correct / window, params)
             correct = 0
@@ -161,7 +161,8 @@ def test_noise_learner_never_displaces_clean_ones():
 
 def test_k_equals_n_is_passthrough_to_manofs():
     ds, _ = small_dataset(seed=2)
-    cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=3, t_max=4, seed=9)
+    cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=3, t_max=4, seed=9,
+                       measure_time=False)
     recorded = NegotiationTranscript()
     moanofs = run_moanofs(ds, cfg, recorded)
     participants = [Participant(i, learner, TrustState())
@@ -169,7 +170,8 @@ def test_k_equals_n_is_passthrough_to_manofs():
     merged, transcript, trials = run_negotiation(
         participants, stream_of(ds, permute(ds, cfg.seed)),
         NegotiationConfig(t_max=cfg.t_max,
-                          merged_budget=budget(ds.dimension, cfg.budget_fraction)),
+                          merged_budget=budget(ds.dimension, cfg.budget_fraction),
+                          measure_time=False),
         NegotiationTranscript(),
     )
     assert moanofs.merged == merged
@@ -189,7 +191,7 @@ def learner_state(learner):
 def test_an_observer_changes_nothing(monkeypatch, k, rule):
     ds, _ = small_dataset(seed=12)
     cfg = SystemConfig(roster=roster("PETRUN", "RAND", "OGD", "AROW"), k=k, t_max=7,
-                       conflict_rule=rule, seed=4)
+                       conflict_rule=rule, seed=4, measure_time=False)
     built = []
     real_build = system.build_learners
     monkeypatch.setattr(system, "build_learners",
@@ -231,9 +233,9 @@ def test_an_observer_changes_nothing(monkeypatch, k, rule):
 def test_identical_petrun_roster_equals_single_learner():
     ds, _ = small_dataset(seed=3)
     cfg = SystemConfig(roster=roster("PETRUN", "PETRUN", "PETRUN"), k=3,
-                       t_max=4, seed=5)
+                       t_max=4, seed=5, measure_time=False)
     report = run_moanofs(ds, cfg)
-    single = Learner(LearnerConfig("PETRUN", measure_time=False), ds.dimension, report.B)
+    single = Learner(LearnerConfig("PETRUN"), ds.dimension, report.B)
     for x, y in stream_of(ds, permute(ds, 5)):
         single.step(x, y)
     assert report.merged == single.w
@@ -243,7 +245,7 @@ def test_identical_petrun_roster_equals_single_learner():
 def test_level_separation_and_instance_accounting():
     ds, _ = small_dataset(seed=4, n=300)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=2, t_max=5,
-                       calibration_fraction=0.2, seed=7)
+                       calibration_fraction=0.2, seed=7, measure_time=False)
     report = run_moanofs(ds, cfg)
     assert report.calibration_instances == 60
     assert report.system_instances == 240
@@ -259,7 +261,7 @@ def test_level_separation_and_instance_accounting():
 def test_final_merged_respects_budget():
     ds, _ = small_dataset(seed=8, d=30)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA", "AROW"), k=3,
-                       t_max=5, seed=3)
+                       t_max=5, seed=3, measure_time=False)
     report = run_moanofs(ds, cfg)
     assert len(report.merged) <= report.B
 
@@ -267,7 +269,7 @@ def test_final_merged_respects_budget():
 def test_election_deterministic_across_runs():
     ds, _ = small_dataset(seed=9)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA", "AROW"), k=2,
-                       t_max=4, seed=13)
+                       t_max=4, seed=13, measure_time=False)
     first = run_moanofs(ds, cfg)
     second = run_moanofs(ds, cfg)
     assert first.elected == second.elected
@@ -278,7 +280,7 @@ def test_election_deterministic_across_runs():
 def test_min_utility_rule_is_recorded_and_runs():
     ds, _ = small_dataset(seed=10)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=2, t_max=4,
-                       conflict_rule=MIN_UTILITY, seed=3)
+                       conflict_rule=MIN_UTILITY, seed=3, measure_time=False)
     report = run_moanofs(ds, cfg)
     assert report.conflict_rule == MIN_UTILITY
     assert len(report.merged) <= report.B
@@ -290,7 +292,7 @@ def test_min_utility_transcript_bytes_are_pinned():
     ds, _ = small_dataset(seed=21, d=40, n=300, relevant=5, noise=0.05)
     cfg = SystemConfig(roster=roster("PETRUN", "ROMMA", "ALMA", "OGD", "PA",
                                      "SOP", "CW", "AROW", "SCW"),
-                       k=4, t_max=30, conflict_rule=MIN_UTILITY, seed=8)
+                       k=4, t_max=30, conflict_rule=MIN_UTILITY, seed=8, measure_time=False)
     transcript = NegotiationTranscript()
     report = run_moanofs(ds, cfg, transcript)
     assert report.elected == [7, 2, 0, 6]
@@ -336,7 +338,8 @@ def test_run_bytes_are_pinned(rule, k, t_max, data, epsilon, expected):
     ds, _ = small_dataset(**data)
     cfg = SystemConfig(roster=roster("PETRUN", "ROMMA", "ALMA", "OGD", "PA",
                                      "SOP", "CW", "AROW", "SCW"),
-                       k=k, t_max=t_max, conflict_rule=rule, seed=8, epsilon=epsilon)
+                       k=k, t_max=t_max, conflict_rule=rule, seed=8, epsilon=epsilon,
+                       measure_time=False)
     transcript = NegotiationTranscript()
     report = run_moanofs(ds, cfg, transcript)
     digest = hashlib.sha256(transcript.serialize().encode())
@@ -351,12 +354,64 @@ def test_run_bytes_are_pinned(rule, k, t_max, data, epsilon, expected):
 
 def test_moanofs_trust_feeds_offers():
     ds, _ = small_dataset(seed=11)
-    cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=2, t_max=4, seed=2)
+    cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=2, t_max=4, seed=2,
+                       measure_time=False)
     report = run_moanofs(ds, cfg)
     elected_reports = [lr for lr in report.per_learner if lr.elected]
     assert all(0.0 <= lr.trust <= 1.0 for lr in report.per_learner)
     # elected learners kept accumulating trust during negotiation
     assert all(lr.trust > 0.0 for lr in elected_reports)
+
+
+def test_time_never_decides_anything_but_the_cost_issue():
+    ds, _ = small_dataset(seed=14, n=300)
+    reports = [
+        run_moanofs(ds, SystemConfig(roster=roster("PETRUN", "OGD", "PA", "AROW"), k=3,
+                                     t_max=12, seed=6, measure_time=timed))
+        for timed in (True, False)
+    ]
+    # Elected ids, merged vector, trials and every learner's mistakes, trust
+    # and instances agree; only the measured time may differ.
+    timed, untimed = (
+        replace(r, per_learner=[replace(lr, cumulative_time=0.0) for lr in r.per_learner])
+        for r in reports
+    )
+    assert timed == untimed
+    assert all(lr.cumulative_time > 0.0 for lr in reports[0].per_learner)
+
+
+@pytest.mark.parametrize("timed", [True, False], ids=["timed", "untimed"])
+def test_offered_cost_times(timed):
+    # 160 negotiated instances over 200 trials: the last 40 trials are stale.
+    ds, _ = small_dataset(seed=15, n=200)
+    cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA", "AROW"), k=3, t_max=200,
+                       conflict_rule=MIN_UTILITY, seed=2, measure_time=timed)
+
+    class OfferLog:
+        def __init__(self):
+            self.rounds = []
+
+        def on_trial(self, round_index, stale, offers, accepted, merged):
+            self.rounds.append(list(offers))
+
+    log = OfferLog()
+    report = run_moanofs(ds, cfg, log)
+    assert len(log.rounds) == cfg.t_max and report.calibration_instances > 0
+    stepped = report.calibration_instances
+    previous = {}
+    for trial, offers in zip(report.trials, log.rounds):
+        stepped += trial.chunk_size
+        for o in offers:
+            assert o.instances == stepped
+            if timed:
+                assert math.isfinite(o.cost_time)
+                assert o.cost_time >= previous.get(o.participant_id, 0.0)
+                assert o.cost_time > 0.0  # every elected learner stepped calibration chunks
+            else:
+                assert o.cost_time == 0.0
+            previous[o.participant_id] = o.cost_time
+    final = {lr.learner_id: lr.cumulative_time for lr in report.per_learner if lr.elected}
+    assert final == previous
 
 
 @given(st.data())
@@ -374,6 +429,7 @@ def test_tiny_pipeline_invariants(data):
         calibration_fraction=data.draw(st.floats(0.01, 0.9), label="calibration"),
         conflict_rule=data.draw(st.sampled_from((MIN_ERROR, MIN_UTILITY))),
         seed=data.draw(st.integers(), label="seed"),
+        measure_time=False,
     )
     ds, _ = generate_synthetic(SyntheticSpec(d=d, n_samples=n, n_relevant=min(3, d),
                                              density=0.4, label_noise=0.1,
