@@ -29,16 +29,14 @@ from typing import NamedTuple
 
 from .sparse import (
     SparseVector,
-    _add_normalize_truncate,
+    _add_project_cut,
     _check_same_dimension,
     _cut_in_place,
     _restrict,
     add_scaled,
     check_budget,
     dot,
-    project_l2_ball,
     scale,
-    truncate,
 )
 
 FIRST_ORDER_VARIANTS = ("PETRUN", "RAND", "FOFS", "OGD", "PA", "ROMMA", "ALMA")
@@ -133,18 +131,15 @@ class Learner:
         self.instances += 1
         return pred
 
-    def _set_weights(self, w: SparseVector) -> None:
-        self.w = truncate(w, self.B)
-        self.updates += 1
-
-    def _add_step(self, w: SparseVector, s: float, x: SparseVector) -> None:
-        """Set the weights to truncate(add_scaled(w, s, x), B), with the same arithmetic."""
-        _check_same_dimension(w, x)
-        out = w.to_dict()
+    def _add_step(self, base: SparseVector, coeff: float, x: SparseVector) -> None:
+        """Set the weights to truncate(base + coeff*sigma*x, B); first-order variants keep sigma empty."""
+        _check_same_dimension(base, x)
+        sigma = self.sigma
+        out = base.to_dict()
         get = out.get
         for i, v in x.items():
-            out[i] = get(i, 0.0) + s * v
-        self.w = _cut_in_place(w, out, x, self.B)
+            out[i] = get(i, 0.0) + coeff * sigma.get(i, 1.0) * v
+        self.w = _cut_in_place(base, out, x, self.B)
         self.updates += 1
 
     # -- perceptron-with-truncation family ------------------------------------
@@ -165,8 +160,9 @@ class Learner:
     def _update_fofs(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin <= 0.0:
             cfg = self.config
-            w_tilde = add_scaled(scale(self.w, 1.0 - cfg.lam * cfg.eta), cfg.eta * y, x)
-            self._set_weights(project_l2_ball(w_tilde, cfg.lam))
+            decayed = scale(self.w, 1.0 - cfg.lam * cfg.eta)
+            self.w = _add_project_cut(decayed, cfg.eta * y, x, self.B, cfg.lam)
+            self.updates += 1
 
     # -- other first-order variants -------------------------------------------
 
@@ -200,7 +196,7 @@ class Learner:
         gamma = (1.0 / alpha) / math.sqrt(self._alma_k)
         if y * margin_hat <= (1.0 - alpha) * gamma:
             eta_k = math.sqrt(2.0) / math.sqrt(self._alma_k)
-            self.w = _add_normalize_truncate(self.w, eta_k * y / x_norm, x, self.B)
+            self.w = _add_project_cut(self.w, eta_k * y / x_norm, x, self.B)
             self.updates += 1
             self._alma_k += 1
 
@@ -209,14 +205,6 @@ class Learner:
     def _confidence(self, x: SparseVector) -> float:
         sigma = self.sigma
         return sum(sigma.get(i, 1.0) * v * v for i, v in x.items())
-
-    def _scaled_step(self, x: SparseVector, coeff: float) -> None:
-        sigma = self.sigma
-        out = self.w.to_dict()
-        for i, v in x.items():
-            out[i] = out.get(i, 0.0) + coeff * sigma.get(i, 1.0) * v
-        self.w = _cut_in_place(self.w, out, x, self.B)
-        self.updates += 1
 
     def _update_sop(self, x: SparseVector, y: int, margin: float) -> None:
         # Whitened perceptron: on a mistake, fold x into the per-dimension
@@ -227,7 +215,7 @@ class Learner:
             for i, v in x.items():
                 s = sigma.get(i, 1.0)
                 sigma[i] = s * r / (r + s * v * v)
-            self._scaled_step(x, float(y))
+            self._add_step(self.w, float(y), x)
 
     def _shrink_sigma(self, x: SparseVector, beta: float) -> None:
         sigma = self.sigma
@@ -241,7 +229,7 @@ class Learner:
         loss = max(0.0, 1.0 - y * margin)
         alpha = loss * beta
         if alpha > 0.0:
-            self._scaled_step(x, alpha * y)
+            self._add_step(self.w, alpha * y, x)
         # Confidence tightens on every informative instance, update or not.
         self._shrink_sigma(x, beta)
 
@@ -260,7 +248,7 @@ class Learner:
         avp = alpha * v_conf * phi
         u = 0.25 * (-avp + math.sqrt(avp * avp + 4.0 * v_conf)) ** 2
         beta = alpha * phi / (math.sqrt(u) + avp)
-        self._scaled_step(x, alpha * y)
+        self._add_step(self.w, alpha * y, x)
         self._shrink_sigma(x, beta)
 
     def _update_cw(self, x: SparseVector, y: int, margin: float) -> None:

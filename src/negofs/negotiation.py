@@ -372,6 +372,9 @@ def run_negotiation(
         raise ValueError("stream must be non-empty")
     if len(participants) < 2:
         raise ValueError("a negotiation needs at least 2 participants")
+    ids = [p.id for p in participants]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"participant ids must be distinct, got {ids}")
     dimension = participants[0].learner.dimension
     check_budget(cfg.merged_budget, dimension)
 

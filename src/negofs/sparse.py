@@ -8,11 +8,11 @@ The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-integer or repeated indices and non-finite values. Vectors
 the package computes from vectors it already holds skip it through the
 private helpers at the bottom of this module, which only sort the keys (or
-keep the existing order) and drop entries below ZERO_EPS. A learner update
-also cuts to its budget there: when the excess falls on entries the update
-itself wrote, it deletes them from the copy it already made, and otherwise it
-rebuilds the vector once. ALMA's step, scale into the unit ball and cut share
-one copy and one final comprehension. The merge overlays each distinct offer
+keep the existing order) and drop entries below ZERO_EPS. Every cut to a
+budget ends in one of them, _cut, which ranks by magnitude, lower index first
+on ties; a learner update deletes the excess from its copy instead when the
+excess falls on entries the update itself wrote. ALMA and FOFS step, scale
+into an L2 ball and cut with one copy. The merge overlays each distinct offer
 vector once and only re-sorts the result, since offered values already clear
 ZERO_EPS. A vector may cache a lower bound on its magnitudes (its floor),
 which scale carries over to its result.
@@ -157,9 +157,15 @@ def dot(a: SparseVector, b: SparseVector) -> float:
     return sum(v * get(i, 0.0) for i, v in a._data.items())
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def add_scaled(w: SparseVector, s: float, x: SparseVector) -> SparseVector:
     """Return w + s*x. Entries that cancel to (near) zero are dropped."""
     _check_same_dimension(w, x)
+    _check_finite("s", s)
     if s == 0.0 or len(x) == 0:
         return w
     out = w.to_dict()
@@ -171,6 +177,7 @@ def add_scaled(w: SparseVector, s: float, x: SparseVector) -> SparseVector:
 
 def scale(w: SparseVector, s: float) -> SparseVector:
     """Return s*w."""
+    _check_finite("s", s)
     if s == 1.0:
         return w
     # Rounding is monotone, so |s| times w's floor bounds the result's magnitudes.
@@ -191,16 +198,7 @@ def truncate(w: SparseVector, B: int) -> SparseVector:
     check_budget(B, w.dimension)
     if len(w) <= B:
         return w
-    data = w._data
-    magnitudes = sorted(map(abs, data.values()), reverse=True)
-    cut = magnitudes[B - 1]
-    if magnitudes[B] < cut:
-        # No tie straddles the cut: the B largest are exactly those >= cut.
-        return SparseVector._trusted(
-            w.dimension, {i: v for i, v in data.items() if abs(v) >= cut}
-        )
-    ranked = sorted(data.items(), key=lambda iv: (-abs(iv[1]), iv[0]))
-    return _restrict(w, {i for i, _ in ranked[:B]})
+    return _cut(w.dimension, w._data, B)
 
 
 def project_l2_ball(w: SparseVector, lam: float) -> SparseVector:
@@ -209,8 +207,8 @@ def project_l2_ball(w: SparseVector, lam: float) -> SparseVector:
     Applies the factor min(1, 1/(sqrt(lam)*||w||)); the zero vector is a
     fixed point (the factor is taken as 1).
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     norm = w.norm_l2()
     if norm == 0.0:
         return w
@@ -234,27 +232,33 @@ def _sorted_from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
     return SparseVector._trusted(dimension, {i: out[i] for i in sorted(out)})
 
 
-def _truncated_from_dict(dimension: int, out: dict[int, float], B: int) -> SparseVector:
-    """truncate(_from_dict(dimension, out), B), built in one pass when it can be.
+def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
+         keys: list[int] | None = None) -> SparseVector:
+    """truncate(scale(_from_dict(dimension, out), c), B) for 0 < c <= 1; keys, if given, is sorted(out).
 
-    When no tie straddles the B-th largest magnitude and that magnitude is at
-    least ZERO_EPS, the B entries kept are exactly those at or above it, so
-    sorting, dropping noise and cutting happen in a single comprehension.
+    Scaling down keeps the magnitudes' order, so when no tie straddles the
+    B-th largest and it clears ZERO_EPS, the entries kept are those at or
+    above it: one comprehension sorts, scales, drops noise and cuts.
     """
+    keys = sorted(out) if keys is None else keys
     if len(out) > B:
         magnitudes = sorted(map(abs, out.values()), reverse=True)
-        cut = magnitudes[B - 1]
-        if magnitudes[B] < cut and cut >= ZERO_EPS:
+        cut = c * magnitudes[B - 1]
+        if c * magnitudes[B] < cut and cut >= ZERO_EPS:
             return SparseVector._trusted(
-                dimension, {i: v for i in sorted(out) if abs(v := out[i]) >= cut}, cut
+                dimension, {i: u for i in keys if abs(u := c * out[i]) >= cut}, cut
             )
-    return truncate(_from_dict(dimension, out), B)
+    data = {i: u for i in keys if abs(u := c * out[i]) >= ZERO_EPS}
+    if len(data) > B:  # a tie straddles the cut: rank by (-|u|, index)
+        keep = {i for i, _ in sorted(data.items(), key=lambda iv: (-abs(iv[1]), iv[0]))[:B]}
+        data = {i: u for i, u in data.items() if i in keep}
+    return SparseVector._trusted(dimension, data)
 
 
 def _cut_in_place(
     base: SparseVector, out: dict[int, float], x: SparseVector, B: int
 ) -> SparseVector:
-    """_truncated_from_dict(base.dimension, out, B), cutting out itself when it can.
+    """_cut(base.dimension, out, B), cutting out itself when it can.
 
     out must be a copy of base's entries with x's indices rewritten. When the
     entries to drop are all among those x wrote, and lie strictly below the
@@ -264,17 +268,17 @@ def _cut_in_place(
     """
     excess = len(out) - B
     if 2 * excess > len(out):
-        return _truncated_from_dict(base.dimension, out, B)
+        return _cut(base.dimension, out, B)
     floor = _magnitude_floor(base)
     below = []  # x's writes below the floor, the only ones the cut may drop
     for i in x._data:
         if (m := abs(out[i])) < ZERO_EPS:
-            del out[i]  # _from_dict would drop it too
+            del out[i]  # _cut would drop it too
             excess -= 1
         elif m < floor:
             below.append((m, -i))
     if excess > len(below):
-        return _truncated_from_dict(base.dimension, out, B)
+        return _cut(base.dimension, out, B)
     if excess > 0:
         below.sort()
         for _, negated in below[:excess]:
@@ -288,16 +292,12 @@ def _cut_in_place(
     return SparseVector._trusted(base.dimension, out, floor)
 
 
-def _add_normalize_truncate(
-    w: SparseVector, s: float, x: SparseVector, B: int
+def _add_project_cut(
+    w: SparseVector, s: float, x: SparseVector, B: int, lam: float = 1.0
 ) -> SparseVector:
-    """truncate(c * add_scaled(w, s, x), B), c = 1/||w + s*x|| when that norm exceeds 1.
+    """truncate(project_l2_ball(add_scaled(w, s, x), lam), B), with the same arithmetic.
 
-    Same arithmetic as the three steps, in two passes once the sum is built:
-    the norm over the sorted indices, then one comprehension that scales and
-    cuts. Scaling by c > 0 keeps the magnitudes' order, so when no tie
-    straddles the B-th largest scaled magnitude and it is at least ZERO_EPS,
-    the entries kept are exactly those at or above it.
+    One copy of w takes x's writes, and its keys are sorted once, for the norm and for _cut.
     """
     _check_same_dimension(w, x)
     out = w.to_dict()
@@ -309,18 +309,8 @@ def _add_normalize_truncate(
             out.pop(i, None)
     keys = sorted(out)
     norm = math.sqrt(sum(v * v for v in map(out.__getitem__, keys)))
-    c = 1.0 / norm if norm > 1.0 else 1.0
-    if len(out) > B:
-        magnitudes = sorted(map(abs, out.values()), reverse=True)
-        cut = c * magnitudes[B - 1]
-        if c * magnitudes[B] < cut and cut >= ZERO_EPS:
-            return SparseVector._trusted(
-                w.dimension, {i: u for i in keys if abs(u := c * out[i]) >= cut}, cut
-            )
-        return truncate(scale(_sorted_from_dict(w.dimension, out), c), B)
-    return SparseVector._trusted(
-        w.dimension, {i: u for i in keys if abs(u := c * out[i]) >= ZERO_EPS}
-    )
+    c = min(1.0, 1.0 / (math.sqrt(lam) * norm)) if norm else 1.0
+    return _cut(w.dimension, out, B, c, keys)
 
 
 def _magnitude_floor(w: SparseVector) -> float:

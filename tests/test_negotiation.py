@@ -605,3 +605,11 @@ def test_empty_stream_rejected():
     participants = [petrun_participant(i, 4, 2) for i in range(2)]
     with pytest.raises(ValueError):
         run_negotiation(participants, [], ncfg())
+
+
+def test_repeated_participant_ids_rejected():
+    # Mistakes and min-utility offer costs are keyed by id: a repeat would merge two participants.
+    participants = [petrun_participant(pid, 4, 2) for pid in (0, 0, 2)]
+    stream = [(sv(4, {0: 1.0}), 1)] * 3
+    with pytest.raises(ValueError, match=r"participant ids must be distinct, got \[0, 0, 2\]"):
+        run_negotiation(participants, stream, ncfg(merged_budget=4))

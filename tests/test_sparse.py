@@ -13,11 +13,11 @@ from negofs.sparse import (
     ZERO_EPS,
     DimensionMismatchError,
     SparseVector,
-    _add_normalize_truncate,
+    _add_project_cut,
+    _cut,
     _cut_in_place,
     _from_dict,
     _overlay,
-    _truncated_from_dict,
     add_scaled,
     check_budget,
     dot,
@@ -217,6 +217,19 @@ def test_project_rejects_nonpositive_lambda():
         project_l2_ball(sv(3, {0: 1.0}), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vector_arithmetic_rejects_non_finite_scalars(bad):
+    w, x = sv(3, {0: 1.0, 1: 2.0}), sv(3, {1: 1.0, 2: -1.0})
+    with pytest.raises(ValueError, match="s must be finite"):
+        add_scaled(w, bad, x)
+    with pytest.raises(ValueError, match="s must be finite"):
+        add_scaled(w, bad, sv(3))
+    with pytest.raises(ValueError, match="s must be finite"):
+        scale(w, bad)
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        project_l2_ball(w, bad)
+
+
 def test_project_norm_bound_randomized():
     rng = random.Random(99)
     for _ in range(10_000):
@@ -306,17 +319,32 @@ _RAW_VALUES = st.one_of(
 )
 
 
-@given(st.dictionaries(st.integers(0, 11), _RAW_VALUES, max_size=12), st.integers(1, 12))
-@example({5: 1.0, 0: 0.5, 2: 1e-16}, 2)          # exactly B survive the ZERO_EPS drop
-@example({0: 1.0, 1: 1e-16, 2: 1e-17}, 2)        # fewer than B survive it
-@example({3: 0.5, 1: -0.5, 0: 0.5, 7: 2.0}, 2)   # a tie straddles the cut
-@example({4: 1.0, 2: -1.5}, 3)                   # already within budget
+# Two distinct magnitudes that tie once scaled by 0.7.
+_TIE_A, _TIE_B = 1.8700101551766397, 1.8700101551766395
+assert _TIE_A != _TIE_B and 0.7 * _TIE_A == 0.7 * _TIE_B
+
+# _cut only ever scales down: 1.0 is the plain truncation, the tiny factor
+# pushes the B-th magnitude below ZERO_EPS.
+_CUT_FACTORS = st.one_of(
+    st.sampled_from([1.0, 0.7, 1e-16]),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+@given(st.dictionaries(st.integers(0, 11), _RAW_VALUES, max_size=12), st.integers(1, 12),
+       _CUT_FACTORS)
+@example({5: 1.0, 0: 0.5, 2: 1e-16}, 2, 1.0)     # exactly B survive the ZERO_EPS drop
+@example({0: 1.0, 1: 1e-16, 2: 1e-17}, 2, 1.0)   # fewer than B survive it
+@example({3: 0.5, 1: -0.5, 0: 0.5, 7: 2.0}, 2, 1.0)  # a tie straddles the cut
+@example({0: 3.0, 2: -_TIE_B, 1: _TIE_A, 5: 0.5}, 2, 0.7)  # a tie appears once scaled
+@example({4: 1.0, 2: -1.5}, 3, 0.5)              # already within budget
 @settings(max_examples=500)
-def test_truncated_rebuild_equals_truncate_of_the_rebuild(out, B):
-    expected = truncate(_from_dict(12, out), B)
-    got = _truncated_from_dict(12, out, B)
+def test_cut_equals_truncate_of_the_scaled_rebuild(out, B, c):
+    expected = truncate(scale(_from_dict(12, out), c), B)
+    got = _cut(12, out, B, c)
     assert got == expected
     assert list(got.items()) == list(expected.items())
+    assert_floor_holds(got)
 
 
 def _updated(w, s, x):
@@ -415,42 +443,44 @@ def test_scale_carries_a_floor_that_bounds_every_magnitude(entries, s, known):
     assert pickle.dumps(got) == pickle.dumps(fresh)
 
 
-def _three_steps(w, s, x, B):
-    """An ALMA update as add_scaled, then scale into the unit ball, then truncate."""
-    w_next = add_scaled(w, s, x)
-    norm = w_next.norm_l2()
-    if norm > 1.0:
-        w_next = scale(w_next, 1.0 / norm)
-    return truncate(w_next, B)
+def _three_steps(w, s, x, B, lam):
+    """An ALMA or FOFS update: add_scaled, then project into the L2 ball, then truncate."""
+    return truncate(project_l2_ball(add_scaled(w, s, x), lam), B)
+
+
+_LAMS = st.one_of(st.just(1.0), st.floats(0.0, 1e3, exclude_min=True))
 
 
 @given(st.data())
 @settings(max_examples=500)
-def test_add_normalize_truncate_equals_the_three_steps(data):
+def test_add_project_cut_equals_the_three_steps(data):
     d = 12
     entries = st.dictionaries(st.integers(0, d - 1), _STEP_VALUES, max_size=d)
     w, x = sv(d, data.draw(entries)), sv(d, data.draw(entries))
     s = data.draw(st.one_of(_STEP_SCALES, st.sampled_from([8.0, -20.0])))
     B = data.draw(st.integers(1, d))
-    expected = _three_steps(w, s, x, B)
-    got = _add_normalize_truncate(w, s, x, B)
+    lam = data.draw(_LAMS)
+    expected = _three_steps(w, s, x, B, lam)
+    got = _add_project_cut(w, s, x, B, lam)
     assert got == expected
     assert list(got.items()) == list(expected.items())
     assert_floor_holds(got)
 
 
-@pytest.mark.parametrize("w, B", [
+@pytest.mark.parametrize("w, B, lam", [
     # Distinct magnitudes that tie once scaled into the unit ball.
-    ({0: 3.0, 1: 1.8700101551766397, 2: 1.8700101551766395}, 2),
+    ({0: 3.0, 1: _TIE_A, 2: _TIE_B}, 2, 1.0),
     # The B-th scaled magnitude falls below ZERO_EPS.
-    ({0: 4.0, 1: 2 * ZERO_EPS, 2: ZERO_EPS}, 2),
+    ({0: 4.0, 1: 2 * ZERO_EPS, 2: ZERO_EPS}, 2, 1.0),
     # Already within the ball and the budget.
-    ({0: 0.25, 4: -0.5}, 3),
-])
-def test_add_normalize_truncate_edge_cases(w, B):
+    ({0: 0.25, 4: -0.5}, 3, 1.0),
+    # Within the unit ball but not within the ball of radius 1/sqrt(lam).
+    ({0: 0.25, 4: -0.5}, 3, 100.0),
+], ids=["scaled-tie", "below-eps", "within-ball", "outside-lam-ball"])
+def test_add_project_cut_edge_cases(w, B, lam):
     w, x = sv(12, w), sv(12, {3: 0.5})
-    got = _add_normalize_truncate(w, 1.0, x, B)
-    expected = _three_steps(w, 1.0, x, B)
+    got = _add_project_cut(w, 1.0, x, B, lam)
+    expected = _three_steps(w, 1.0, x, B, lam)
     assert list(got.items()) == list(expected.items())
 
 
