@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--synthetic", help=synthetic_help)
         p.add_argument("--algorithms", default="MOANOFS",
                        help="comma-separated list, e.g. single:PETRUN,MANOFS,MOANOFS")
-        p.add_argument("--dim", type=int, default=None,
+        p.add_argument("--dim", type=positive_int, default=None,
                        help="override the inferred dimension of --dataset")
         p.add_argument("--format", choices=("csv", "markdown"), default=None)
         common(p)

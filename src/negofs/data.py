@@ -218,7 +218,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, frozenset[int]]:
     for _ in range(spec.n_samples):
         idx = sorted(rng.sample(range(spec.d), nnz))
         pairs = [(i, rng.gauss(0.0, 1.0)) for i in idx]
-        margin = sum(planted.get(i, 0.0) * v for i, v in pairs)
+        margin = 0.0
+        for i, v in pairs:
+            margin += planted.get(i, 0.0) * v
         y = 1 if margin > 0 else -1
         if spec.label_noise > 0 and rng.random() < spec.label_noise:
             y = -y

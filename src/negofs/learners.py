@@ -203,8 +203,11 @@ class Learner:
     # -- diagonal second-order variants ----------------------------------------
 
     def _confidence(self, x: SparseVector) -> float:
-        sigma = self.sigma
-        return sum(sigma.get(i, 1.0) * v * v for i, v in x.items())
+        get = self.sigma.get
+        total = 0.0
+        for i, v in x.items():
+            total += get(i, 1.0) * v * v
+        return total
 
     def _update_sop(self, x: SparseVector, y: int, margin: float) -> None:
         # Whitened perceptron: on a mistake, fold x into the per-dimension

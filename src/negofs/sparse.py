@@ -16,6 +16,9 @@ into an L2 ball and cut with one copy. The merge overlays each distinct offer
 vector once and only re-sorts the result, since offered values already clear
 ZERO_EPS. A vector may cache a lower bound on its magnitudes (its floor),
 which scale carries over to its result.
+
+Float sums are written as loops, not with sum(), which compensates from
+CPython 3.12 on; a loop adds left to right on every interpreter.
 """
 
 from __future__ import annotations
@@ -106,10 +109,13 @@ class SparseVector:
         return dict(self._data)
 
     def norm_l2(self) -> float:
-        return math.sqrt(sum(v * v for v in self._data.values()))
+        return math.sqrt(self.norm_l2_sq())
 
     def norm_l2_sq(self) -> float:
-        return sum(v * v for v in self._data.values())
+        total = 0.0
+        for v in self._data.values():
+            total += v * v
+        return total
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
@@ -154,7 +160,10 @@ def dot(a: SparseVector, b: SparseVector) -> float:
     if len(b) < len(a):
         a, b = b, a
     get = b._data.get
-    return sum(v * get(i, 0.0) for i, v in a._data.items())
+    total = 0.0
+    for i, v in a._data.items():
+        total += v * get(i, 0.0)
+    return total
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -308,8 +317,10 @@ def _add_project_cut(
         else:
             out.pop(i, None)
     keys = sorted(out)
-    norm = math.sqrt(sum(v * v for v in map(out.__getitem__, keys)))
-    c = min(1.0, 1.0 / (math.sqrt(lam) * norm)) if norm else 1.0
+    sq = 0.0
+    for v in map(out.__getitem__, keys):
+        sq += v * v
+    c = min(1.0, 1.0 / (math.sqrt(lam) * math.sqrt(sq))) if sq else 1.0
     return _cut(w.dimension, out, B, c, keys)
 
 

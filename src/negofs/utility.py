@@ -93,7 +93,10 @@ def aggregate_utility(profile: IssueWeightProfile, scores: Sequence[float]) -> f
     weights = profile.as_tuple()
     if len(scores) != len(weights):
         raise ValueError(f"expected {len(weights)} scores, got {len(scores)}")
-    return sum(w * s for w, s in zip(weights, scores))
+    total = 0.0
+    for w, s in zip(weights, scores):
+        total += w * s
+    return total
 
 
 def _costs(
@@ -118,8 +121,7 @@ def _costs(
         if time_domain is not None:
             lo, hi = time_domain.lower, time_domain.upper
             time_bad = 1.0 - (hi - min(max(cost_time, lo), hi)) / (hi - lo)
-        # sum() as in aggregate_utility: from CPython 3.12 it compensates, a + b + c does not.
-        costs.append(sum((w_trust * (1.0 - trust), w_error * err_bad, w_time * time_bad)))
+        costs.append(w_trust * (1.0 - trust) + w_error * err_bad + w_time * time_bad)
     return costs
 
 

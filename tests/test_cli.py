@@ -190,6 +190,19 @@ def test_bad_flag_is_reported_before_the_dataset_is_read(tmp_path, capsys, comma
     assert "epsilon must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, algorithms", [
+    ("run", "single:PETRUN"), ("compare", "single:PETRUN,single:OGD")])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_bad_dim_is_reported_before_the_dataset_is_read(tmp_path, capsys, command,
+                                                        algorithms, value):
+    argv = [command, "--dataset", str(tmp_path / "absent.txt"),
+            "--algorithms", algorithms, "--dim", value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_CONFIG
+    assert f"argument --dim: must be >= 1, got {value}" in capsys.readouterr().err
+
+
 def test_min_utility_without_moanofs_fails_before_the_dataset_is_read(tmp_path, capsys):
     argv = ["compare", "--dataset", str(tmp_path / "absent.txt"),
             "--algorithms", "single:PETRUN,MANOFS", "--conflict-rule", "min-utility"]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import negofs
+from negofs.learners import Learner, LearnerConfig
 from negofs.sparse import (
     ZERO_EPS,
     DimensionMismatchError,
@@ -113,6 +114,25 @@ def test_dot_hand_sum():
 def test_dot_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         dot(sv(2, {0: 1.0}), sv(3, {0: 1.0}))
+
+
+# 1 + 1e16 + 1 adds left to right to 1e16. The builtin sum() compensates from
+# CPython 3.12 on and gives 1.0000000000000002e+16 here.
+WIDE_RANGE = sv(3, {0: 1.0, 1: 1e8, 2: 1.0})
+
+
+@pytest.mark.parametrize("total, expected", [
+    pytest.param(lambda: dot(sv(3, {0: 1.0, 1: 1e16, 2: 1.0}), sv(3, {0: 1.0, 1: 1.0, 2: 1.0})),
+                 1e16, id="dot"),
+    pytest.param(WIDE_RANGE.norm_l2_sq, 1e16, id="norm_l2_sq"),
+    pytest.param(lambda: Learner(LearnerConfig("AROW"), 3, 3)._confidence(WIDE_RANGE),
+                 1e16, id="confidence"),
+    pytest.param(lambda: dot(sv(3), sv(3, {0: 1.0})), 0.0, id="dot-empty"),
+    pytest.param(sv(3).norm_l2_sq, 0.0, id="norm_l2_sq-empty"),
+])
+def test_float_sums_add_left_to_right(total, expected):
+    result = total()
+    assert type(result) is float and result == expected
 
 
 @given(st.integers(1, 30), st.data())

@@ -305,18 +305,6 @@ WIDE = dict(seed=5, d=60, n=400, relevant=8, noise=0.03)
 NARROW = dict(seed=9, d=40, n=300, relevant=5, noise=0.05)
 # t_max = n with k = n: one instance per trial, the negotiate-every-instance shape.
 EVERY = dict(seed=21, d=200, n=300, relevant=10, density=0.05, noise=0.05)
-# Where the builtin sum() of floats is compensated (CPython 3.12 on), norms,
-# dots and costs differ in their last bits and three pinned runs hash
-# differently. Probed by behaviour, so the choice does not hang on a version.
-COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
-COMPENSATED_DIGESTS = {
-    "46ddab783f4fc28a765613ea504152f50268398c6344ed8dbe9bff6933aebda6":
-        "0b55b68f8b31e3bafa9ffecc58b49473d603dd6e9f887e6f23cfb64e7481b8b4",
-    "57cb68080f0884cb478800574a9716a42c73c5620ca5492edeac9850cd548d4a":
-        "9516b076a22ae49b0d9ae47740833ede161f16a0c032b9de790f185b68336c32",
-    "83860577915f3e26b8b53baacd11a8eb36d4a9624d56f6dc06821842e9869fe9":
-        "c475838dfd325030a432b76b2e3f13dd6b45f46445a807f963662d2c801387ec",
-}
 
 
 @pytest.mark.parametrize("rule, k, t_max, data, epsilon, expected", [
@@ -347,8 +335,6 @@ def test_run_bytes_are_pinned(rule, k, t_max, data, epsilon, expected):
     digest.update(repr((report.system_mistakes,
                         [(lr.learner_id, lr.mistakes) for lr in report.per_learner],
                         report.elected)).encode())
-    if COMPENSATED_SUM:
-        expected = COMPENSATED_DIGESTS.get(expected, expected)
     assert digest.hexdigest() == expected
 
 
