@@ -13,17 +13,13 @@ from .negotiation import (
     merge_multilateral,
     run_negotiation,
 )
-from .sparse import SparseVector, add_scaled, dot, project_l2_ball, truncate
+from .sparse import SparseVector, add_scaled, dot
 from .system import RunReport, SystemConfig, elect_trustful, run_moanofs
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
 from .utility import (
     DeadlineParams,
-    IssueDomain,
     IssueWeightProfile,
     TimeStrategyParams,
-    aggregate_utility,
-    linear_score,
-    offer_cost,
     time_dependent_value,
     time_pressure,
 )
@@ -37,10 +33,9 @@ __all__ = [
     "FeatureTrust", "MIN_ERROR", "MIN_UTILITY", "NegotiationConfig",
     "NegotiationTranscript", "Offer", "Participant",
     "merge_multilateral", "run_negotiation",
-    "SparseVector", "add_scaled", "dot", "project_l2_ball", "truncate",
+    "SparseVector", "add_scaled", "dot",
     "RunReport", "SystemConfig", "elect_trustful", "run_moanofs",
     "TrustParams", "TrustState", "direct_trust", "satisfaction_of_window", "update_trust",
-    "DeadlineParams", "IssueDomain", "IssueWeightProfile", "TimeStrategyParams",
-    "aggregate_utility", "linear_score", "offer_cost", "time_dependent_value",
-    "time_pressure",
+    "DeadlineParams", "IssueWeightProfile", "TimeStrategyParams",
+    "time_dependent_value", "time_pressure",
 ]

@@ -203,15 +203,14 @@ def execute_run(algorithm: str, dataset: Dataset, run_seed: int, opts: RunOption
         learner = Learner(replace(template, variant=variant), dataset.dimension, B, seed=run_seed)
         for x, y in stream_of(dataset, permute(dataset, run_seed)):
             learner.step(x, y)
-        mistakes, instances = learner.mistakes, learner.instances
+        outcome = (learner.mistakes, learner.instances, learner.error_rate)
     elif algorithm in SYSTEMS:
         report = run_moanofs(dataset, replace(SYSTEMS[algorithm](opts), seed=run_seed))
-        mistakes, instances = report.system_mistakes, report.system_instances
+        outcome = (report.system_mistakes, report.system_instances, report.system_error_rate)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     cpu = time.process_time() - cpu_start if opts.system.measure_time else 0.0
-    error_rate = mistakes / instances if instances else 0.0
-    return RunOutcome(algorithm, mistakes, instances, error_rate, cpu)
+    return RunOutcome(algorithm, *outcome, cpu)
 
 
 def thread_cap() -> int:

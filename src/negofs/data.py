@@ -85,7 +85,7 @@ def _parse_label(token: str, line_no: int) -> int:
     return raw
 
 
-def _label_mapping(raw_labels: set[int], line_no_of_last: int) -> dict[int, int]:
+def _label_mapping(raw_labels: set[int], line_no: int) -> dict[int, int]:
     if raw_labels <= {-1, 1}:
         return {-1: -1, 1: 1}
     if raw_labels <= {0, 1}:
@@ -93,7 +93,7 @@ def _label_mapping(raw_labels: set[int], line_no_of_last: int) -> dict[int, int]
     if raw_labels <= {1, 2}:
         return {1: -1, 2: 1}
     raise SparseTextParseError(
-        line_no_of_last, f"non-binary labels: alphabet {sorted(raw_labels)} is not supported"
+        line_no, f"non-binary labels: alphabet {sorted(raw_labels)} is not supported"
     )
 
 
@@ -105,7 +105,8 @@ def load_sparse_text(
     File indices are 1-based and must be strictly ascending within a line.
     Labels and values must be finite (no nan, inf, or overflow like 1e400).
     Labels {+1,-1} are kept; {0,1} and {1,2} alphabets are mapped onto
-    {-1,+1} once the whole file has been seen. ``dimension`` overrides the
+    {-1,+1} once the whole file has been seen. Any other alphabet is reported
+    at the line of its second distinct label. ``dimension`` overrides the
     max-index inference for files that omit trailing all-zero features.
     """
     path = Path(path)
@@ -122,12 +123,14 @@ def load_sparse_text(
                 continue
             tokens = line.split()
             raw = _parse_label(tokens[0], line_no)
-            raw_labels.add(raw)
-            if len(raw_labels) > 2:
-                raise SparseTextParseError(
-                    line_no, f"non-binary labels: more than two distinct labels "
-                    f"({sorted(raw_labels)})"
-                )
+            if raw not in raw_labels:  # a new label: check the alphabet at its line
+                raw_labels.add(raw)
+                if len(raw_labels) > 2:
+                    raise SparseTextParseError(
+                        line_no, f"non-binary labels: more than two distinct labels "
+                        f"({sorted(raw_labels)})"
+                    )
+                mapping = _label_mapping(raw_labels, line_no)
             pairs: list[tuple[int, float]] = []
             prev_index = 0
             for token in tokens[1:]:
@@ -168,7 +171,6 @@ def load_sparse_text(
     if d < 1:
         raise ValueError("cannot infer a positive dimension from an all-empty file")
 
-    mapping = _label_mapping(raw_labels, last_line_no)
     instances = [(SparseVector(d, pairs), mapping[raw]) for raw, pairs in rows]
     return Dataset(name=name or path.stem, dimension=d, instances=instances)
 

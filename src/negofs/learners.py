@@ -132,7 +132,7 @@ class Learner:
         return pred
 
     def _add_step(self, base: SparseVector, coeff: float, x: SparseVector) -> None:
-        """Set the weights to truncate(base + coeff*sigma*x, B); first-order variants keep sigma empty."""
+        """Set the weights to base + coeff*sigma*x cut to B; first-order variants keep sigma empty."""
         _check_same_dimension(base, x)
         sigma = self.sigma
         out = base.to_dict()

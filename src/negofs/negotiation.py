@@ -39,7 +39,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 from .learners import Learner, sign_of
 from .sparse import SparseVector, _overlay, _sorted_from_dict, check_budget, dot
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
-from .utility import DeadlineParams, IssueWeightProfile, _costs, round_domain, time_pressure
+from .utility import DeadlineParams, IssueWeightProfile, round_domain, time_pressure
 
 INITIATOR = "init"
 EVERYONE = "*"
@@ -266,12 +266,28 @@ def call_for_proposals(participants: Sequence[Participant]) -> list[Offer]:
 def offer_costs(
     offers: Sequence[Offer], weights: IssueWeightProfile
 ) -> dict[int, float]:
-    """Composite cost per offer (offer_cost), normalized within this round's ranges."""
+    """Composite cost per offer in [0, 1]; the best offer minimizes it.
+
+    Trust contributes (1 - trust). Error rate and cost time contribute their
+    badness within this round's observed range, 0 at its low end and 1 at its
+    high end. An issue on which every offer ties carries no information and
+    contributes 0.
+    """
     rates = [o.err_count / o.instances if o.instances > 0 else 0.0 for o in offers]
     times = [o.cost_time for o in offers]
-    costs = _costs(weights, zip([o.trust for o in offers], rates, times),
-                   round_domain(rates), round_domain(times))
-    return {o.participant_id: cost for o, cost in zip(offers, costs)}
+    error_domain, time_domain = round_domain(rates), round_domain(times)
+    w_trust, w_error, w_time = weights.as_tuple()
+    costs = {}
+    for o, err_rate, cost_time in zip(offers, rates, times):
+        err_bad = time_bad = 0.0
+        if error_domain is not None:
+            lo, hi = error_domain
+            err_bad = 1.0 - (hi - err_rate) / (hi - lo)
+        if time_domain is not None:
+            lo, hi = time_domain
+            time_bad = 1.0 - (hi - cost_time) / (hi - lo)
+        costs[o.participant_id] = w_trust * (1.0 - o.trust) + w_error * err_bad + w_time * time_bad
+    return costs
 
 
 def merge_multilateral(

@@ -8,14 +8,16 @@ The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-integer or repeated indices and non-finite values. Vectors
 the package computes from vectors it already holds skip it through the
 private helpers at the bottom of this module, which only sort the keys (or
-keep the existing order) and drop entries below ZERO_EPS. Every cut to a
-budget ends in one of them, _cut, which ranks by magnitude, lower index first
-on ties; a learner update deletes the excess from its copy instead when the
-excess falls on entries the update itself wrote. ALMA and FOFS step, scale
-into an L2 ball and cut with one copy. The merge overlays each distinct offer
-vector once and only re-sorts the result, since offered values already clear
-ZERO_EPS. A vector may cache a lower bound on its magnitudes (its floor),
-which scale carries over to its result.
+keep the existing order) and drop entries below ZERO_EPS. Every learner
+update's cut to its budget ends in one of them, _cut, which ranks by
+magnitude, lower index first on ties, unless the excess falls on entries the
+update itself wrote: they are then deleted from its copy. ALMA and FOFS
+step, scale into an L2 ball and cut with one copy. The plain truncation and
+projection these cuts must equal are test references in tests/dense_oracle.py.
+The merge overlays each distinct offer vector once and only re-sorts the
+result, since offered values already clear ZERO_EPS. A vector may cache a
+lower bound on its magnitudes (its floor), which scale carries over to its
+result.
 
 Float sums are written as loops, not with sum(), which compensates from
 CPython 3.12 on; a loop adds left to right on every interpreter.
@@ -198,35 +200,6 @@ def scale(w: SparseVector, s: float) -> SparseVector:
     )
 
 
-def truncate(w: SparseVector, B: int) -> SparseVector:
-    """Keep the B entries of largest magnitude, zero the rest.
-
-    Ties on magnitude keep the lower index, so truncation is deterministic.
-    A vector already within budget is returned unchanged.
-    """
-    check_budget(B, w.dimension)
-    if len(w) <= B:
-        return w
-    return _cut(w.dimension, w._data, B)
-
-
-def project_l2_ball(w: SparseVector, lam: float) -> SparseVector:
-    """Scale w into the L2 ball of radius 1/sqrt(lam).
-
-    Applies the factor min(1, 1/(sqrt(lam)*||w||)); the zero vector is a
-    fixed point (the factor is taken as 1).
-    """
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-    norm = w.norm_l2()
-    if norm == 0.0:
-        return w
-    factor = min(1.0, 1.0 / (math.sqrt(lam) * norm))
-    if factor == 1.0:
-        return w
-    return scale(w, factor)
-
-
 # -- construction from data the package built itself --------------------------
 
 def _from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
@@ -243,8 +216,10 @@ def _sorted_from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
 
 def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
          keys: list[int] | None = None) -> SparseVector:
-    """truncate(scale(_from_dict(dimension, out), c), B) for 0 < c <= 1; keys, if given, is sorted(out).
+    """c*out cut to its B largest magnitudes, for 0 < c <= 1; keys, if given, is sorted(out).
 
+    Entries below ZERO_EPS once scaled are dropped and ties on magnitude keep
+    the lower index, as truncate_reference in tests/dense_oracle.py states.
     Scaling down keeps the magnitudes' order, so when no tie straddles the
     B-th largest and it clears ZERO_EPS, the entries kept are those at or
     above it: one comprehension sorts, scales, drops noise and cuts.
@@ -304,9 +279,11 @@ def _cut_in_place(
 def _add_project_cut(
     w: SparseVector, s: float, x: SparseVector, B: int, lam: float = 1.0
 ) -> SparseVector:
-    """truncate(project_l2_ball(add_scaled(w, s, x), lam), B), with the same arithmetic.
+    """w + s*x, scaled into the L2 ball of radius 1/sqrt(lam), then cut to B entries.
 
-    One copy of w takes x's writes, and its keys are sorted once, for the norm and for _cut.
+    The factor is min(1, 1/(sqrt(lam)*||w + s*x||)), 1 for the zero vector,
+    as project_l2_ball_reference in tests/dense_oracle.py states. One copy of
+    w takes x's writes, and its keys are sorted once, for the norm and for _cut.
     """
     _check_same_dimension(w, x)
     out = w.to_dict()

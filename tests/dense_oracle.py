@@ -1,10 +1,10 @@
 """Independent dense reference implementations used as test oracles.
 
-Everything here works on plain Python lists indexed 0..d-1 and is written
-straight from the update equations, deliberately sharing no code with the
-package under test (the only shared contract is the RNG discipline of the
-random-mask learner: one shuffle of range(d) per triggered update, drawn
-from random.Random(seed)).
+Everything here works on plain Python lists indexed 0..d-1, or on
+{index: value} dicts and floats, and is written straight from the update
+equations, deliberately sharing no code with the package under test (the
+only shared contract is the RNG discipline of the random-mask learner: one
+shuffle of range(d) per triggered update, drawn from random.Random(seed)).
 """
 
 import math
@@ -195,3 +195,68 @@ def merge_offers_reference(offers, conflict_key):
             pid, value = min(selecting, key=lambda pv: (conflict_key(pv[0]), pv[0]))
             merged[i] = value
     return merged
+
+
+# -- sparse references on {index: value} dicts ---------------------------------
+
+def sparse_reference(raw, c=1.0):
+    """The entries a vector of c*raw holds: ascending indices, |value| >= 1e-15 only."""
+    return {i: c * raw[i] for i in sorted(raw) if abs(c * raw[i]) >= 1e-15}
+
+
+def truncate_reference(w, B):
+    """The B entries of w of largest magnitude, ties to the lower index, in index order."""
+    ranked = sorted(w.items(), key=lambda iv: (-abs(iv[1]), iv[0]))
+    return dict(sorted(ranked[:B]))
+
+
+def project_l2_ball_reference(w, lam):
+    """w scaled by min(1, 1/(sqrt(lam)*||w||)); the zero vector is a fixed point.
+
+    The squares are added left to right in index order.
+    """
+    sq = 0.0
+    for i in sorted(w):
+        sq += w[i] * w[i]
+    if sq == 0.0:
+        return sparse_reference(w)
+    return sparse_reference(w, min(1.0, 1.0 / (math.sqrt(lam) * math.sqrt(sq))))
+
+
+# -- offer scoring references on plain floats ----------------------------------
+
+def issue_domain_reference(lower, upper):
+    """An issue's value interval as a (lower, upper) pair; lower must lie below upper."""
+    if not lower < upper:
+        raise ValueError(f"degenerate domain [{lower}, {upper}]")
+    return lower, upper
+
+
+def linear_score_reference(value, domain):
+    """value scored into [0, 1] over domain, 1 at its lower end; outside values clamp."""
+    lower, upper = domain
+    v = min(max(value, lower), upper)
+    return (upper - v) / (upper - lower)
+
+
+def aggregate_utility_reference(weights, scores):
+    """Weighted sum of the (trust, error, cost time) scores, added left to right."""
+    if len(scores) != len(weights):
+        raise ValueError(f"expected {len(weights)} scores, got {len(scores)}")
+    total = 0.0
+    for w, s in zip(weights, scores):
+        total += w * s
+    return total
+
+
+def offer_cost_reference(weights, trust, err_rate, cost_time, error_domain, time_domain):
+    """Composite cost of one offer: trust scores 1 - trust, error and time their badness.
+
+    A badness is 1 - linear score within the round's domain, or 0 when the
+    domain is None because every offer tied on that issue.
+    """
+    def badness(value, domain):
+        return 0.0 if domain is None else 1.0 - linear_score_reference(value, domain)
+
+    scores = (1.0 - trust, badness(err_rate, error_domain), badness(cost_time, time_domain))
+    return aggregate_utility_reference(weights, scores)

@@ -59,6 +59,11 @@ def test_unsupported_alphabet_rejected(tmp_path):
         load_sparse_text(write(tmp_path, "-1 1:1.0\n2 1:1.0\n"))
 
 
+def test_unsupported_alphabet_names_the_line_that_completes_it(tmp_path):
+    with pytest.raises(SparseTextParseError, match=r"line 2: .*alphabet \[0, 2\]"):
+        load_sparse_text(write(tmp_path, "0 1:1.0\n2 1:1.0\n0 1:1.0\n0 1:1.0\n"))
+
+
 def test_malformed_token_names_line(tmp_path):
     with pytest.raises(SparseTextParseError, match="line 2.*malformed token"):
         load_sparse_text(write(tmp_path, "+1 1:1.0\n-1 2:abc\n"))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import negofs
+from dense_oracle import project_l2_ball_reference, sparse_reference, truncate_reference
 from negofs.learners import Learner, LearnerConfig
 from negofs.sparse import (
     ZERO_EPS,
@@ -17,14 +18,11 @@ from negofs.sparse import (
     _add_project_cut,
     _cut,
     _cut_in_place,
-    _from_dict,
     _overlay,
     add_scaled,
     check_budget,
     dot,
-    project_l2_ball,
     scale,
-    truncate,
 )
 
 
@@ -172,20 +170,28 @@ def test_add_scaled_dimension_mismatch():
         add_scaled(sv(2), 1.0, sv(3, {0: 1.0}))
 
 
-# -- truncate ---------------------------------------------------------------------
+# -- the budget cut: _cut against the oracle's truncation ------------------------------
+
+def cut(w, B):
+    """_cut of a vector's entries to B, asserted equal to the oracle's truncation."""
+    got = _cut(w.dimension, w.to_dict(), B)
+    assert list(got.items()) == list(truncate_reference(w.to_dict(), B).items())
+    return got
+
 
 def test_truncate_two_largest_magnitudes():
-    out = truncate(sv(3, {0: 0.5, 1: -0.9, 2: 0.1}), 2)
+    out = cut(sv(3, {0: 0.5, 1: -0.9, 2: 0.1}), 2)
     assert out == sv(3, {0: 0.5, 1: -0.9})
 
 
 def test_truncate_within_budget_unchanged():
     v = sv(3, {0: 0.5})
-    assert truncate(v, 3) is v
+    assert cut(v, 3) == v
+    assert cut(v, 1) == v
 
 
 def test_truncate_tie_break_keeps_lower_index():
-    out = truncate(sv(3, {0: 0.3, 1: -0.3, 2: 0.3}), 2)
+    out = cut(sv(3, {0: 0.3, 1: -0.3, 2: 0.3}), 2)
     assert out == sv(3, {0: 0.3, 1: -0.3})
     # brute force: stable sort on (-|v|, index) must agree
     entries = {0: 0.3, 1: -0.3, 2: 0.3}
@@ -203,9 +209,9 @@ def test_truncate_is_optimal_and_idempotent(d, data):
     )
     B = data.draw(st.integers(1, d))
     w = sv(d, entries)
-    out = truncate(w, B)
+    out = cut(w, B)
     assert len(out) <= B
-    assert truncate(out, B) == out
+    assert cut(out, B) == out
     # kept mass is maximal over all B-subsets (brute force for small d)
     kept_mass = sum(abs(v) for _, v in out.items())
     best = sorted((abs(v) for v in w.to_dict().values()), reverse=True)[:B]
@@ -215,26 +221,28 @@ def test_truncate_is_optimal_and_idempotent(d, data):
         assert w.get(i) == v
 
 
-# -- project_l2_ball ---------------------------------------------------------------
+# -- the L2-ball projection: _add_project_cut with no step and no cut ----------------
+
+def project(w, lam):
+    """w scaled into the L2 ball of radius 1/sqrt(lam), asserted equal to the oracle's."""
+    got = _add_project_cut(w, 1.0, sv(w.dimension), w.dimension, lam)
+    assert list(got.items()) == list(project_l2_ball_reference(w.to_dict(), lam).items())
+    return got
+
 
 def test_project_inside_ball_unchanged():
     v = sv(3, {0: 0.5})
-    assert project_l2_ball(v, 1.0) is v
+    assert project(v, 1.0) == v
 
 
 def test_project_hand_factor():
-    out = project_l2_ball(sv(3, {0: 2.0}), 4.0)
+    out = project(sv(3, {0: 2.0}), 4.0)
     assert out == sv(3, {0: 0.5})
 
 
 def test_project_zero_vector_fixed_point():
     z = sv(3)
-    assert project_l2_ball(z, 1.0) is z
-
-
-def test_project_rejects_nonpositive_lambda():
-    with pytest.raises(ValueError):
-        project_l2_ball(sv(3, {0: 1.0}), 0.0)
+    assert project(z, 1.0) == z
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -246,8 +254,6 @@ def test_vector_arithmetic_rejects_non_finite_scalars(bad):
         add_scaled(w, bad, sv(3))
     with pytest.raises(ValueError, match="s must be finite"):
         scale(w, bad)
-    with pytest.raises(ValueError, match="lam must be positive and finite"):
-        project_l2_ball(w, bad)
 
 
 def test_project_norm_bound_randomized():
@@ -257,7 +263,7 @@ def test_project_norm_bound_randomized():
         nnz = rng.randint(0, d)
         entries = {i: rng.uniform(-10, 10) for i in rng.sample(range(d), nnz)}
         lam = rng.uniform(0.1, 5.0)
-        out = project_l2_ball(sv(d, entries), lam)
+        out = project(sv(d, entries), lam)
         assert out.norm_l2() <= 1.0 / math.sqrt(lam) + 1e-12
 
 
@@ -312,8 +318,8 @@ def test_trusted_results_equal_the_public_constructor(d, data):
                             st.floats(-3, 3, allow_nan=False)))
     assert_same_vector(add_scaled(w, s, x))
     assert_same_vector(scale(w, s))
-    assert_same_vector(truncate(w, data.draw(st.integers(1, d))))
-    assert_same_vector(project_l2_ball(w, data.draw(st.floats(0.01, 100))))
+    assert_same_vector(cut(w, data.draw(st.integers(1, d))))
+    assert_same_vector(project(w, data.draw(st.floats(0.01, 100))))
 
 
 @given(st.integers(2, 12), st.data())
@@ -325,7 +331,7 @@ def test_truncate_ties_keep_the_lower_indices(d, data):
     w = sv(d, {i: -m if neg else m for i, (m, neg) in entries.items()})
     B = data.draw(st.integers(1, d))
     expected = dict(sorted(w.items(), key=lambda iv: (-abs(iv[1]), iv[0]))[:B])
-    out = truncate(w, B)
+    out = cut(w, B)
     assert out.to_dict() == expected
     assert_same_vector(out)
 
@@ -360,9 +366,9 @@ _CUT_FACTORS = st.one_of(
 @example({4: 1.0, 2: -1.5}, 3, 0.5)              # already within budget
 @settings(max_examples=500)
 def test_cut_equals_truncate_of_the_scaled_rebuild(out, B, c):
-    expected = truncate(scale(_from_dict(12, out), c), B)
+    expected = truncate_reference(sparse_reference(sparse_reference(out), c), B)
     got = _cut(12, out, B, c)
-    assert got == expected
+    assert got.to_dict() == expected
     assert list(got.items()) == list(expected.items())
     assert_floor_holds(got)
 
@@ -402,9 +408,9 @@ def test_in_place_cut_equals_the_rebuild(data):
     for _ in range(data.draw(st.integers(1, 6))):
         x = sv(d, data.draw(entries))
         out = _updated(w, data.draw(_STEP_SCALES), x)
-        expected = truncate(_from_dict(d, dict(out)), B)
+        expected = truncate_reference(sparse_reference(out), B)
         got = _cut_in_place(w, out, x, B)
-        assert got == expected
+        assert got.to_dict() == expected
         assert list(got.items()) == list(expected.items())
         assert_floor_holds(got)
         w = got
@@ -465,7 +471,7 @@ def test_scale_carries_a_floor_that_bounds_every_magnitude(entries, s, known):
 
 def _three_steps(w, s, x, B, lam):
     """An ALMA or FOFS update: add_scaled, then project into the L2 ball, then truncate."""
-    return truncate(project_l2_ball(add_scaled(w, s, x), lam), B)
+    return truncate_reference(project_l2_ball_reference(add_scaled(w, s, x).to_dict(), lam), B)
 
 
 _LAMS = st.one_of(st.just(1.0), st.floats(0.0, 1e3, exclude_min=True))
@@ -482,7 +488,7 @@ def test_add_project_cut_equals_the_three_steps(data):
     lam = data.draw(_LAMS)
     expected = _three_steps(w, s, x, B, lam)
     got = _add_project_cut(w, s, x, B, lam)
-    assert got == expected
+    assert got.to_dict() == expected
     assert list(got.items()) == list(expected.items())
     assert_floor_holds(got)
 

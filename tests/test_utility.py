@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import (
+    aggregate_utility_reference,
+    issue_domain_reference,
+    linear_score_reference,
+    offer_cost_reference,
+)
 from negofs.negotiation import Offer, offer_costs
 from negofs.sparse import SparseVector
 from negofs.utility import (
     DeadlineParams,
-    IssueDomain,
     IssueWeightProfile,
     TimeStrategyParams,
-    aggregate_utility,
-    linear_score,
-    offer_cost,
     round_domain,
     time_dependent_value,
     time_pressure,
@@ -24,30 +26,30 @@ def make_offer(pid=0, trust=0.5, err=5, instances=10, cost_time=1.0):
     return Offer(pid, SparseVector(4, {0: 1.0}), err, cost_time, trust, instances)
 
 
-# -- linear_score ------------------------------------------------------------
+# -- the oracle's linear score and domain ------------------------------------------
 
 def test_linear_score_minimize_best_at_lower():
-    dom = IssueDomain(2.0, 6.0)
-    assert linear_score(2.0, dom) == 1.0
-    assert linear_score(6.0, dom) == 0.0
+    dom = issue_domain_reference(2.0, 6.0)
+    assert linear_score_reference(2.0, dom) == 1.0
+    assert linear_score_reference(6.0, dom) == 0.0
 
 
 def test_linear_score_midpoint():
-    assert linear_score(4.0, IssueDomain(2.0, 6.0)) == 0.5
+    assert linear_score_reference(4.0, issue_domain_reference(2.0, 6.0)) == 0.5
 
 
 def test_linear_score_clamps_out_of_range():
-    dom = IssueDomain(0.0, 1.0)
-    assert linear_score(-5.0, dom) == 1.0
-    assert linear_score(7.0, dom) == 0.0
+    dom = issue_domain_reference(0.0, 1.0)
+    assert linear_score_reference(-5.0, dom) == 1.0
+    assert linear_score_reference(7.0, dom) == 0.0
 
 
 def test_degenerate_domain_rejected():
     with pytest.raises(ValueError):
-        IssueDomain(1.0, 1.0)
+        issue_domain_reference(1.0, 1.0)
 
 
-# -- weights and aggregation ---------------------------------------------------
+# -- weights and the oracle's aggregation ------------------------------------------
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
@@ -57,58 +59,56 @@ def test_weights_must_sum_to_one():
 
 
 def test_aggregate_worked_example():
-    profile = IssueWeightProfile(0.2, 0.5, 0.3)
-    assert aggregate_utility(profile, (1.0, 0.8, 0.5)) == pytest.approx(0.75)
+    weights = IssueWeightProfile(0.2, 0.5, 0.3).as_tuple()
+    assert aggregate_utility_reference(weights, (1.0, 0.8, 0.5)) == pytest.approx(0.75)
 
 
 def test_aggregate_extremes():
-    profile = IssueWeightProfile(0.2, 0.5, 0.3)
-    assert aggregate_utility(profile, (1.0, 1.0, 1.0)) == pytest.approx(1.0)
-    assert aggregate_utility(profile, (0.0, 0.0, 0.0)) == 0.0
+    weights = IssueWeightProfile(0.2, 0.5, 0.3).as_tuple()
+    assert aggregate_utility_reference(weights, (1.0, 1.0, 1.0)) == pytest.approx(1.0)
+    assert aggregate_utility_reference(weights, (0.0, 0.0, 0.0)) == 0.0
 
 
 def test_aggregate_count_mismatch():
     with pytest.raises(ValueError):
-        aggregate_utility(IssueWeightProfile(), (1.0, 0.5))
+        aggregate_utility_reference(IssueWeightProfile().as_tuple(), (1.0, 0.5))
 
 
 def test_aggregate_monotone_in_each_score():
     rng = random.Random(3)
-    profile = IssueWeightProfile(0.2, 0.5, 0.3)
+    weights = IssueWeightProfile(0.2, 0.5, 0.3).as_tuple()
     for _ in range(200):
         scores = [rng.random() for _ in range(3)]
-        base = aggregate_utility(profile, scores)
+        base = aggregate_utility_reference(weights, scores)
         for j in range(3):
             bumped = list(scores)
             bumped[j] = min(1.0, bumped[j] + rng.random() * (1 - bumped[j]))
-            assert aggregate_utility(profile, bumped) >= base - 1e-12
+            assert aggregate_utility_reference(weights, bumped) >= base - 1e-12
 
 
-# -- offer_cost -------------------------------------------------------------------
+# -- offer_costs: each round's domains span its own offers -----------------------------
 
 def test_perfect_offer_costs_zero():
     profile = IssueWeightProfile(0.2, 0.5, 0.3)
-    offer = make_offer(trust=1.0, err=0, instances=10, cost_time=0.1)
-    err_dom = IssueDomain(0.0, 0.5)
-    time_dom = IssueDomain(0.1, 2.0)
-    assert offer_cost(offer, profile, err_dom, time_dom) == 0.0
+    perfect = make_offer(pid=0, trust=1.0, err=0, instances=10, cost_time=0.1)
+    other = make_offer(pid=1, trust=0.3, err=5, instances=10, cost_time=2.0)
+    assert offer_costs([perfect, other], profile)[0] == 0.0
 
 
 def test_worst_offer_costs_one():
     profile = IssueWeightProfile(0.2, 0.5, 0.3)
-    offer = make_offer(trust=0.0, err=5, instances=10, cost_time=2.0)
-    err_dom = IssueDomain(0.0, 0.5)
-    time_dom = IssueDomain(0.1, 2.0)
-    assert offer_cost(offer, profile, err_dom, time_dom) == pytest.approx(1.0)
+    worst = make_offer(pid=0, trust=0.0, err=5, instances=10, cost_time=2.0)
+    other = make_offer(pid=1, trust=0.6, err=0, instances=10, cost_time=0.1)
+    assert offer_costs([worst, other], profile)[0] == pytest.approx(1.0)
 
 
 def test_offer_cost_hand_sum():
-    # trust 0.5, normalized error badness 0.4, normalized time badness 1.0
+    # trust 0.5, error rate 0.4 in [0, 1] (badness 0.4), cost time 2.0 in [0, 2] (badness 1.0)
     profile = IssueWeightProfile(0.2, 0.5, 0.3)
-    offer = make_offer(trust=0.5, err=4, instances=10, cost_time=2.0)
-    err_dom = IssueDomain(0.0, 1.0)
-    time_dom = IssueDomain(0.0, 2.0)
-    cost = offer_cost(offer, profile, err_dom, time_dom)
+    offer = make_offer(pid=0, trust=0.5, err=4, instances=10, cost_time=2.0)
+    best = make_offer(pid=1, trust=1.0, err=0, instances=10, cost_time=0.0)
+    worst = make_offer(pid=2, trust=0.0, err=10, instances=10, cost_time=1.0)
+    cost = offer_costs([offer, best, worst], profile)[0]
     assert cost == pytest.approx(0.2 * 0.5 + 0.5 * 0.4 + 0.3 * 1.0)
 
 
@@ -119,25 +119,23 @@ def test_offer_cost_in_unit_interval_fuzz():
         total = sum(w) or 1.0
         profile = IssueWeightProfile(w[0] / total, w[1] / total,
                                      1.0 - w[0] / total - w[1] / total)
-        instances = rng.randint(1, 100)
-        offer = make_offer(
-            trust=rng.random(),
-            err=rng.randint(0, instances),
-            instances=instances,
-            cost_time=rng.uniform(0, 5),
-        )
-        lo, hi = sorted((rng.uniform(0, 1), rng.uniform(0, 1)))
-        err_dom = IssueDomain(lo, hi) if hi > lo else None
-        lo, hi = sorted((rng.uniform(0, 5), rng.uniform(0, 5)))
-        time_dom = IssueDomain(lo, hi) if hi > lo else None
-        cost = offer_cost(offer, profile, err_dom, time_dom)
-        assert 0.0 <= cost <= 1.0 + 1e-12
+        offers = []
+        for pid in range(rng.randint(2, 5)):
+            instances = rng.randint(1, 100)
+            offers.append(make_offer(
+                pid=pid,
+                trust=rng.random(),
+                err=rng.randint(0, instances),
+                instances=instances,
+                cost_time=rng.uniform(0, 5),
+            ))
+        for cost in offer_costs(offers, profile).values():
+            assert 0.0 <= cost <= 1.0 + 1e-12
 
 
 def test_round_domain_degenerates_to_none_on_ties():
     assert round_domain([1.0, 1.0, 1.0]) is None
-    dom = round_domain([1.0, 3.0])
-    assert (dom.lower, dom.upper) == (1.0, 3.0)
+    assert round_domain([1.0, 3.0]) == (1.0, 3.0)
 
 
 def test_argmin_invariant_under_time_rescaling():
@@ -154,12 +152,7 @@ def test_argmin_invariant_under_time_rescaling():
         scale_factor = rng.uniform(0.01, 100)
 
         def argmin(offer_list):
-            err_dom = round_domain([o.err_count / o.instances for o in offer_list])
-            time_dom = round_domain([o.cost_time for o in offer_list])
-            costs = {
-                o.participant_id: offer_cost(o, profile, err_dom, time_dom)
-                for o in offer_list
-            }
+            costs = offer_costs(offer_list, profile)
             return min(offer_list, key=lambda o: (costs[o.participant_id], o.participant_id)).participant_id
 
         rescaled = [
@@ -194,27 +187,27 @@ def _offer_rounds(draw):
     return offers
 
 
+def _spanned(values):
+    """The oracle domain of one round's values, None when they all tie."""
+    lo, hi = min(values), max(values)
+    return issue_domain_reference(lo, hi) if lo < hi else None
+
+
 @given(_offer_rounds(), st.sampled_from(_PROFILES))
 @settings(max_examples=400)
 def test_offer_costs_equal_offer_cost_bit_for_bit(offers, profile):
     rates = [o.err_count / o.instances if o.instances > 0 else 0.0 for o in offers]
-    err_dom = round_domain(rates)
-    time_dom = round_domain([o.cost_time for o in offers])
-
-    def badness(value, dom):
-        return 0.0 if dom is None else 1.0 - linear_score(value, dom)
-
-    reference = {  # the formula as the public pieces state it
-        o.participant_id: aggregate_utility(
-            profile, (1.0 - o.trust, badness(rate, err_dom), badness(o.cost_time, time_dom)))
+    err_dom = _spanned(rates)
+    time_dom = _spanned([o.cost_time for o in offers])
+    reference = {
+        o.participant_id: offer_cost_reference(
+            profile.as_tuple(), o.trust, rate, o.cost_time, err_dom, time_dom)
         for o, rate in zip(offers, rates)
     }
-    each = {o.participant_id: offer_cost(o, profile, err_dom, time_dom) for o in offers}
     table = offer_costs(offers, profile)
     assert list(table) == [o.participant_id for o in offers]
     hexed = {pid: cost.hex() for pid, cost in reference.items()}
     assert {pid: cost.hex() for pid, cost in table.items()} == hexed
-    assert {pid: cost.hex() for pid, cost in each.items()} == hexed
 
 
 # -- time functions ------------------------------------------------------------------
