@@ -245,6 +245,13 @@ def test_project_zero_vector_fixed_point():
     assert project(z, 1.0) == z
 
 
+def test_project_rejects_nonpositive_lambda():
+    # The projection's lam is checked where a run sets it: in FOFS's LearnerConfig.
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam must be"):
+            LearnerConfig("FOFS", lam=bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_vector_arithmetic_rejects_non_finite_scalars(bad):
     w, x = sv(3, {0: 1.0, 1: 2.0}), sv(3, {1: 1.0, 2: -1.0})
