@@ -9,19 +9,17 @@ Each run r permutes the dataset with seed ``base*1000003 + r`` and reports
 the mistake count, error rate and the CPU time (``time.process_time``) of
 the whole run: permutation, learner set-up, steps and merges.
 ``--no-timing`` freezes all time measurements at zero so output files are
-byte-reproducible. ``NEGOFS_THREADS`` caps how many runs execute in
-parallel worker processes; the pool modules load only when it is above 1.
+byte-reproducible. Every run executes in the calling process, one after
+another.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, budget, generate_synthetic, load_sparse_text, permute, stream_of
@@ -96,21 +94,15 @@ def parse_algorithms(raw: str) -> list[str]:
         if not token:
             continue
         upper = token.upper()
-        if upper.startswith("SINGLE:"):
-            variant = upper.split(":", 1)[1]
-            if variant not in VARIANTS:
-                raise ConfigError(
-                    f"unknown algorithm {token!r}; valid names: "
-                    + ", ".join(valid_algorithm_names())
-                )
-            names.append(f"single:{variant}")
-        elif upper in SYSTEMS:
-            names.append(upper)
-        else:
+        name = f"single:{upper.split(':', 1)[1]}" if upper.startswith("SINGLE:") else upper
+        if name not in valid_algorithm_names():
             raise ConfigError(
                 f"unknown algorithm {token!r}; valid names: "
                 + ", ".join(valid_algorithm_names())
             )
+        if name in names:
+            raise ConfigError(f"algorithm {name} is listed twice")
+        names.append(name)
     if not names:
         raise ConfigError("at least one algorithm is required")
     return names
@@ -125,7 +117,10 @@ def parse_synthetic(raw: str, default_seed: int) -> SyntheticSpec:
         key, _, value = part.partition("=")
         if not value:
             raise ConfigError(f"synthetic spec entry {part!r} is not key=value")
-        keys[key.strip()] = value.strip()
+        key = key.strip()
+        if key in keys:
+            raise ConfigError(f"synthetic spec key {key!r} is given twice")
+        keys[key] = value.strip()
     try:
         spec = SyntheticSpec(
             d=int(keys.pop("d")),
@@ -173,7 +168,7 @@ def parse_issue_weights(raw: str) -> IssueWeightProfile:
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Everything one worker needs to execute a single (algorithm, run).
+    """Everything ``execute_run`` needs to execute a single (algorithm, run).
 
     ``system`` is the template every run's config derives from: the whole
     roster negotiating (k = roster size) under the requested conflict rule.
@@ -213,18 +208,6 @@ def execute_run(algorithm: str, dataset: Dataset, run_seed: int, opts: RunOption
     return RunOutcome(algorithm, *outcome, cpu)
 
 
-def thread_cap() -> int:
-    """Worker processes allowed by NEGOFS_THREADS (default 1: run in this process)."""
-    raw = os.environ.get("NEGOFS_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError(f"NEGOFS_THREADS must be an integer >= 1, got {raw!r}")
-    return cap
-
-
 def run_experiment(
     algorithms: list[str],
     dataset: Dataset,
@@ -236,25 +219,14 @@ def run_experiment(
     for algorithm in algorithms:
         if algorithm in SYSTEMS:
             SYSTEMS[algorithm](opts)
-    names = [algorithm for algorithm in algorithms for _ in range(runs)]
-    seeds = [derive_run_seed(base_seed, r) for _ in algorithms for r in range(1, runs + 1)]
-    columns = (names, repeat(dataset), seeds, repeat(opts))
-    workers = min(thread_cap(), len(names))
-    # Both maps return results in input order: algorithm i owns the i-th block of runs.
-    if workers > 1:
-        # Imported here so a single-process run never loads the multiprocessing stack.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute_run, *columns))
-    else:
-        outcomes = list(map(execute_run, *columns))
-
     B = budget(dataset.dimension, opts.system.budget_fraction)
     rows = []
     by_algorithm: dict[str, list[RunOutcome]] = {}
-    for i, algorithm in enumerate(algorithms):
-        results = by_algorithm[algorithm] = outcomes[i * runs:(i + 1) * runs]
+    for algorithm in algorithms:
+        results = by_algorithm[algorithm] = [
+            execute_run(algorithm, dataset, derive_run_seed(base_seed, r), opts)
+            for r in range(1, runs + 1)
+        ]
         mistake_counts = [float(o.mistakes) for o in results]
         rows.append(
             ResultRow(

@@ -13,10 +13,12 @@ from negofs.cli import (
     DEFAULT_ROSTER,
     EXIT_CONFIG,
     EXIT_DATASET,
+    ConfigError,
     ResultRow,
     RunOptions,
     build_parser,
     derive_run_seed,
+    execute_run,
     main,
     options_from,
     parse_algorithms,
@@ -25,7 +27,7 @@ from negofs.cli import (
     run_experiment,
 )
 from negofs.data import SyntheticSpec, generate_synthetic, load_sparse_text, permute
-from negofs.learners import LearnerConfig
+from negofs.learners import VARIANTS, LearnerConfig
 from negofs.negotiation import NegotiationTranscript
 from negofs.system import SystemConfig, run_moanofs
 
@@ -60,6 +62,8 @@ def test_parse_algorithms_unknown_name_lists_valid():
         parse_algorithms("single:FOO")
     assert "MOANOFS" in str(err.value)
     assert "single:PETRUN" in str(err.value)
+    with pytest.raises(ConfigError, match="^unknown algorithm 'FOO'; valid names: single:PETRUN, "):
+        parse_algorithms("MOANOFS,FOO")
 
 
 def test_parse_synthetic_requires_core_keys():
@@ -67,6 +71,12 @@ def test_parse_synthetic_requires_core_keys():
         parse_synthetic("d=10,n=100", default_seed=0)
     with pytest.raises(ValueError, match="unknown"):
         parse_synthetic("d=10,n=100,relevant=2,bogus=1", default_seed=0)
+    with pytest.raises(ConfigError, match="^synthetic spec key 'd' is given twice$"):
+        parse_synthetic("d=20,relevant=3,n=50,d=40", default_seed=0)
+    with pytest.raises(ConfigError, match="^synthetic spec entry 'seed' is not key=value$"):
+        parse_synthetic("d=10,n=100,relevant=2,,seed", default_seed=0)
+    with pytest.raises(ConfigError, match="^bad synthetic spec: invalid literal for int"):
+        parse_synthetic("d=ten,n=100,relevant=2", default_seed=0)
 
 
 def test_parse_issue_weights_must_sum_to_one():
@@ -93,6 +103,19 @@ def test_unknown_algorithm_exits_2(tmp_path, capsys):
     argv, _ = run_flags(tmp_path, algorithms="single:NOPE")
     assert main(argv) == EXIT_CONFIG
     assert "valid names" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithms, message", [
+    ("FOO", "unknown algorithm 'FOO'; valid names: "),
+    (" , ", "at least one algorithm is required"),
+    ("single:PETRUN,single:petrun", "algorithm single:PETRUN is listed twice"),
+    ("MOANOFS,single:OGD,moanofs", "algorithm MOANOFS is listed twice"),
+], ids=["unknown-system", "empty", "repeated-single", "repeated-system"])
+def test_bad_algorithm_list_fails_before_the_dataset_is_read(tmp_path, capsys,
+                                                             algorithms, message):
+    argv = ["run", "--dataset", str(tmp_path / "absent.txt"), "--algorithms", algorithms]
+    assert main(argv) == EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_missing_dataset_exits_3(tmp_path, capsys):
@@ -146,6 +169,13 @@ def test_count_flags_below_one_exit_2(capsys, command, algorithms, flag, value):
     assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
 
 
+def test_count_flag_must_be_an_integer(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--synthetic", SYNTH, "--runs", "x"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "argument --runs: invalid int value: 'x'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("algorithms, flag, value, message", [
     ("single:PETRUN,MOANOFS", "--k", "99", "k must lie in [2, 9], got 99"),
     ("single:PETRUN,MANOFS", "--epsilon", "-1", "epsilon must be positive"),
@@ -166,9 +196,15 @@ def test_count_flags_below_one_exit_2(capsys, command, algorithms, flag, value):
     ("single:OGD,MOANOFS", "--epsilon", "inf", "epsilon must be positive and finite, got inf"),
     ("single:OGD,MOANOFS", "--issue-weights", "nan,0.5,0.5",
      "issue weight trust must be finite and >= 0, got nan"),
+    ("single:OGD,MOANOFS", "--issue-weights", "0.5,0.5",
+     "--issue-weights expects three comma-separated reals"),
+    ("single:PETRUN,MANOFS", "--roster", "PETRUN,nope",
+     "unknown roster variant 'NOPE'; valid: " + ", ".join(VARIANTS)),
+    ("single:PETRUN,MANOFS", "--roster", "PETRUN,,", "the roster needs at least 2 variants"),
 ], ids=["k-moanofs", "epsilon-manofs", "epsilon-single", "calibration-single", "trust-c-single",
         "trust-c-cap", "min-utility-manofs", "min-utility-banofs", "eta-nan", "eta-inf",
-        "lambda-nan", "r-nan", "C-nan", "epsilon-nan", "epsilon-inf", "issue-weights-nan"])
+        "lambda-nan", "r-nan", "C-nan", "epsilon-nan", "epsilon-inf", "issue-weights-nan",
+        "issue-weights-two", "roster-unknown", "roster-one"])
 def test_bad_flag_fails_before_any_run(tmp_path, capsys, monkeypatch,
                                        algorithms, flag, value, message):
     ran = []
@@ -225,18 +261,6 @@ def test_dim_with_synthetic_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_thread_cap_fails_before_any_run(tmp_path, capsys, monkeypatch, value):
-    ran = []
-    monkeypatch.setattr(cli, "execute_run", lambda *args: ran.append(args))
-    monkeypatch.setenv("NEGOFS_THREADS", value)
-    argv, out = run_flags(tmp_path)
-    assert main(argv) == EXIT_CONFIG
-    assert f"NEGOFS_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
-    assert ran == []
-    assert not out.exists()
-
-
 def test_k_is_unchecked_without_moanofs(tmp_path):
     # Only MOANOFS reads --k: a two-learner MANOFS roster with the default k=3 is valid.
     argv, out = run_flags(tmp_path, algorithms="single:PETRUN,MANOFS",
@@ -286,6 +310,13 @@ def test_negative_seed_runs_every_algorithm(tmp_path):
     assert main(argv2) == 0
     assert len(out1.read_text().splitlines()) == 4
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_execute_run_rejects_an_unknown_algorithm():
+    dataset, _ = generate_synthetic(SyntheticSpec(d=10, n_samples=20, n_relevant=2))
+    opts = options_from(build_parser().parse_args(["run", "--synthetic", SYNTH]))
+    with pytest.raises(ConfigError, match="^unknown algorithm 'NOPE'$"):
+        execute_run("NOPE", dataset, 1, opts)
 
 
 def test_execute_run_records_no_transcript(monkeypatch):
@@ -352,16 +383,6 @@ def test_markdown_format_for_run(tmp_path, capsys):
     assert output.startswith("| Algorithm |")
 
 
-def test_parallel_runs_match_sequential(tmp_path, monkeypatch):
-    argv1, out1 = run_flags(tmp_path, "seq.csv", algorithms="single:PA", runs=3)
-    monkeypatch.setenv("NEGOFS_THREADS", "1")
-    assert main(argv1) == 0
-    argv2, out2 = run_flags(tmp_path, "par.csv", algorithms="single:PA", runs=3)
-    monkeypatch.setenv("NEGOFS_THREADS", "3")
-    assert main(argv2) == 0
-    assert out1.read_text() == out2.read_text()
-
-
 # -- cmd_compare -----------------------------------------------------------------------------
 
 def test_compare_row_count_and_header(tmp_path, capsys):
@@ -375,14 +396,15 @@ def test_compare_row_count_and_header(tmp_path, capsys):
 
 
 def test_compare_flags_all_tied_minimum_rows(capsys):
-    # two copies of the same algorithm tie exactly; both rows get flagged
+    # CW and SCW make the same 155 mistakes on this stream; both rows get flagged
     argv = ["compare", "--synthetic", SYNTH,
-            "--algorithms", "single:OGD,single:OGD",
+            "--algorithms", "single:CW,single:SCW,single:SOP",
             "--runs", "1", "--seed", "5", "--tmax", "5", "--no-timing"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2].startswith("| **single:OGD**")
-    assert lines[3].startswith("| **single:OGD**")
+    assert lines[2].startswith("| **single:CW** | 155.0 ")
+    assert lines[3].startswith("| **single:SCW** | 155.0 ")
+    assert lines[4].startswith("| single:SOP |")
 
 
 def test_compare_golden_bytes(tmp_path, capsys):
@@ -413,7 +435,12 @@ def test_recover_reports_precision_and_recall(tmp_path, capsys):
         fields = line.split(",")
         assert 0.0 <= float(fields[2]) <= 1.0
         assert 0.0 <= float(fields[3]) <= 1.0
-    assert "mean_recall=" in capsys.readouterr().out
+    summary = capsys.readouterr().out
+    assert summary.startswith("mean_precision=")
+    assert "mean_recall=" in summary
+    # Without --output the table and the summary both go to stdout.
+    assert main(argv[:-2]) == 0
+    assert capsys.readouterr().out == out.read_text() + summary
 
 
 def test_recover_honours_roster_and_k(tmp_path):
@@ -497,7 +524,8 @@ def test_single_process_run_loads_no_pool_modules(tmp_path):
         f"assert main({argv!r}) == 0\n"
         "print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
     )
-    env = dict(os.environ, NEGOFS_THREADS="1")
+    # A NEGOFS_THREADS above 1 must not bring a worker pool back.
+    env = dict(os.environ, NEGOFS_THREADS="3")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()

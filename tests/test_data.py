@@ -91,6 +91,20 @@ def test_duplicate_indices_rejected(tmp_path):
         load_sparse_text(write(tmp_path, "+1 2:1.0 2:3.0\n"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("+1 1:1.0\n3 2:1.0\n", "line 2: non-binary labels: unsupported label '3'"),
+    ("+1 1:1.0\n1.5 2:1.0\n", "line 2: non-binary labels: unsupported label '1.5'"),
+    ("+1 1:1.0\n-1 0:1.0\n", "line 2: feature index must be >= 1, got 0"),
+    ("", "line 1: empty dataset"),
+    ("# only a comment\n\n", "line 2: empty dataset"),
+    ("+1\n-1\n", "cannot infer a positive dimension from an all-empty file"),
+], ids=["label-3", "label-1.5", "index-0", "empty", "comments-only", "no-features"])
+def test_bad_file_message_names_the_line_where_known(tmp_path, text, message):
+    with pytest.raises(ValueError) as err:
+        load_sparse_text(write(tmp_path, text))
+    assert str(err.value) == message
+
+
 def test_comments_blank_lines_and_crlf(tmp_path):
     text = "# header comment\r\n+1 1:1.0  # trailing comment\r\n\r\n-1 2:0.5\r\n"
     ds = load_sparse_text(write(tmp_path, text))
@@ -165,6 +179,11 @@ def test_permute_singleton_is_identity():
     assert permute(1, seed=0) == [0]
 
 
+def test_permute_rejects_an_empty_dataset():
+    with pytest.raises(ValueError, match="^cannot permute an empty dataset$"):
+        permute(0, 1)
+
+
 def test_permute_deterministic():
     assert permute(50, seed=9) == permute(50, seed=9)
 
@@ -210,6 +229,19 @@ def test_budget_rejects_bad_fraction():
 
 
 # -- generate_synthetic ------------------------------------------------------------
+
+@pytest.mark.parametrize("fields, message", [
+    ({"d": 0}, "d and n_samples must be positive"),
+    ({"n_samples": 0}, "d and n_samples must be positive"),
+    ({"n_relevant": 11}, "n_relevant must lie in [1, 10], got 11"),
+    ({"density": 0.0}, "density must lie in (0, 1], got 0.0"),
+    ({"label_noise": 0.5}, "label_noise must lie in [0, 0.5), got 0.5"),
+], ids=["d", "n_samples", "n_relevant", "density", "label_noise"])
+def test_synthetic_spec_rejects_out_of_range_fields(fields, message):
+    with pytest.raises(ValueError) as err:
+        SyntheticSpec(**{"d": 10, "n_samples": 5, "n_relevant": 2, **fields})
+    assert str(err.value) == message
+
 
 def test_synthetic_noise_free_is_realizable():
     spec = SyntheticSpec(d=40, n_samples=300, n_relevant=6, density=0.25,

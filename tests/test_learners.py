@@ -59,6 +59,13 @@ def test_dimension_must_be_an_int():
         Learner(LearnerConfig("PETRUN"), 2.5, 1)
 
 
+def test_step_rejects_a_label_outside_plus_minus_one():
+    learner = make("PETRUN")
+    with pytest.raises(ValueError, match="^label must be -1 or \\+1, got 0$"):
+        learner.step(sv(5, {0: 1.0}), 0)
+    assert (learner.instances, learner.mistakes) == (0, 0)
+
+
 # -- predict ----------------------------------------------------------------------
 
 def test_zero_model_predicts_negative():

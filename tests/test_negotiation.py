@@ -94,6 +94,16 @@ def test_negotiation_config_rejects_bad_merged_budget(merged_budget):
         ncfg(merged_budget=merged_budget)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"t_max": 0}, "t_max must be >= 1"),
+    ({"conflict_rule": "median"}, "unknown conflict rule 'median'"),
+], ids=["t_max", "conflict_rule"])
+def test_negotiation_config_rejects_bad_trial_settings(setting, message):
+    with pytest.raises(ValueError) as err:
+        ncfg(**setting)
+    assert str(err.value) == message
+
+
 def test_feature_trust_starts_at_initial_and_clamps():
     ft = FeatureTrust(epsilon=1 / 3)
     assert ft.value(4) == 0.05
@@ -605,6 +615,12 @@ def test_empty_stream_rejected():
     participants = [petrun_participant(i, 4, 2) for i in range(2)]
     with pytest.raises(ValueError):
         run_negotiation(participants, [], ncfg())
+
+
+def test_one_participant_rejected():
+    stream = [(sv(4, {0: 1.0}), 1)] * 3
+    with pytest.raises(ValueError, match="^a negotiation needs at least 2 participants$"):
+        run_negotiation([petrun_participant(0, 4, 2)], stream, ncfg(merged_budget=4))
 
 
 def test_repeated_participant_ids_rejected():

@@ -77,6 +77,13 @@ def test_constructor_rejects_duplicate_indices(entries):
         sv(5, entries)
 
 
+def test_a_vector_never_equals_a_non_vector():
+    v = sv(3)
+    assert v.__eq__(0) is NotImplemented
+    assert (v == 0) is False
+    assert v != 0
+
+
 def test_vector_is_immutable():
     v = sv(3, {0: 1.0})
     with pytest.raises(AttributeError):
