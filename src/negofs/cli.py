@@ -215,10 +215,6 @@ def run_experiment(
     base_seed: int,
     opts: RunOptions,
 ) -> tuple[list[ResultRow], dict[str, list[RunOutcome]]]:
-    # Build each requested system's config once, so a bad --k fails before any run.
-    for algorithm in algorithms:
-        if algorithm in SYSTEMS:
-            SYSTEMS[algorithm](opts)
     B = budget(dataset.dimension, opts.system.budget_fraction)
     rows = []
     by_algorithm: dict[str, list[RunOutcome]] = {}
@@ -315,12 +311,16 @@ def options_from(args) -> RunOptions:
 
 
 def benchmark_options(args) -> tuple[list[str], RunOptions]:
-    """The algorithms and run template of run and compare, checked across flags."""
+    """The algorithms and run template of run and compare, checked before any data is read."""
     algorithms = parse_algorithms(args.algorithms)
     if args.conflict_rule == "min-utility" and "MOANOFS" not in algorithms:
         raise ConfigError("--conflict-rule min-utility applies to MOANOFS only; "
                           "add MOANOFS to --algorithms")
-    return algorithms, options_from(args)
+    opts = options_from(args)
+    for algorithm in algorithms:  # build each system's config once: a bad --k fails here
+        if algorithm in SYSTEMS:
+            SYSTEMS[algorithm](opts)
+    return algorithms, opts
 
 
 def cmd_run(args) -> int:
@@ -346,7 +346,7 @@ def cmd_compare(args) -> int:
 
 def cmd_recover(args) -> int:
     base_spec = parse_synthetic(args.synthetic, args.seed)
-    opts = options_from(args)
+    system = SYSTEMS["MOANOFS"](options_from(args))
 
     lines = ["run,seed,precision,recall,selected,planted"]
     precisions, recalls = [], []
@@ -354,7 +354,7 @@ def cmd_recover(args) -> int:
         seed = derive_run_seed(args.seed, r)
         spec = replace(base_spec, seed=seed)
         dataset, planted = generate_synthetic(spec)
-        report = run_moanofs(dataset, replace(SYSTEMS["MOANOFS"](opts), seed=seed))
+        report = run_moanofs(dataset, replace(system, seed=seed))
         selected = set(report.merged.indices())
         hit = len(selected & planted)
         precision = hit / len(selected) if selected else 0.0

@@ -112,7 +112,7 @@ def load_sparse_text(
     path = Path(path)
     rows: list[tuple[int, list[tuple[int, float]]]] = []
     raw_labels: set[int] = set()
-    max_index = 0
+    max_index = max_index_line = 0
     last_line_no = 0
 
     with path.open("r", encoding="utf-8") as fh:
@@ -159,7 +159,8 @@ def load_sparse_text(
                     )
                 prev_index = file_index
                 pairs.append((file_index - 1, value))
-            max_index = max(max_index, prev_index)
+            if prev_index > max_index:
+                max_index, max_index_line = prev_index, line_no
             rows.append((raw, pairs))
 
     if not rows:
@@ -167,9 +168,13 @@ def load_sparse_text(
 
     d = dimension if dimension is not None else max_index
     if d < max_index:
-        raise ValueError(f"dimension override {d} smaller than max index {max_index}")
+        raise SparseTextParseError(
+            max_index_line, f"dimension override {d} smaller than max index {max_index}"
+        )
     if d < 1:
-        raise ValueError("cannot infer a positive dimension from an all-empty file")
+        raise SparseTextParseError(
+            last_line_no, "cannot infer a positive dimension from an all-empty file"
+        )
 
     instances = [(SparseVector(d, pairs), mapping[raw]) for raw, pairs in rows]
     return Dataset(name=name or path.stem, dimension=d, instances=instances)

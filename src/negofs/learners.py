@@ -29,9 +29,8 @@ from typing import NamedTuple
 
 from .sparse import (
     SparseVector,
+    _add_cut,
     _add_project_cut,
-    _check_same_dimension,
-    _cut_in_place,
     _restrict,
     add_scaled,
     check_budget,
@@ -133,13 +132,7 @@ class Learner:
 
     def _add_step(self, base: SparseVector, coeff: float, x: SparseVector) -> None:
         """Set the weights to base + coeff*sigma*x cut to B; first-order variants keep sigma empty."""
-        _check_same_dimension(base, x)
-        sigma = self.sigma
-        out = base.to_dict()
-        get = out.get
-        for i, v in x.items():
-            out[i] = get(i, 0.0) + coeff * sigma.get(i, 1.0) * v
-        self.w = _cut_in_place(base, out, x, self.B)
+        self.w = _add_cut(base, coeff, x, self.B, self.sigma)
         self.updates += 1
 
     # -- perceptron-with-truncation family ------------------------------------

@@ -39,7 +39,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 from .learners import Learner, sign_of
 from .sparse import SparseVector, _overlay, _sorted_from_dict, check_budget, dot
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
-from .utility import DeadlineParams, IssueWeightProfile, round_domain, time_pressure
+from .utility import DeadlineParams, IssueWeightProfile, issue_badness, time_pressure
 
 INITIATOR = "init"
 EVERYONE = "*"
@@ -274,20 +274,12 @@ def offer_costs(
     contributes 0.
     """
     rates = [o.err_count / o.instances if o.instances > 0 else 0.0 for o in offers]
-    times = [o.cost_time for o in offers]
-    error_domain, time_domain = round_domain(rates), round_domain(times)
     w_trust, w_error, w_time = weights.as_tuple()
-    costs = {}
-    for o, err_rate, cost_time in zip(offers, rates, times):
-        err_bad = time_bad = 0.0
-        if error_domain is not None:
-            lo, hi = error_domain
-            err_bad = 1.0 - (hi - err_rate) / (hi - lo)
-        if time_domain is not None:
-            lo, hi = time_domain
-            time_bad = 1.0 - (hi - cost_time) / (hi - lo)
-        costs[o.participant_id] = w_trust * (1.0 - o.trust) + w_error * err_bad + w_time * time_bad
-    return costs
+    return {
+        o.participant_id: w_trust * (1.0 - o.trust) + w_error * err_bad + w_time * time_bad
+        for o, err_bad, time_bad in zip(
+            offers, issue_badness(rates), issue_badness([o.cost_time for o in offers]))
+    }
 
 
 def merge_multilateral(

@@ -10,10 +10,11 @@ the package computes from vectors it already holds skip it through the
 private helpers at the bottom of this module, which only sort the keys (or
 keep the existing order) and drop entries below ZERO_EPS. Every learner
 update's cut to its budget ends in one of them, _cut, which ranks by
-magnitude, lower index first on ties, unless the excess falls on entries the
-update itself wrote: they are then deleted from its copy. ALMA and FOFS
-step, scale into an L2 ball and cut with one copy. The plain truncation and
-projection these cuts must equal are test references in tests/dense_oracle.py.
+magnitude, lower index first on ties, unless the excess falls on entries
+the step itself wrote: _add_cut then deletes them from its copy. ALMA and
+FOFS step, scale into an L2 ball and cut with one copy. The plain truncation
+and projection these cuts must equal are test references in
+tests/dense_oracle.py.
 The merge overlays each distinct offer vector once and only re-sorts the
 result, since offered values already clear ZERO_EPS. A vector may cache a
 lower bound on its magnitudes (its floor), which scale carries over to its
@@ -239,17 +240,21 @@ def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
     return SparseVector._trusted(dimension, data)
 
 
-def _cut_in_place(
-    base: SparseVector, out: dict[int, float], x: SparseVector, B: int
+def _add_cut(
+    base: SparseVector, coeff: float, x: SparseVector, B: int, sigma: Mapping[int, float]
 ) -> SparseVector:
-    """_cut(base.dimension, out, B), cutting out itself when it can.
+    """base + coeff*sigma*x, sigma 1.0 where unstored, cut to B entries as _cut cuts.
 
-    out must be a copy of base's entries with x's indices rewritten. When the
-    entries to drop are all among those x wrote, and lie strictly below the
-    floor of base's magnitudes, they are deleted from out, which keeps base's
-    index order unless a new index survives. Otherwise out is rebuilt once,
-    at once when most of it is cut (the rebuild is then the cheaper way).
+    One copy of base takes x's writes. When the entries to drop are all among
+    them, strictly below the floor of base's magnitudes, they are deleted from
+    the copy, which keeps base's index order unless a new index survives.
+    Otherwise _cut rebuilds the copy, at once when most of it is cut.
     """
+    _check_same_dimension(base, x)
+    out = base.to_dict()
+    get = out.get
+    for i, v in x._data.items():
+        out[i] = get(i, 0.0) + coeff * sigma.get(i, 1.0) * v
     excess = len(out) - B
     if 2 * excess > len(out):
         return _cut(base.dimension, out, B)

@@ -1,10 +1,11 @@
-"""Issue weights, round domains and time pressure for scoring offers.
+"""Issue weights, issue badness and time pressure for scoring offers.
 
 Offers are judged on three issues: the proposer's trust, its error rate and
 its cost time, the seconds its learner spent stepping through its chunks
 (0.0 in an untimed run). negotiation.offer_costs scores each issue into
-[0, 1] within the round's observed range (round_domain) and sums the scores,
-weighted by an IssueWeightProfile, into a scalar cost (lower is better).
+[0, 1] within the round's observed range (issue_badness) and sums the
+scores, weighted by an IssueWeightProfile, into a scalar cost (lower is
+better).
 Time-dependent decision functions model how an initiator concedes as a
 negotiation approaches its deadline.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -69,16 +70,17 @@ class DeadlineParams:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
-def round_domain(values: Sequence[float]) -> Optional[tuple[float, float]]:
-    """The (lowest, highest) of one round's observed issue values.
+def issue_badness(values: Sequence[float]) -> list[float]:
+    """Each of one round's issue values scored within the round's range.
 
-    Returns None when all offers tie, in which case the issue is scored as
-    zero badness for everyone.
+    The lowest value scores 0 and the highest 1. When all offers tie, the
+    issue carries no information and every value scores 0.
     """
     lo, hi = min(values), max(values)
-    if hi - lo <= 0.0:
-        return None
-    return lo, hi
+    span = hi - lo
+    if span <= 0.0:
+        return [0.0] * len(values)
+    return [1.0 - (hi - v) / span for v in values]
 
 
 def time_dependent_value(t: float, p: TimeStrategyParams) -> float:

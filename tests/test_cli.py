@@ -239,6 +239,15 @@ def test_bad_dim_is_reported_before_the_dataset_is_read(tmp_path, capsys, comman
     assert f"argument --dim: must be >= 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, algorithms", [
+    ("run", "MOANOFS"), ("compare", "single:PETRUN,MOANOFS")])
+def test_bad_k_is_reported_before_the_dataset_is_read(tmp_path, capsys, command, algorithms):
+    argv = [command, "--dataset", str(tmp_path / "absent.txt"),
+            "--algorithms", algorithms, "--k", "99"]
+    assert main(argv) == EXIT_CONFIG
+    assert "error: k must lie in [2, 9], got 99" in capsys.readouterr().err
+
+
 def test_min_utility_without_moanofs_fails_before_the_dataset_is_read(tmp_path, capsys):
     argv = ["compare", "--dataset", str(tmp_path / "absent.txt"),
             "--algorithms", "single:PETRUN,MANOFS", "--conflict-rule", "min-utility"]
@@ -480,6 +489,15 @@ def test_recover_rejects_flags_it_never_reads(capsys, flag, value):
         main(argv)
     assert exit_info.value.code == EXIT_CONFIG
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_recover_checks_k_before_generating_data(capsys, monkeypatch):
+    generated = []
+    monkeypatch.setattr(cli, "generate_synthetic", lambda spec: generated.append(spec))
+    argv = ["recover", "--synthetic", "d=20,relevant=3,n=100", "--k", "99", "--runs", "1"]
+    assert main(argv) == EXIT_CONFIG
+    assert "error: k must lie in [2, 9], got 99" in capsys.readouterr().err
+    assert generated == []
 
 
 def test_recover_requires_synthetic(capsys):

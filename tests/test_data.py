@@ -91,17 +91,18 @@ def test_duplicate_indices_rejected(tmp_path):
         load_sparse_text(write(tmp_path, "+1 2:1.0 2:3.0\n"))
 
 
-@pytest.mark.parametrize("text, message", [
-    ("+1 1:1.0\n3 2:1.0\n", "line 2: non-binary labels: unsupported label '3'"),
-    ("+1 1:1.0\n1.5 2:1.0\n", "line 2: non-binary labels: unsupported label '1.5'"),
-    ("+1 1:1.0\n-1 0:1.0\n", "line 2: feature index must be >= 1, got 0"),
-    ("", "line 1: empty dataset"),
-    ("# only a comment\n\n", "line 2: empty dataset"),
-    ("+1\n-1\n", "cannot infer a positive dimension from an all-empty file"),
-], ids=["label-3", "label-1.5", "index-0", "empty", "comments-only", "no-features"])
-def test_bad_file_message_names_the_line_where_known(tmp_path, text, message):
-    with pytest.raises(ValueError) as err:
-        load_sparse_text(write(tmp_path, text))
+@pytest.mark.parametrize("text, dimension, message", [
+    ("+1 1:1.0\n3 2:1.0\n", None, "line 2: non-binary labels: unsupported label '3'"),
+    ("+1 1:1.0\n1.5 2:1.0\n", None, "line 2: non-binary labels: unsupported label '1.5'"),
+    ("+1 1:1.0\n-1 0:1.0\n", None, "line 2: feature index must be >= 1, got 0"),
+    ("", None, "line 1: empty dataset"),
+    ("# only a comment\n\n", None, "line 2: empty dataset"),
+    ("+1\n-1\n", None, "line 2: cannot infer a positive dimension from an all-empty file"),
+    ("+1 5:1.0\n-1 2:1.0\n", 3, "line 1: dimension override 3 smaller than max index 5"),
+], ids=["label-3", "label-1.5", "index-0", "empty", "comments-only", "no-features", "override"])
+def test_bad_file_message_names_the_line_where_known(tmp_path, text, dimension, message):
+    with pytest.raises(SparseTextParseError) as err:
+        load_sparse_text(write(tmp_path, text), dimension=dimension)
     assert str(err.value) == message
 
 

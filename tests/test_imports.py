@@ -3,6 +3,7 @@
 A name counts as used when the module reads it anywhere, including inside a
 string annotation such as ``x: "Dataset"``, or when the module's ``__all__``
 lists it. The package's ``__all__`` must in turn name only what it imports.
+A second check keeps SparseVector's representation inside negofs.sparse.
 """
 
 import ast
@@ -79,3 +80,28 @@ def test_package_exports_only_what_it_imports():
     assert exported
     assert len(set(exported)) == len(exported)
     assert sorted(set(exported) - set(imported_names(tree))) == []
+
+
+# SparseVector's storage, its cached floor and its unchecked constructor.
+REPRESENTATION = {"_data", "_floor", "_trusted"}
+
+
+def representation_reads(source: str) -> list[str]:
+    """Each attribute access to SparseVector's representation, with its line."""
+    return [f"line {node.lineno}: .{node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in REPRESENTATION]
+
+
+def test_representation_checker_finds_reads_and_calls():
+    source = (
+        "def f(w, d):\n"
+        "    n = len(w._data)\n"
+        "    return SparseVector._trusted(3, d, w._floor), w.data\n"
+    )
+    assert representation_reads(source) == [
+        "line 2: ._data", "line 3: ._trusted", "line 3: ._floor"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "sparse.py"])
+def test_only_sparse_touches_the_vector_representation(module):
+    assert representation_reads((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -15,9 +15,9 @@ from negofs.sparse import (
     ZERO_EPS,
     DimensionMismatchError,
     SparseVector,
+    _add_cut,
     _add_project_cut,
     _cut,
-    _cut_in_place,
     _overlay,
     add_scaled,
     check_budget,
@@ -387,11 +387,11 @@ def test_cut_equals_truncate_of_the_scaled_rebuild(out, B, c):
     assert_floor_holds(got)
 
 
-def _updated(w, s, x):
-    """w's entries with x's indices rewritten to w_i + s*x_i, as a learner update builds them."""
+def _updated(w, s, x, sigma):
+    """w's entries with x's indices rewritten to w_i + s*sigma_i*x_i, sigma_i 1.0 where unstored."""
     out = w.to_dict()
     for i, v in x.items():
-        out[i] = out.get(i, 0.0) + s * v
+        out[i] = out.get(i, 0.0) + s * sigma.get(i, 1.0) * v
     return out
 
 
@@ -410,24 +410,45 @@ _STEP_SCALES = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 1e-16]),
                          st.floats(-3, 3, allow_nan=False))
 
 
-@given(st.data())
-@settings(max_examples=500)
-def test_in_place_cut_equals_the_rebuild(data):
-    # Chained updates carry each result's floor into the next; the first base
-    # may exceed the budget, as the merged vector does right after a broadcast.
+# Second-order scales are positive; tiny ones land x's writes below ZERO_EPS.
+_SIGMAS = st.dictionaries(
+    st.integers(0, 11),
+    st.one_of(st.floats(0.0, 2.0, exclude_min=True), st.sampled_from([1e-16, 0.5, 1.0])),
+    max_size=12,
+)
+
+
+def check_chained_add_cuts(data, sigmas):
+    """_add_cut against the truncated rebuild, over a chain of updates.
+
+    Chained updates carry each result's floor into the next; the first base
+    may exceed the budget, as the merged vector does right after a broadcast.
+    """
     d = 12
     entries = st.dictionaries(st.integers(0, d - 1), _STEP_VALUES, max_size=d)
     B = data.draw(st.integers(1, d))
     w = sv(d, data.draw(entries))
     for _ in range(data.draw(st.integers(1, 6))):
         x = sv(d, data.draw(entries))
-        out = _updated(w, data.draw(_STEP_SCALES), x)
-        expected = truncate_reference(sparse_reference(out), B)
-        got = _cut_in_place(w, out, x, B)
+        s, sigma = data.draw(_STEP_SCALES), data.draw(sigmas)
+        expected = truncate_reference(sparse_reference(_updated(w, s, x, sigma)), B)
+        got = _add_cut(w, s, x, B, sigma)
         assert got.to_dict() == expected
         assert list(got.items()) == list(expected.items())
         assert_floor_holds(got)
         w = got
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_in_place_cut_equals_the_rebuild(data):
+    check_chained_add_cuts(data, st.just({}))
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_second_order_add_cut_equals_the_rebuild(data):
+    check_chained_add_cuts(data, _SIGMAS)
 
 
 @pytest.mark.parametrize("w, x, B, expected, in_place", [
@@ -436,19 +457,20 @@ def test_in_place_cut_equals_the_rebuild(data):
     # x's write ties the floor at a lower index, so the base entry goes: rebuilt.
     ({3: 2.0, 5: 1.0}, {0: 1.0}, 2, {0: 1.0, 3: 2.0}, False),
 ])
-def test_in_place_cut_only_when_it_is_exact(w, x, B, expected, in_place):
-    w, x = sv(10, w), sv(10, x)
-    out = _updated(w, 1.0, x)
-    got = _cut_in_place(w, out, x, B)
+def test_in_place_cut_only_when_it_is_exact(w, x, B, expected, in_place, monkeypatch):
+    # The copy is internal to _add_cut; an in-place cut is one that never calls _cut.
+    rebuilds = []
+    monkeypatch.setattr("negofs.sparse._cut", lambda *args: rebuilds.append(args) or _cut(*args))
+    got = _add_cut(sv(10, w), 1.0, sv(10, x), B, {})
     assert list(got.items()) == sorted(expected.items())
-    assert (got._data is out) == in_place
+    assert (rebuilds == []) == in_place
     assert_floor_holds(got)
 
 
 def test_a_cached_floor_is_invisible():
     w = sv(10, {0: 3.0, 1: 2.0, 5: 1.0, 8: -0.5})
     x = sv(10, {5: 0.25, 6: 1.5})
-    got = _cut_in_place(w, _updated(w, 1.0, x), x, 3)
+    got = _add_cut(w, 1.0, x, 3, {})
     assert got._floor is not None
     fresh = sv(10, got.to_dict())
     assert fresh._floor is None

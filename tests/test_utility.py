@@ -16,7 +16,7 @@ from negofs.utility import (
     DeadlineParams,
     IssueWeightProfile,
     TimeStrategyParams,
-    round_domain,
+    issue_badness,
     time_dependent_value,
     time_pressure,
 )
@@ -133,9 +133,9 @@ def test_offer_cost_in_unit_interval_fuzz():
             assert 0.0 <= cost <= 1.0 + 1e-12
 
 
-def test_round_domain_degenerates_to_none_on_ties():
-    assert round_domain([1.0, 1.0, 1.0]) is None
-    assert round_domain([1.0, 3.0]) == (1.0, 3.0)
+def test_issue_badness_is_zero_on_ties():
+    assert issue_badness([1.0, 1.0, 1.0]) == [0.0, 0.0, 0.0]
+    assert issue_badness([1.0, 3.0, 2.0]) == [0.0, 1.0, 0.5]
 
 
 def test_argmin_invariant_under_time_rescaling():
