@@ -429,6 +429,15 @@ def test_compare_golden_bytes(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / "compare.csv").read_bytes()
 
 
+def test_run_golden_bytes(capsys):
+    # The console-script argv CI diffs; BANOFS is the only golden run of RAND.
+    argv = ["run", "--synthetic", "d=20,relevant=3,n=100,seed=1",
+            "--algorithms", "single:PETRUN,BANOFS,MOANOFS",
+            "--runs", "1", "--tmax", "5", "--no-timing"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "run.csv").read_text(encoding="utf-8")
+
+
 # -- cmd_recover -------------------------------------------------------------------------------
 
 def test_recover_reports_precision_and_recall(tmp_path, capsys):

@@ -338,6 +338,28 @@ def test_run_bytes_are_pinned(rule, k, t_max, data, epsilon, expected):
     assert digest.hexdigest() == expected
 
 
+def test_rand_bytes_are_pinned():
+    # RAND runs in no golden file and no other pin: a BANOFS report (PETRUN
+    # against RAND) and one RAND learner's final weights, mistakes and updates.
+    # A different hash means RAND's step, its mask or its draws changed.
+    ds, _ = small_dataset(**WIDE)
+    cfg = SystemConfig(roster=roster("PETRUN", "RAND"), k=2, t_max=50, budget_fraction=0.5,
+                       seed=8, measure_time=False)
+    report = run_moanofs(ds, cfg)
+    banofs = repr((sorted(report.merged.items()), report.system_mistakes,
+                   [(lr.learner_id, lr.mistakes) for lr in report.per_learner]))
+    assert hashlib.sha256(banofs.encode()).hexdigest() == (
+        "ae41d14a5f62465710c6590fbe532bdfa624cc8501d4b29b7245c75b05ca3756")
+
+    ds, _ = small_dataset(**NARROW)
+    learner = Learner(LearnerConfig("RAND"), ds.dimension, budget(ds.dimension, 0.5), seed=8)
+    for x, y in stream_of(ds, permute(ds, 8)):
+        learner.step(x, y)
+    single = repr((list(learner.w.items()), learner.mistakes, learner.updates))
+    assert hashlib.sha256(single.encode()).hexdigest() == (
+        "624df17f9201fc21388d9528abd95710cf2fcc9812d014286a36b5619076c839")
+
+
 def test_moanofs_trust_feeds_offers():
     ds, _ = small_dataset(seed=11)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=2, t_max=4, seed=2,
