@@ -13,7 +13,7 @@ from .negotiation import (
     merge_multilateral,
     run_negotiation,
 )
-from .sparse import SparseVector, add_scaled, dot
+from .sparse import SparseVector, dot
 from .system import RunReport, SystemConfig, elect_trustful, run_moanofs
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
 from .utility import (
@@ -33,7 +33,7 @@ __all__ = [
     "FeatureTrust", "MIN_ERROR", "MIN_UTILITY", "NegotiationConfig",
     "NegotiationTranscript", "Offer", "Participant",
     "merge_multilateral", "run_negotiation",
-    "SparseVector", "add_scaled", "dot",
+    "SparseVector", "dot",
     "RunReport", "SystemConfig", "elect_trustful", "run_moanofs",
     "TrustParams", "TrustState", "direct_trust", "satisfaction_of_window", "update_trust",
     "DeadlineParams", "IssueWeightProfile", "TimeStrategyParams",

@@ -190,9 +190,9 @@ def save_sparse_text(dataset: Dataset, path: Union[str, Path]) -> None:
             fh.write(" ".join(parts) + "\n")
 
 
-def permute(dataset_or_size: Union[Dataset, int], seed: int) -> list[int]:
+def permute(dataset: Dataset, seed: int) -> list[int]:
     """Uniformly random instance ordering from a seeded generator."""
-    n = dataset_or_size if isinstance(dataset_or_size, int) else len(dataset_or_size)
+    n = len(dataset)
     if n <= 0:
         raise ValueError("cannot permute an empty dataset")
     order = list(range(n))

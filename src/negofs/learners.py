@@ -32,7 +32,6 @@ from .sparse import (
     _add_cut,
     _add_project_cut,
     _restrict,
-    add_scaled,
     check_budget,
     dot,
     scale,
@@ -100,12 +99,6 @@ class Learner:
         self._phi = NormalDist().inv_cdf(config.confidence)
         self._update_variant = getattr(self, f"_update_{config.variant.lower()}")
 
-    # -- prediction ---------------------------------------------------------
-
-    def predict(self, x: SparseVector) -> Prediction:
-        margin = dot(self.w, x)
-        return Prediction(sign_of(margin), margin)
-
     @property
     def error_rate(self) -> float:
         return self.mistakes / self.instances if self.instances else 0.0
@@ -143,11 +136,11 @@ class Learner:
 
     def _update_rand(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin <= 0:
-            w_hat = add_scaled(self.w, float(y), x)
             perm = list(range(self.dimension))
             self.rng.shuffle(perm)
             keep = set(perm[: self.B])
-            self.w = _restrict(w_hat, keep)
+            # With B = d, _add_cut never cuts: the random mask alone selects.
+            self.w = _restrict(_add_cut(self.w, float(y), x, self.dimension, self.sigma), keep)
             self.updates += 1
 
     def _update_fofs(self, x: SparseVector, y: int, margin: float) -> None:

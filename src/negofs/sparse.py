@@ -95,12 +95,6 @@ class SparseVector:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, index: int) -> bool:
-        return index in self._data
-
-    def get(self, index: int, default: float = 0.0) -> float:
-        return self._data.get(index, default)
-
     def items(self) -> Iterator[tuple[int, float]]:
         """Yield (index, value) pairs in ascending index order."""
         return iter(self._data.items())
@@ -174,19 +168,6 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def add_scaled(w: SparseVector, s: float, x: SparseVector) -> SparseVector:
-    """Return w + s*x. Entries that cancel to (near) zero are dropped."""
-    _check_same_dimension(w, x)
-    _check_finite("s", s)
-    if s == 0.0 or len(x) == 0:
-        return w
-    out = w.to_dict()
-    get = out.get
-    for i, v in x._data.items():
-        out[i] = get(i, 0.0) + s * v
-    return _from_dict(w.dimension, out)
-
-
 def scale(w: SparseVector, s: float) -> SparseVector:
     """Return s*w."""
     _check_finite("s", s)
@@ -202,13 +183,6 @@ def scale(w: SparseVector, s: float) -> SparseVector:
 
 
 # -- construction from data the package built itself --------------------------
-
-def _from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
-    """Wrap a dict of in-range int indices: sort its keys, drop |v| < ZERO_EPS."""
-    return SparseVector._trusted(
-        dimension, {i: v for i in sorted(out) if abs(v := out[i]) >= ZERO_EPS}
-    )
-
 
 def _sorted_from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
     """Wrap a dict of in-range int indices whose values all have |v| >= ZERO_EPS."""

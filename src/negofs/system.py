@@ -114,7 +114,7 @@ def calibrate(
     stream: Sequence[Instance],
     trust_params: TrustParams,
     window: int,
-    measure_time: bool = True,
+    measure_time: bool,
 ) -> None:
     """Run each participant's learner over a calibration stream, scoring its trust per window."""
     for p in participants:

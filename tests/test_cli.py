@@ -291,11 +291,11 @@ def test_single_petrun_matches_hand_trace(tmp_path):
     assert main(argv) == 0
 
     ds = load_sparse_text(data)
-    order = permute(len(ds), derive_run_seed(5, 1))
+    order = permute(ds, derive_run_seed(5, 1))
     oracle = DenseLearner("PETRUN", ds.dimension, B=1)
     for idx in order:
         x, y = ds.instances[idx]
-        oracle.step([x.get(i) for i in range(ds.dimension)], y)
+        oracle.step([x.to_dict().get(i, 0.0) for i in range(ds.dimension)], y)
 
     row = out.read_text().splitlines()[1].split(",")
     assert row[0] == "single:PETRUN"

@@ -176,28 +176,34 @@ def test_save_load_round_trip_and_bad_value_names_its_line(tmp_path_factory, ds,
 
 # -- permute -------------------------------------------------------------------
 
+def sized(n):
+    """A dataset of n instances; permute reads only its length."""
+    return Dataset("sized", 1, [(SparseVector(1, {0: 1.0}), 1)] * n)
+
+
 def test_permute_singleton_is_identity():
-    assert permute(1, seed=0) == [0]
+    assert permute(sized(1), seed=0) == [0]
 
 
 def test_permute_rejects_an_empty_dataset():
     with pytest.raises(ValueError, match="^cannot permute an empty dataset$"):
-        permute(0, 1)
+        permute(sized(0), 1)
 
 
 def test_permute_deterministic():
-    assert permute(50, seed=9) == permute(50, seed=9)
+    assert permute(sized(50), seed=9) == permute(sized(50), seed=9)
 
 
 def test_permute_is_bijective():
-    order = permute(100, seed=4)
+    order = permute(sized(100), seed=4)
     assert sorted(order) == list(range(100))
 
 
 def test_permute_uniformity_over_seeds():
     # 1000 fixed seeds over the 120 orderings of 5 items; each cell must sit
     # within 1/120 +- 3 sigma of the multinomial count (bound precomputed).
-    counts = Counter(tuple(permute(5, seed=s)) for s in range(1000))
+    five = sized(5)
+    counts = Counter(tuple(permute(five, seed=s)) for s in range(1000))
     expected = 1000 / 120
     sigma = (1000 * (1 / 120) * (119 / 120)) ** 0.5
     assert len(counts) == 120

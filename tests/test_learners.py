@@ -66,23 +66,23 @@ def test_step_rejects_a_label_outside_plus_minus_one():
     assert (learner.instances, learner.mistakes) == (0, 0)
 
 
-# -- predict ----------------------------------------------------------------------
+# -- predict: step returns the prediction made before its update ---------------------
 
 def test_zero_model_predicts_negative():
     learner = make("PETRUN")
-    assert learner.predict(sv(5, {0: 3.0})) == Prediction(-1, 0.0)
+    assert learner.step(sv(5, {0: 3.0}), 1) == Prediction(-1, 0.0)
 
 
 def test_positive_margin_predicts_positive():
     learner = make("PETRUN")
     learner.w = sv(5, {0: 1.0})
-    assert learner.predict(sv(5, {0: 2.0})) == Prediction(1, 2.0)
+    assert learner.step(sv(5, {0: 2.0}), 1) == Prediction(1, 2.0)
 
 
 def test_predict_hand_dot():
     learner = make("PETRUN")
     learner.w = sv(5, {0: 0.5, 2: -0.9})
-    pred = learner.predict(sv(5, {0: 2.0, 2: 1.0}))
+    pred = learner.step(sv(5, {0: 2.0, 2: 1.0}), 1)
     assert pred.sign == 1
     assert pred.margin == pytest.approx(0.1)
 
@@ -239,7 +239,7 @@ def test_arow_two_step_hand_trace():
     learner.step(x, 1)
     learner.step(x, 1)
     # second step: v=0.5, beta=2/3, loss=0.5, alpha=1/3, w=0.5+1/6, sigma=0.5-1/6
-    assert learner.w.get(0) == pytest.approx(2 / 3, abs=1e-12)
+    assert learner.w.to_dict().get(0, 0.0) == pytest.approx(2 / 3, abs=1e-12)
     assert learner.sigma[0] == pytest.approx(1 / 3, abs=1e-12)
 
 
@@ -311,7 +311,7 @@ def test_flipped_labels_match_reference_simulation():
         margin = sum(planted.get(i, 0.0) * v for i, v in x.items())
         y = -1 if margin > 0 else 1  # flipped labels
         learner.step(x, y)
-        oracle.step([x.get(i) for i in range(d)], y)
+        oracle.step([x.to_dict().get(i, 0.0) for i in range(d)], y)
     assert learner.mistakes == oracle.mistakes
     assert learner.mistakes > 50
 
@@ -388,8 +388,8 @@ def test_dense_oracle_equivalence_all_variants():
             for _ in range(steps):
                 x, y = random_instance(stream_rng, d, max_nnz=5)
                 learner.step(x, y)
-                oracle.step([x.get(i) for i in range(d)], y)
+                oracle.step([x.to_dict().get(i, 0.0) for i in range(d)], y)
             assert learner.mistakes == oracle.mistakes, variant
             for i in range(d):
-                assert learner.w.get(i) == pytest.approx(oracle.w[i], abs=1e-10), (
+                assert learner.w.to_dict().get(i, 0.0) == pytest.approx(oracle.w[i], abs=1e-10), (
                     variant, i)

@@ -183,7 +183,7 @@ def test_multilateral_unselected_feature_stays_zero():
         [offer(0, {0: 1.0}), offer(1, {1: 1.0}), offer(2, {0: 0.5})],
         ft, ncfg(),
     )
-    assert merged.get(5) == 0.0
+    assert merged.to_dict().get(5, 0.0) == 0.0
     assert ft.value(5) == 0.05  # untouched
 
 
@@ -193,7 +193,7 @@ def test_multilateral_single_selector_keeps_weight_and_bumps_tf():
         [offer(0, {0: 1.0}), offer(1, {1: 1.0}), offer(2, {2: 0.7})],
         ft, ncfg(),
     )
-    assert merged.get(2) == 0.7
+    assert merged.to_dict().get(2, 0.0) == 0.7
     assert ft.value(2) == pytest.approx(0.05 + 1 / 3)
 
 
@@ -235,7 +235,7 @@ def test_multilateral_min_utility_conflict_rule():
     costs = offer_costs([cheap, costly], cfg.issue_weights)
     merged, _ = merge_multilateral([cheap, costly], FeatureTrust(0.5), cfg)
     winner = min(costs, key=lambda pid: (costs[pid], pid))
-    assert merged.get(0) == (0.4 if winner == 0 else -0.6)
+    assert merged.to_dict().get(0, 0.0) == (0.4 if winner == 0 else -0.6)
 
 
 def test_merge_matches_per_feature_reference():
@@ -261,17 +261,18 @@ def test_merge_matches_per_feature_reference():
             else:
                 key = {o.participant_id: o.err_count for o in offers}
             dense = merge_offers_reference(
-                [(o.participant_id, [o.w.get(i) for i in range(d)], o.err_count)
+                [(o.participant_id, [o.w.to_dict().get(i, 0.0) for i in range(d)], o.err_count)
                  for o in offers],
                 conflict_key=key.__getitem__,
             )
             # Trust after this merge: the initial value plus epsilon per selection.
-            trust = [min(1.0, FeatureTrust.INITIAL + (1 / n_offers) * sum(i in o.w for o in offers))
+            trust = [min(1.0, FeatureTrust.INITIAL
+                         + (1 / n_offers) * sum(i in o.w.to_dict() for o in offers))
                      for i in range(d)]
             ranked = sorted((i for i in range(d) if dense[i] != 0.0),
                             key=lambda i: (-trust[i], -abs(dense[i]), i))
             kept = set(ranked[:merged_budget])
-            assert [merged.get(i) for i in range(d)] == [
+            assert [merged.to_dict().get(i, 0.0) for i in range(d)] == [
                 dense[i] if i in kept else 0.0 for i in range(d)]
 
 
@@ -305,7 +306,7 @@ def test_merges_across_rounds_match_a_reference_that_carries_trust():
                     else:
                         key = {o.participant_id: o.err_count for o in offers}
                     dense = merge_offers_reference(
-                        [(o.participant_id, [o.w.get(i) for i in range(d)], o.err_count)
+                        [(o.participant_id, [o.w.to_dict().get(i, 0.0) for i in range(d)], o.err_count)
                          for o in offers],
                         conflict_key=key.__getitem__,
                     )
@@ -315,7 +316,7 @@ def test_merges_across_rounds_match_a_reference_that_carries_trust():
                         trust[i] = min(1.0, trust.get(i, FeatureTrust.INITIAL) + epsilon * count)
                     ranked = sorted(union, key=lambda i: (-trust[i], -abs(dense[i]), i))
                     kept = set(ranked[:cfg.merged_budget])
-                    assert [merged.get(i) for i in range(d)] == [
+                    assert [merged.to_dict().get(i, 0.0) for i in range(d)] == [
                         dense[i] if i in kept else 0.0 for i in range(d)]
                     assert [feature_trust.value(i) for i in range(d)] == [
                         trust.get(i, FeatureTrust.INITIAL) for i in range(d)]
@@ -434,10 +435,10 @@ def test_n2_reduces_to_bilateral_merge_each_trial():
         assert len(offers) == 2 and accepted == offers
         errors = {o.participant_id: o.err_count for o in offers}
         expected = merge_offers_reference(
-            [(o.participant_id, [o.w.get(i) for i in range(d)], o.err_count) for o in offers],
+            [(o.participant_id, [o.w.to_dict().get(i, 0.0) for i in range(d)], o.err_count) for o in offers],
             conflict_key=errors.__getitem__,
         )
-        assert [round_merged.get(i) for i in range(d)] == expected
+        assert [round_merged.to_dict().get(i, 0.0) for i in range(d)] == expected
     assert merged == merges[-1][2]
 
 
@@ -469,7 +470,7 @@ def test_three_petrun_trace_matches_independent_simulation():
         chunk = stream[trial * 3: (trial + 1) * 3]
         for li in range(3):
             for x, y in chunk:
-                xs = [x.get(i) for i in range(d)]
+                xs = [x.to_dict().get(i, 0.0) for i in range(d)]
                 margin = sum(w * v for w, v in zip(weights[li], xs))
                 if (1 if margin > 0 else -1) != y:
                     errors[li] += 1
@@ -482,7 +483,7 @@ def test_three_petrun_trace_matches_independent_simulation():
         )
         weights = [list(merged_ref) for _ in range(3)]
 
-    assert [merged.get(i) for i in range(d)] == pytest.approx(merged_ref, abs=1e-12)
+    assert [merged.to_dict().get(i, 0.0) for i in range(d)] == pytest.approx(merged_ref, abs=1e-12)
     assert [p.learner.mistakes for p in participants] == errors
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -19,7 +20,6 @@ from negofs.sparse import (
     _add_project_cut,
     _cut,
     _overlay,
-    add_scaled,
     check_budget,
     dot,
     scale,
@@ -150,31 +150,31 @@ def test_dot_symmetric_and_linear(d, data):
     c = sv(d, data.draw(entries))
     alpha = data.draw(st.floats(-3, 3, allow_nan=False))
     assert dot(a, b) == pytest.approx(dot(b, a), abs=1e-9)
-    lhs = dot(add_scaled(a, alpha, c), b)
+    lhs = dot(_add_cut(a, alpha, c, d, {}), b)
     rhs = dot(a, b) + alpha * dot(c, b)
     assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
-# -- add_scaled -------------------------------------------------------------------
+# -- the step with no cut: _add_cut with B = d, as RAND calls it ------------------------
 
-def test_add_scaled_to_zero_vector():
-    assert add_scaled(sv(3), 1.0, sv(3, {0: 1.0})) == sv(3, {0: 1.0})
+def test_add_cut_to_zero_vector():
+    assert _add_cut(sv(3), 1.0, sv(3, {0: 1.0}), 3, {}) == sv(3, {0: 1.0})
 
 
-def test_add_scaled_exact_cancellation_drops_entry():
-    out = add_scaled(sv(3, {0: 1.0}), -1.0, sv(3, {0: 1.0}))
+def test_add_cut_exact_cancellation_drops_entry():
+    out = _add_cut(sv(3, {0: 1.0}), -1.0, sv(3, {0: 1.0}), 3, {})
     assert out == sv(3)
     assert len(out) == 0
 
 
-def test_add_scaled_hand_arithmetic():
-    out = add_scaled(sv(3, {0: 1.0}), 0.5, sv(3, {0: 1.0, 1: 2.0}))
+def test_add_cut_hand_arithmetic():
+    out = _add_cut(sv(3, {0: 1.0}), 0.5, sv(3, {0: 1.0, 1: 2.0}), 3, {})
     assert out == sv(3, {0: 1.5, 1: 1.0})
 
 
-def test_add_scaled_dimension_mismatch():
+def test_add_cut_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        add_scaled(sv(2), 1.0, sv(3, {0: 1.0}))
+        _add_cut(sv(2), 1.0, sv(3, {0: 1.0}), 2, {})
 
 
 # -- the budget cut: _cut against the oracle's truncation ------------------------------
@@ -225,7 +225,7 @@ def test_truncate_is_optimal_and_idempotent(d, data):
     assert kept_mass == pytest.approx(sum(best), rel=1e-12, abs=1e-12)
     # kept entries keep their original values
     for i, v in out.items():
-        assert w.get(i) == v
+        assert w.to_dict().get(i, 0.0) == v
 
 
 # -- the L2-ball projection: _add_project_cut with no step and no cut ----------------
@@ -261,13 +261,8 @@ def test_project_rejects_nonpositive_lambda():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_vector_arithmetic_rejects_non_finite_scalars(bad):
-    w, x = sv(3, {0: 1.0, 1: 2.0}), sv(3, {1: 1.0, 2: -1.0})
     with pytest.raises(ValueError, match="s must be finite"):
-        add_scaled(w, bad, x)
-    with pytest.raises(ValueError, match="s must be finite"):
-        add_scaled(w, bad, sv(3))
-    with pytest.raises(ValueError, match="s must be finite"):
-        scale(w, bad)
+        scale(sv(3, {0: 1.0, 1: 2.0}), bad)
 
 
 def test_project_norm_bound_randomized():
@@ -330,7 +325,7 @@ def test_trusted_results_equal_the_public_constructor(d, data):
     x = sv(d, data.draw(entries))
     s = data.draw(st.one_of(st.sampled_from([-1.0, 0.5, 1e-15, 0.0]),
                             st.floats(-3, 3, allow_nan=False)))
-    assert_same_vector(add_scaled(w, s, x))
+    assert_same_vector(_add_cut(w, s, x, d, {}))
     assert_same_vector(scale(w, s))
     assert_same_vector(cut(w, data.draw(st.integers(1, d))))
     assert_same_vector(project(w, data.draw(st.floats(0.01, 100))))
@@ -477,6 +472,7 @@ def test_a_cached_floor_is_invisible():
     assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
     assert pickle.dumps(got) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(got)) == got
+    assert copy.copy(got) == got and copy.deepcopy(got) == got
 
 
 _FACTORS = st.one_of(
@@ -506,8 +502,9 @@ def test_scale_carries_a_floor_that_bounds_every_magnitude(entries, s, known):
 
 
 def _three_steps(w, s, x, B, lam):
-    """An ALMA or FOFS update: add_scaled, then project into the L2 ball, then truncate."""
-    return truncate_reference(project_l2_ball_reference(add_scaled(w, s, x).to_dict(), lam), B)
+    """An ALMA or FOFS update: add s*x, then project into the L2 ball, then truncate."""
+    summed = sparse_reference(_updated(w, s, x, {}))
+    return truncate_reference(project_l2_ball_reference(summed, lam), B)
 
 
 _LAMS = st.one_of(st.just(1.0), st.floats(0.0, 1e3, exclude_min=True))

@@ -120,16 +120,15 @@ def test_label_flipped_learner_gets_lowest_trust_and_loses_election():
     window = 16
 
     clean = [participant(i, ds.dimension) for i in range(2)]
-    calibrate(clean, stream, params, window=window)
+    calibrate(clean, stream, params, window=window, measure_time=True)
 
     from negofs.trust import update_trust
     flipped = Learner(LearnerConfig("PETRUN"), ds.dimension, 6)
     flipped_state = TrustState()
     correct = 0
     for i, (x, y) in enumerate(stream, 1):
-        pred = flipped.predict(x)
+        pred = flipped.step(x, -y)
         correct += pred.sign == y
-        flipped.step(x, -y, margin=pred.margin)
         if i % window == 0:
             flipped_state = update_trust(flipped_state, correct / window, params)
             correct = 0
@@ -152,8 +151,8 @@ def test_noise_learner_never_displaces_clean_ones():
 
         clean = [participant(i, ds.dimension, v) for i, v in enumerate(("PETRUN", "OGD", "PA"))]
         noisy = participant(3, ds.dimension)
-        calibrate(clean, stream, params, window=16)
-        calibrate([noisy], noise_stream, params, window=16)
+        calibrate(clean, stream, params, window=16, measure_time=True)
+        calibrate([noisy], noise_stream, params, window=16, measure_time=True)
         assert 3 not in ids(elect_trustful(clean + [noisy], k=3)), f"rep {rep}"
 
 
