@@ -4,6 +4,12 @@ The on-disk format is the common sparse text layout: one instance per line,
 a label token followed by whitespace-separated ``index:value`` pairs with
 1-based ascending indices. Internally everything is 0-based; this module is
 the only place that conversion happens.
+
+The synthetic generator makes random.Random's sample, choice and gauss draws,
+in their order, straight from getrandbits, random and math's log, sqrt, cos and
+sin (Box-Muller pairs, the spare kept across instances as gauss_next keeps it),
+so its bytes depend on MT19937 and libm alone. It alone skips the validating
+constructor, through sparse._from_ascending: its indices are drawn sorted and unique.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
-from .sparse import SparseVector
+from .sparse import SparseVector, _from_ascending
 
 Instance = tuple[SparseVector, int]
 
@@ -59,6 +65,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "n_samples", "n_relevant", "seed"):
+            if type(getattr(self, name)) is not int:  # a float or a bool is refused
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.d <= 0 or self.n_samples <= 0:
             raise ValueError("d and n_samples must be positive")
         if not 1 <= self.n_relevant <= self.d:
@@ -207,6 +216,29 @@ def budget(dimension: int, fraction: float) -> int:
     return max(1, math.floor(fraction * dimension + 0.5))
 
 
+def _sample(getrandbits, n: int, k: int) -> list[int]:
+    """sorted(rng.sample(range(n), k)) from the same getrandbits words: a pool
+    swap up to CPython's setsize, redrawn repeats above it, _randbelow's rejections."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            pool[j], pool[m - 1] = pool[m - 1], pool[j]
+        return sorted(pool[n - k:])
+    bits, picked = n.bit_length(), set()
+    while len(picked) < k:
+        j = getrandbits(bits)
+        if j < n:
+            picked.add(j)
+    return sorted(picked)
+
+
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, frozenset[int]]:
     """Draw a stream labelled by a planted ±1 sparse model.
 
@@ -217,24 +249,33 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, frozenset[int]]:
     planted support for recovery scoring.
     """
     rng = random.Random(spec.seed)
-    planted_indices = sorted(rng.sample(range(spec.d), spec.n_relevant))
-    planted = {i: float(rng.choice((-1, 1))) for i in planted_indices}
-
+    getrandbits, uniform = rng.getrandbits, rng.random
+    log, sqrt, cos, sin, tau = math.log, math.sqrt, math.cos, math.sin, math.tau
+    # choice((-1, 1)) is one _randbelow(2), which a 1-sample of range(2) draws too.
+    planted = {i: (-1.0, 1.0)[_sample(getrandbits, 2, 1)[0]]
+               for i in _sample(getrandbits, spec.d, spec.n_relevant)}
     nnz = max(1, math.floor(spec.density * spec.d + 0.5))
     instances: list[Instance] = []
+    spare = None  # gauss's second Box-Muller value, kept for the next call
     for _ in range(spec.n_samples):
-        idx = sorted(rng.sample(range(spec.d), nnz))
-        pairs = [(i, rng.gauss(0.0, 1.0)) for i in idx]
-        margin = 0.0
-        for i, v in pairs:
-            margin += planted.get(i, 0.0) * v
+        idx = _sample(getrandbits, spec.d, nnz)
+        values = [] if spare is None else [spare]
+        while len(values) < nnz:
+            x2pi = uniform() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+            values += (cos(x2pi) * g2rad, sin(x2pi) * g2rad)
+        spare = values.pop() if len(values) > nnz else None
+        margin = 0.0  # unplanted coordinates add 0.0, which leaves the sum unchanged
+        for i, v in zip(idx, values):
+            if i in planted:
+                margin += planted[i] * v
         y = 1 if margin > 0 else -1
-        if spec.label_noise > 0 and rng.random() < spec.label_noise:
+        if spec.label_noise > 0 and uniform() < spec.label_noise:
             y = -y
-        instances.append((SparseVector(spec.d, pairs), y))
+        instances.append((_from_ascending(spec.d, idx, values), y))
 
     name = f"synthetic-d{spec.d}-r{spec.n_relevant}-s{spec.seed}"
-    return Dataset(name, spec.d, instances), frozenset(planted_indices)
+    return Dataset(name, spec.d, instances), frozenset(planted)
 
 
 def stream_of(dataset: Dataset, order: Sequence[int]) -> list[Instance]:

@@ -6,9 +6,9 @@ be shared freely between learners after a broadcast.
 
 The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-integer or repeated indices and non-finite values. Vectors
-the package computes from vectors it already holds skip it through the
-private helpers at the bottom of this module, which only sort the keys (or
-keep the existing order) and drop entries below ZERO_EPS. Every learner
+the package computes or draws itself skip it through the private helpers at
+the bottom of this module, which only sort the keys (or keep the existing
+order) and drop entries below ZERO_EPS. Every learner
 update's cut to its budget ends in one of them, _cut, which ranks by
 magnitude, lower index first on ties, unless the excess falls on entries
 the step itself wrote: _add_cut then deletes them from its copy. ALMA and
@@ -106,7 +106,7 @@ class SparseVector:
         return dict(self._data)
 
     def norm_l2(self) -> float:
-        return math.sqrt(self.norm_l2_sq())
+        return _root(self.norm_l2_sq(), self._data.values())
 
     def norm_l2_sq(self) -> float:
         total = 0.0
@@ -187,6 +187,13 @@ def scale(w: SparseVector, s: float) -> SparseVector:
 def _sorted_from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
     """Wrap a dict of in-range int indices whose values all have |v| >= ZERO_EPS."""
     return SparseVector._trusted(dimension, {i: out[i] for i in sorted(out)})
+
+
+def _from_ascending(dimension: int, indices: list[int], values: list[float]) -> SparseVector:
+    """Wrap ascending, unique, in-range int indices and finite values, dropping
+    |v| < ZERO_EPS as the constructor does; only the synthetic generator calls it."""
+    data = {i: v for i, v in zip(indices, values) if abs(v) >= ZERO_EPS}
+    return SparseVector._trusted(dimension, data)
 
 
 def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
@@ -276,8 +283,20 @@ def _add_project_cut(
     sq = 0.0
     for v in map(out.__getitem__, keys):
         sq += v * v
-    c = min(1.0, 1.0 / (math.sqrt(lam) * math.sqrt(sq))) if sq else 1.0
+    c = min(1.0, 1.0 / (math.sqrt(lam) * _root(sq, map(out.__getitem__, keys)))) if sq else 1.0
     return _cut(w.dimension, out, B, c, keys)
+
+
+def _root(sq: float, values: Iterable[float]) -> float:
+    """sqrt(sq), sq being the sum of the squares of values; if it overflowed to inf,
+    m*sqrt(sum((v/m)**2)) for m the largest magnitude, a finite norm."""
+    if sq < math.inf:
+        return math.sqrt(sq)
+    values = list(values)
+    m, sq = max(map(abs, values)), 0.0
+    for v in values:
+        sq += (v / m) * (v / m)
+    return m * math.sqrt(sq)
 
 
 def _magnitude_floor(w: SparseVector) -> float:

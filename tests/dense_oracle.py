@@ -5,6 +5,9 @@ Everything here works on plain Python lists indexed 0..d-1, or on
 equations, deliberately sharing no code with the package under test (the
 only shared contract is the RNG discipline of the random-mask learner: one
 shuffle of range(d) per triggered update, drawn from random.Random(seed)).
+The synthetic-stream reference is the one exception: it wraps each instance
+through the package's validating SparseVector constructor, which the
+generator under test skips.
 """
 
 import math
@@ -213,14 +216,22 @@ def truncate_reference(w, B):
 def project_l2_ball_reference(w, lam):
     """w scaled by min(1, 1/(sqrt(lam)*||w||)); the zero vector is a fixed point.
 
-    The squares are added left to right in index order.
+    The squares are added left to right in index order. When their sum
+    overflows, ||w|| is m*sqrt(sum((v/m)**2)), m the largest magnitude.
     """
     sq = 0.0
     for i in sorted(w):
         sq += w[i] * w[i]
     if sq == 0.0:
         return sparse_reference(w)
-    return sparse_reference(w, min(1.0, 1.0 / (math.sqrt(lam) * math.sqrt(sq))))
+    norm = math.sqrt(sq)
+    if sq == math.inf:
+        m = max(abs(v) for v in w.values())
+        scaled = 0.0
+        for i in sorted(w):
+            scaled += (w[i] / m) * (w[i] / m)
+        norm = m * math.sqrt(scaled)
+    return sparse_reference(w, min(1.0, 1.0 / (math.sqrt(lam) * norm)))
 
 
 # -- offer scoring references on plain floats ----------------------------------
@@ -260,3 +271,32 @@ def offer_cost_reference(weights, trust, err_rate, cost_time, error_domain, time
 
     scores = (1.0 - trust, badness(err_rate, error_domain), badness(cost_time, time_domain))
     return aggregate_utility_reference(weights, scores)
+
+
+# -- the synthetic stream through random.Random's own sample, choice and gauss --
+
+def synthetic_reference(spec):
+    """(instances, planted support) drawn with random.Random's sample, choice and gauss.
+
+    Each instance is a (SparseVector, label) pair built by the validating
+    constructor; generate_synthetic must reproduce it bit for bit.
+    """
+    from negofs.sparse import SparseVector
+
+    rng = random.Random(spec.seed)
+    planted_indices = sorted(rng.sample(range(spec.d), spec.n_relevant))
+    planted = {i: float(rng.choice((-1, 1))) for i in planted_indices}
+
+    nnz = max(1, math.floor(spec.density * spec.d + 0.5))
+    instances = []
+    for _ in range(spec.n_samples):
+        idx = sorted(rng.sample(range(spec.d), nnz))
+        pairs = [(i, rng.gauss(0.0, 1.0)) for i in idx]
+        margin = 0.0
+        for i, v in pairs:
+            margin += planted.get(i, 0.0) * v
+        y = 1 if margin > 0 else -1
+        if spec.label_noise > 0 and rng.random() < spec.label_noise:
+            y = -y
+        instances.append((SparseVector(spec.d, pairs), y))
+    return instances, frozenset(planted_indices)

@@ -440,6 +440,14 @@ def test_run_golden_bytes(capsys):
 
 # -- cmd_recover -------------------------------------------------------------------------------
 
+def test_recover_golden_bytes(capsys):
+    # The console-script argv CI diffs; recover draws its data on every run.
+    argv = ["recover", "--synthetic", "d=20,relevant=3,n=100",
+            "--runs", "1", "--tmax", "5", "--no-timing"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "recover.csv").read_text(encoding="utf-8")
+
+
 def test_recover_reports_precision_and_recall(tmp_path, capsys):
     out = tmp_path / "rec.csv"
     argv = ["recover", "--synthetic", "d=60,relevant=6,n=600,density=0.15,noise=0.02",

@@ -3,9 +3,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import synthetic_reference
 from negofs.data import (
     Dataset,
     SparseTextParseError,
@@ -243,11 +244,57 @@ def test_budget_rejects_bad_fraction():
     ({"n_relevant": 11}, "n_relevant must lie in [1, 10], got 11"),
     ({"density": 0.0}, "density must lie in (0, 1], got 0.0"),
     ({"label_noise": 0.5}, "label_noise must lie in [0, 0.5), got 0.5"),
-], ids=["d", "n_samples", "n_relevant", "density", "label_noise"])
+    ({"d": 57.0}, "d must be an int, got 57.0"),
+    ({"n_samples": 10.0}, "n_samples must be an int, got 10.0"),
+    ({"n_relevant": 2.0}, "n_relevant must be an int, got 2.0"),
+    ({"d": True}, "d must be an int, got True"),
+    ({"seed": 1.5}, "seed must be an int, got 1.5"),
+    ({"seed": False}, "seed must be an int, got False"),
+], ids=["d", "n_samples", "n_relevant", "density", "label_noise", "float-d",
+        "float-n_samples", "float-n_relevant", "bool-d", "float-seed", "bool-seed"])
 def test_synthetic_spec_rejects_out_of_range_fields(fields, message):
     with pytest.raises(ValueError) as err:
         SyntheticSpec(**{"d": 10, "n_samples": 5, "n_relevant": 2, **fields})
     assert str(err.value) == message
+
+
+@st.composite
+def synthetic_specs(draw):
+    d = draw(st.integers(1, 300))
+    return SyntheticSpec(
+        d=d,
+        n_samples=draw(st.integers(1, 25)),
+        n_relevant=draw(st.one_of(st.just(d), st.integers(1, d))),
+        density=draw(st.floats(0.001, 1.0)),
+        label_noise=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+# CPython's sample swaps from a pool while d <= setsize (21 for nnz <= 5, 85
+# for nnz in 6..21) and redraws repeats from a set above it; an odd nnz carries
+# gauss's spare value into the next instance.
+@given(synthetic_specs())
+@example(SyntheticSpec(d=20, n_samples=30, n_relevant=20, density=0.15, seed=3))  # pool, nnz 3
+@example(SyntheticSpec(d=100, n_samples=30, n_relevant=4, density=0.05,
+                       label_noise=0.1, seed=4))                                  # set, nnz 5
+@example(SyntheticSpec(d=30, n_samples=30, n_relevant=30, density=0.2,
+                       label_noise=0.1, seed=5))                                  # pool, nnz 6
+@example(SyntheticSpec(d=200, n_samples=30, n_relevant=9, density=0.035,
+                       label_noise=0.3, seed=6))                                  # set, nnz 7
+@example(SyntheticSpec(d=57, n_samples=4601, n_relevant=8, density=0.35,
+                       label_noise=0.03, seed=2025))                              # ensemble's
+@example(SyntheticSpec(d=2000, n_samples=1000, n_relevant=10, density=0.01,
+                       label_noise=0.05, seed=7))                                 # set, nnz 20
+@settings(max_examples=200, deadline=None)
+def test_synthetic_draws_equal_the_random_methods(spec):
+    ds, planted = generate_synthetic(spec)
+    reference, reference_planted = synthetic_reference(spec)
+    assert planted == reference_planted
+    assert len(ds.instances) == len(reference)
+    for (x, y), (ref_x, ref_y) in zip(ds.instances, reference):
+        assert [(i, v.hex()) for i, v in x.items()] == [(i, v.hex()) for i, v in ref_x.items()]
+        assert y == ref_y
 
 
 def test_synthetic_noise_free_is_realizable():

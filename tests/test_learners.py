@@ -224,6 +224,15 @@ def test_alma_stays_in_unit_ball():
         assert learner.w.norm_l2() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("variant, expected", [("ALMA", 1.0), ("FOFS", 10.0)])
+def test_an_overflowing_norm_keeps_the_largest_feature(variant, expected):
+    # ||x||^2 overflows to inf: ALMA divides its step by ||x||, FOFS projects
+    # w + eta*x into the ball of radius 1/sqrt(lam) = 10.
+    learner = make(variant, d=2, B=2)
+    learner.step(sv(2, {0: 1e200, 1: 1.0}), 1)
+    assert learner.w == sv(2, {0: expected})
+
+
 # -- second order ----------------------------------------------------------------------
 
 def test_arow_single_step_closed_form():

@@ -509,12 +509,20 @@ def _three_steps(w, s, x, B, lam):
 
 _LAMS = st.one_of(st.just(1.0), st.floats(0.0, 1e3, exclude_min=True))
 
+# Values up to ±1e200, whose squares overflow to inf: the norm is then taken
+# relative to the largest magnitude.
+_WIDE_VALUES = st.one_of(
+    _STEP_VALUES,
+    st.floats(-1e200, 1e200).filter(lambda v: abs(v) >= ZERO_EPS),
+    st.sampled_from([1e200, -1e200]),
+)
+
 
 @given(st.data())
 @settings(max_examples=500)
 def test_add_project_cut_equals_the_three_steps(data):
     d = 12
-    entries = st.dictionaries(st.integers(0, d - 1), _STEP_VALUES, max_size=d)
+    entries = st.dictionaries(st.integers(0, d - 1), _WIDE_VALUES, max_size=d)
     w, x = sv(d, data.draw(entries)), sv(d, data.draw(entries))
     s = data.draw(st.one_of(_STEP_SCALES, st.sampled_from([8.0, -20.0])))
     B = data.draw(st.integers(1, d))
@@ -535,7 +543,9 @@ def test_add_project_cut_equals_the_three_steps(data):
     ({0: 0.25, 4: -0.5}, 3, 1.0),
     # Within the unit ball but not within the ball of radius 1/sqrt(lam).
     ({0: 0.25, 4: -0.5}, 3, 100.0),
-], ids=["scaled-tie", "below-eps", "within-ball", "outside-lam-ball"])
+    # The sum of squares overflows to inf; the largest entry keeps the direction.
+    ({0: 1e200, 1: 1.0}, 2, 1.0),
+], ids=["scaled-tie", "below-eps", "within-ball", "outside-lam-ball", "overflowing-norm"])
 def test_add_project_cut_edge_cases(w, B, lam):
     w, x = sv(12, w), sv(12, {3: 0.5})
     got = _add_project_cut(w, 1.0, x, B, lam)
