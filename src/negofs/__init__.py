@@ -16,13 +16,7 @@ from .negotiation import (
 from .sparse import SparseVector, dot
 from .system import RunReport, SystemConfig, elect_trustful, run_moanofs
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
-from .utility import (
-    DeadlineParams,
-    IssueWeightProfile,
-    TimeStrategyParams,
-    time_dependent_value,
-    time_pressure,
-)
+from .utility import IssueWeightProfile, TimeStrategyParams, time_dependent_value
 
 __version__ = "0.1.0"
 
@@ -36,6 +30,5 @@ __all__ = [
     "SparseVector", "dot",
     "RunReport", "SystemConfig", "elect_trustful", "run_moanofs",
     "TrustParams", "TrustState", "direct_trust", "satisfaction_of_window", "update_trust",
-    "DeadlineParams", "IssueWeightProfile", "TimeStrategyParams",
-    "time_dependent_value", "time_pressure",
+    "IssueWeightProfile", "TimeStrategyParams", "time_dependent_value",
 ]

@@ -258,10 +258,14 @@ def format_markdown(rows: list[ResultRow]) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
+    """Write text to the --output path, or to stdout without one."""
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"cannot write --output {output}: {err.strerror or err}") from None
 
 
 def load_dataset(args) -> Dataset:
@@ -283,6 +287,8 @@ def load_dataset(args) -> Dataset:
 
 def options_from(args) -> RunOptions:
     """Check every flag but --k and build the run template from them."""
+    if args.output and not Path(args.output).parent.is_dir():
+        raise ConfigError(f"--output {args.output}: no directory {Path(args.output).parent}")
     roster = [
         LearnerConfig(
             v,
@@ -340,7 +346,7 @@ def cmd_compare(args) -> int:
     rows, _ = run_experiment(algorithms, dataset, args.runs, args.seed, opts)
     sys.stdout.write(format_markdown(rows) if args.format != "csv" else format_csv(rows))
     if args.output:
-        Path(args.output).write_text(format_csv(rows), encoding="utf-8")
+        _emit(format_csv(rows), args.output)
     return EXIT_OK
 
 
@@ -370,11 +376,8 @@ def cmd_recover(args) -> int:
         f"mean_precision={statistics.fmean(precisions):.6f} "
         f"mean_recall={statistics.fmean(recalls):.6f}\n"
     )
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        sys.stdout.write(summary)
-    else:
-        sys.stdout.write(text + summary)
+    _emit(text, args.output)  # without --output the table precedes the summary
+    sys.stdout.write(summary)
     return EXIT_OK
 
 

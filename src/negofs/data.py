@@ -68,6 +68,9 @@ class SyntheticSpec:
         for name in ("d", "n_samples", "n_relevant", "seed"):
             if type(getattr(self, name)) is not int:  # a float or a bool is refused
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("density", "label_noise"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a real, got {getattr(self, name)!r}")
         if self.d <= 0 or self.n_samples <= 0:
             raise ValueError("d and n_samples must be positive")
         if not 1 <= self.n_relevant <= self.d:

@@ -39,7 +39,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 from .learners import Learner, sign_of
 from .sparse import SparseVector, _overlay, _sorted_from_dict, check_budget, dot
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
-from .utility import DeadlineParams, IssueWeightProfile, issue_badness, time_pressure
+from .utility import IssueWeightProfile, TimeStrategyParams, issue_badness, time_dependent_value
 
 INITIATOR = "init"
 EVERYONE = "*"
@@ -343,12 +343,10 @@ def broadcast(merged: SparseVector, participants: Sequence[Participant]) -> None
         p.learner.w = merged
 
 
-def _accept_offers(offers: list[Offer], cfg: NegotiationConfig, round_index: int) -> list[Offer]:
-    """Decide which offers enter this round's merge."""
-    if cfg.conflict_rule != MIN_UTILITY:
-        return list(offers)
-    costs = offer_costs(offers, cfg.issue_weights)
-    threshold = 1.0 - time_pressure(float(round_index), DeadlineParams(float(cfg.t_max)))
+def _accept_offers(offers: list[Offer], weights: IssueWeightProfile,
+                   threshold: float) -> list[Offer]:
+    """The offers whose cost is at most threshold, or else the two cheapest."""
+    costs = offer_costs(offers, weights)
     acceptable = [o for o in offers if costs[o.participant_id] <= threshold]
     if len(acceptable) < 2:
         # Cooperative fallback: the negotiation must conclude, so the two
@@ -372,6 +370,10 @@ def run_negotiation(
     system-level online mistake count. Trials past the end of a short stream
     negotiate on stale offers and are flagged in the metrics.
 
+    Under MIN_ERROR every offer is merged. Under MIN_UTILITY trial r merges
+    the offers costing at most 1 - time_dependent_value(r, tactic), the
+    tactic conceding linearly from 1 at t = 0 to 0 at t_max.
+
     After each trial's broadcast, the observer (returned as given) sees
     ``on_trial(trial, stale, offers, accepted, merged)``; with none, nothing
     is recorded.
@@ -390,6 +392,7 @@ def run_negotiation(
     feature_trust = FeatureTrust(epsilon)
     merged = SparseVector(dimension)
     chunk_size = math.ceil(len(stream) / cfg.t_max)
+    tactic = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=float(cfg.t_max))
     metrics: list[TrialMetrics] = []
 
     for trial in range(1, cfg.t_max + 1):
@@ -409,7 +412,10 @@ def run_negotiation(
             )
 
         offers = call_for_proposals(participants)
-        accepted = _accept_offers(offers, cfg, trial)
+        accepted = offers
+        if cfg.conflict_rule == MIN_UTILITY:
+            threshold = 1.0 - time_dependent_value(float(trial), tactic)
+            accepted = _accept_offers(offers, cfg.issue_weights, threshold)
         merged, feature_trust = merge_multilateral(accepted, feature_trust, cfg)
         broadcast(merged, participants)
         if observer is not None:

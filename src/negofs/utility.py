@@ -1,4 +1,4 @@
-"""Issue weights, issue badness and time pressure for scoring offers.
+"""Issue weights, issue badness and the concession curve for scoring offers.
 
 Offers are judged on three issues: the proposer's trust, its error rate and
 its cost time, the seconds its learner spent stepping through its chunks
@@ -6,8 +6,11 @@ its cost time, the seconds its learner spent stepping through its chunks
 [0, 1] within the round's observed range (issue_badness) and sums the
 scores, weighted by an IssueWeightProfile, into a scalar cost (lower is
 better).
-Time-dependent decision functions model how an initiator concedes as a
-negotiation approaches its deadline.
+time_dependent_value is the time-dependent tactic of Faratin, Sierra and
+Jennings (1998), a value conceded from f1 toward f2 as t runs from t_init to
+t_max. It is the initiator's one concession curve: under min-utility the
+tactic runs from 1 at t = 0 to 0 at the last trial, and a trial accepts the
+offers whose cost is at most 1 minus its value.
 """
 
 from __future__ import annotations
@@ -57,19 +60,6 @@ class TimeStrategyParams:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class DeadlineParams:
-    """Deadline (absolute time or round count) and concession attitude."""
-
-    t_d: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        for name in ("t_d", "beta"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-
-
 def issue_badness(values: Sequence[float]) -> list[float]:
     """Each of one round's issue values scored within the round's range.
 
@@ -88,10 +78,3 @@ def time_dependent_value(t: float, p: TimeStrategyParams) -> float:
     t = min(max(t, p.t_init), p.t_max)
     frac = (t - p.t_init) / (p.t_max - p.t_init)
     return p.f1 + frac ** (1.0 / p.beta) * (p.f2 - p.f1)
-
-
-def time_pressure(t: float, p: DeadlineParams) -> float:
-    """Polynomial pressure decaying from 1 at t=0 to 0 at the deadline."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    return 1.0 - (min(t, p.t_d) / p.t_d) ** (1.0 / p.beta)

@@ -33,6 +33,24 @@ def _drop_tiny(w):
     return [0.0 if abs(v) < 1e-15 else v for v in w]
 
 
+def l2_norm_reference(values):
+    """||values||, the squares added left to right in index order.
+
+    When their sum overflows, the norm is m*sqrt(sum((v/m)**2)), m the
+    largest magnitude.
+    """
+    sq = 0.0
+    for v in values:
+        sq += v * v
+    if sq < math.inf:
+        return math.sqrt(sq)
+    m = max(abs(v) for v in values)
+    scaled = 0.0
+    for v in values:
+        scaled += (v / m) * (v / m)
+    return m * math.sqrt(scaled)
+
+
 class DenseLearner:
     """Dense mirror of every learner variant, one update rule per method."""
 
@@ -81,7 +99,7 @@ class DenseLearner:
         if y * margin <= 0:
             decay = 1.0 - self.lam * self.eta
             w = _drop_tiny([decay * wi + self.eta * y * xi for wi, xi in zip(self.w, x)])
-            norm = math.sqrt(sum(v * v for v in w))
+            norm = l2_norm_reference(w)
             if norm > 0:
                 factor = min(1.0, 1.0 / (math.sqrt(self.lam) * norm))
                 w = [factor * v for v in w]
@@ -116,12 +134,12 @@ class DenseLearner:
 
     def up_alma(self, x, y, margin):
         alpha = self.alpha_margin
-        x_norm = math.sqrt(sum(v * v for v in x))
+        x_norm = l2_norm_reference(x)
         gamma = (1.0 / alpha) / math.sqrt(self.alma_k)
         if y * margin / x_norm <= (1.0 - alpha) * gamma:
             eta_k = math.sqrt(2.0) / math.sqrt(self.alma_k)
             w = _drop_tiny([wi + eta_k * y * xi / x_norm for wi, xi in zip(self.w, x)])
-            norm = math.sqrt(sum(v * v for v in w))
+            norm = l2_norm_reference(w)
             if norm > 1.0:
                 w = [v / norm for v in w]
             self.w = dense_truncate(_drop_tiny(w), self.B)
@@ -214,23 +232,10 @@ def truncate_reference(w, B):
 
 
 def project_l2_ball_reference(w, lam):
-    """w scaled by min(1, 1/(sqrt(lam)*||w||)); the zero vector is a fixed point.
-
-    The squares are added left to right in index order. When their sum
-    overflows, ||w|| is m*sqrt(sum((v/m)**2)), m the largest magnitude.
-    """
-    sq = 0.0
-    for i in sorted(w):
-        sq += w[i] * w[i]
-    if sq == 0.0:
+    """w scaled by min(1, 1/(sqrt(lam)*||w||)); the zero vector is a fixed point."""
+    norm = l2_norm_reference([w[i] for i in sorted(w)])
+    if norm == 0.0:
         return sparse_reference(w)
-    norm = math.sqrt(sq)
-    if sq == math.inf:
-        m = max(abs(v) for v in w.values())
-        scaled = 0.0
-        for i in sorted(w):
-            scaled += (w[i] / m) * (w[i] / m)
-        norm = m * math.sqrt(scaled)
     return sparse_reference(w, min(1.0, 1.0 / (math.sqrt(lam) * norm)))
 
 

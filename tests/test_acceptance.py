@@ -30,7 +30,7 @@ from negofs.negotiation import (
 from negofs.sparse import SparseVector
 from negofs.system import SystemConfig, build_learners, run_moanofs
 from negofs.trust import TrustParams, TrustState, update_trust
-from negofs.utility import DeadlineParams, TimeStrategyParams, time_dependent_value, time_pressure
+from negofs.utility import TimeStrategyParams, time_dependent_value
 
 SCALE_MATCHED_ROSTER = ("ROMMA", "OGD", "PA", "SOP", "CW", "AROW", "SCW")
 
@@ -139,11 +139,12 @@ def test_criterion_3_trust_recurrence():
 
 
 def test_criterion_4_analytic_endpoints():
-    deadline = DeadlineParams(t_d=7.0, beta=2.0)
+    # The pressure curve is the tactic conceding from 1 to 0 by the deadline.
+    pressure = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=7.0, beta=2.0)
     strategy = TimeStrategyParams(f1=3.0, f2=-1.0, t_init=2.0, t_max=9.0, beta=0.7)
     checks = (
-        time_pressure(0.0, deadline) == 1.0,
-        time_pressure(7.0, deadline) == 0.0,
+        time_dependent_value(0.0, pressure) == 1.0,
+        time_dependent_value(7.0, pressure) == 0.0,
         time_dependent_value(2.0, strategy) == 3.0,
         time_dependent_value(9.0, strategy) == -1.0,
     )

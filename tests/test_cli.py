@@ -438,6 +438,16 @@ def test_run_golden_bytes(capsys):
     assert capsys.readouterr().out == (GOLDEN / "run.csv").read_text(encoding="utf-8")
 
 
+def test_min_utility_golden_bytes(capsys):
+    # The console-script argv CI diffs; its 10 trials reject 4 offers, so
+    # the concession threshold decides the bytes.
+    argv = ["run", "--synthetic", "d=20,relevant=3,n=100,seed=1",
+            "--algorithms", "MOANOFS", "--conflict-rule", "min-utility",
+            "--runs", "2", "--tmax", "5", "--no-timing"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "min_utility.csv").read_text(encoding="utf-8")
+
+
 # -- cmd_recover -------------------------------------------------------------------------------
 
 def test_recover_golden_bytes(capsys):
@@ -523,6 +533,37 @@ def test_recover_requires_synthetic(capsys):
         main(argv)
     assert exit_info.value.code == EXIT_CONFIG
     assert "the following arguments are required: --synthetic" in capsys.readouterr().err
+
+
+OUTPUT_ARGV = {
+    "run": ["run", "--synthetic", "d=20,relevant=3,n=100,seed=1", "--algorithms", "single:PETRUN"],
+    "compare": ["compare", "--synthetic", "d=20,relevant=3,n=100,seed=1",
+                "--algorithms", "single:PETRUN,single:OGD"],
+    "recover": ["recover", "--synthetic", "d=20,relevant=3,n=100"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
+def test_output_without_a_directory_fails_before_any_run(tmp_path, capsys, monkeypatch, command):
+    generated = []
+    monkeypatch.setattr(cli, "generate_synthetic", lambda spec: generated.append(spec))
+    out = tmp_path / "absent" / "x.csv"
+    argv = OUTPUT_ARGV[command] + ["--runs", "1", "--tmax", "5", "--output", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: --output {out}: no directory {tmp_path / 'absent'}\n")
+    assert generated == []
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
+def test_output_that_cannot_be_written_is_one_error_line(tmp_path, capsys, command):
+    # The directory exists, so the flag passes its check; writing to it fails.
+    argv = OUTPUT_ARGV[command] + ["--runs", "1", "--tmax", "5", "--no-timing",
+                                   "--output", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --output {tmp_path}: ")
+    assert err.count("\n") == 1
 
 
 # -- console entry point ------------------------------------------------------------------------

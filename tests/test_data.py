@@ -250,8 +250,11 @@ def test_budget_rejects_bad_fraction():
     ({"d": True}, "d must be an int, got True"),
     ({"seed": 1.5}, "seed must be an int, got 1.5"),
     ({"seed": False}, "seed must be an int, got False"),
+    ({"density": True}, "density must be a real, got True"),
+    ({"label_noise": False}, "label_noise must be a real, got False"),
 ], ids=["d", "n_samples", "n_relevant", "density", "label_noise", "float-d",
-        "float-n_samples", "float-n_relevant", "bool-d", "float-seed", "bool-seed"])
+        "float-n_samples", "float-n_relevant", "bool-d", "float-seed", "bool-seed",
+        "bool-density", "bool-label_noise"])
 def test_synthetic_spec_rejects_out_of_range_fields(fields, message):
     with pytest.raises(ValueError) as err:
         SyntheticSpec(**{"d": 10, "n_samples": 5, "n_relevant": 2, **fields})

@@ -402,3 +402,10 @@ def test_dense_oracle_equivalence_all_variants():
             for i in range(d):
                 assert learner.w.to_dict().get(i, 0.0) == pytest.approx(oracle.w[i], abs=1e-10), (
                     variant, i)
+    # ||x||^2 overflows to inf: both sides take the rescaled norm.
+    for variant in ("ALMA", "FOFS"):
+        learner = make(variant, d=2, B=2)
+        oracle = DenseLearner(variant, 2, 2)
+        learner.step(sv(2, {0: 1e200, 1: 1.0}), 1)
+        oracle.step([1e200, 1.0], 1)
+        assert [learner.w.to_dict().get(i, 0.0) for i in range(2)] == oracle.w != [0.0, 0.0]

@@ -29,7 +29,7 @@ from negofs.negotiation import (
 )
 from negofs.sparse import SparseVector, dot
 from negofs.trust import TrustParams, TrustState, update_trust
-from negofs.utility import DeadlineParams, time_pressure
+from negofs.utility import TimeStrategyParams, time_dependent_value
 
 
 def sv(d, entries=()):
@@ -599,9 +599,10 @@ def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
         assert sorted(o.participant_id for o in merge_set) == sorted(accepted)
         assert all(o in offers for o in merge_set)
         # The accept rule, from the offers alone: every offer within the
-        # time-pressure threshold, or else the two cheapest.
+        # threshold the concession tactic sets, or else the two cheapest.
         costs = offer_costs(offers, cfg.issue_weights)
-        threshold = 1.0 - time_pressure(float(r), DeadlineParams(float(cfg.t_max)))
+        tactic = TimeStrategyParams(1.0, 0.0, 0.0, float(cfg.t_max))
+        threshold = 1.0 - time_dependent_value(float(r), tactic)
         expected = [o.participant_id for o in offers if costs[o.participant_id] <= threshold]
         if len(expected) < 2:
             expected = sorted(costs, key=lambda pid: (costs[pid], pid))[:2]

@@ -48,10 +48,6 @@ ALLOWLIST = {
         "what the transcript keeps of a vector",
     "negotiation:TrialObserver.on_trial":
         "the Protocol stub that types run_negotiation's observer",
-    "utility:time_dependent_value":
-        "ROADMAP item 1 decides whether it is wired in; criterion 4 states its endpoints",
-    "utility:TimeStrategyParams.__post_init__":
-        "the parameters of time_dependent_value, kept with it",
     "sparse:SparseVector.__getstate__":
         "without it pickle and copy.copy raise 'SparseVector is immutable'",
     "sparse:SparseVector.__setstate__":

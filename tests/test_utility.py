@@ -12,14 +12,7 @@ from dense_oracle import (
 )
 from negofs.negotiation import Offer, offer_costs
 from negofs.sparse import SparseVector
-from negofs.utility import (
-    DeadlineParams,
-    IssueWeightProfile,
-    TimeStrategyParams,
-    issue_badness,
-    time_dependent_value,
-    time_pressure,
-)
+from negofs.utility import IssueWeightProfile, TimeStrategyParams, issue_badness, time_dependent_value
 
 
 def make_offer(pid=0, trust=0.5, err=5, instances=10, cost_time=1.0):
@@ -210,7 +203,7 @@ def test_offer_costs_equal_offer_cost_bit_for_bit(offers, profile):
     assert {pid: cost.hex() for pid, cost in table.items()} == hexed
 
 
-# -- time functions ------------------------------------------------------------------
+# -- the time-dependent tactic --------------------------------------------------------
 
 def test_time_dependent_value_endpoints():
     p = TimeStrategyParams(f1=2.0, f2=8.0, t_init=1.0, t_max=5.0, beta=2.0)
@@ -221,12 +214,17 @@ def test_time_dependent_value_endpoints():
 def test_time_dependent_value_linear_midpoint():
     p = TimeStrategyParams(f1=2.0, f2=8.0, t_init=0.0, t_max=4.0, beta=1.0)
     assert time_dependent_value(2.0, p) == pytest.approx(5.0)
+    # The concession from 1 to 0 the initiator makes is halfway at half time.
+    concession = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=10.0, beta=1.0)
+    assert time_dependent_value(5.0, concession) == pytest.approx(0.5)
 
 
 def test_time_dependent_value_clamps():
     p = TimeStrategyParams(f1=2.0, f2=8.0, t_init=1.0, t_max=5.0)
     assert time_dependent_value(0.0, p) == 2.0
     assert time_dependent_value(9.0, p) == 8.0
+    concession = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=10.0, beta=2.0)
+    assert time_dependent_value(25.0, concession) == 0.0  # past the deadline
 
 
 def test_time_dependent_value_monotone_between_endpoints():
@@ -234,28 +232,10 @@ def test_time_dependent_value_monotone_between_endpoints():
     values = [time_dependent_value(t / 10, p) for t in range(101)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert min(values) >= -1.0 and max(values) <= 3.0
-
-
-def test_time_pressure_endpoints():
-    p = DeadlineParams(t_d=10.0, beta=2.0)
-    assert time_pressure(0.0, p) == 1.0
-    assert time_pressure(10.0, p) == 0.0
-    assert time_pressure(25.0, p) == 0.0  # past the deadline clamps
-
-
-def test_time_pressure_linear_halfway():
-    assert time_pressure(5.0, DeadlineParams(t_d=10.0, beta=1.0)) == pytest.approx(0.5)
-
-
-def test_time_pressure_monotone_non_increasing():
-    p = DeadlineParams(t_d=7.0, beta=3.0)
-    values = [time_pressure(t / 4, p) for t in range(60)]
+    # A decreasing curve (f1 > f2) at beta = 3 is non-increasing, also past t_max.
+    p = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=7.0, beta=3.0)
+    values = [time_dependent_value(t / 4, p) for t in range(60)]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_time_pressure_rejects_negative_time():
-    with pytest.raises(ValueError):
-        time_pressure(-1.0, DeadlineParams(t_d=5.0))
 
 
 def test_param_validation():
@@ -263,8 +243,6 @@ def test_param_validation():
         TimeStrategyParams(f1=0, f2=1, t_init=5, t_max=5)
     with pytest.raises(ValueError):
         TimeStrategyParams(f1=0, f2=1, t_init=0, t_max=5, beta=0)
-    with pytest.raises(ValueError):
-        DeadlineParams(t_d=0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -284,14 +262,3 @@ def test_time_strategy_rejects_non_finite(field, kwargs):
     params = dict(f1=2.0, f2=8.0, t_init=1.0, t_max=5.0, beta=1.0) | kwargs
     with pytest.raises(ValueError, match=f"^{field} must"):
         TimeStrategyParams(**params)
-
-
-@pytest.mark.parametrize("field, args", [
-    ("t_d", (NAN,)),
-    ("t_d", (INF,)),
-    ("beta", (10.0, NAN)),
-    ("beta", (10.0, INF)),
-])
-def test_deadline_rejects_non_finite(field, args):
-    with pytest.raises(ValueError, match=f"^{field} must"):
-        DeadlineParams(*args)
