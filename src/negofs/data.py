@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
-from .sparse import SparseVector, _from_ascending
+from .sparse import SparseVector, _check_field_types, _from_ascending
 
 Instance = tuple[SparseVector, int]
 
@@ -65,12 +65,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d", "n_samples", "n_relevant", "seed"):
-            if type(getattr(self, name)) is not int:  # a float or a bool is refused
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name in ("density", "label_noise"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a real, got {getattr(self, name)!r}")
+        _check_field_types(self, ("d", "n_samples", "n_relevant", "seed"),
+                           ("density", "label_noise"))
         if self.d <= 0 or self.n_samples <= 0:
             raise ValueError("d and n_samples must be positive")
         if not 1 <= self.n_relevant <= self.d:

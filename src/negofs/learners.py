@@ -31,6 +31,7 @@ from .sparse import (
     SparseVector,
     _add_cut,
     _add_project_cut,
+    _check_field_types,
     _restrict,
     check_budget,
     dot,
@@ -68,6 +69,7 @@ class LearnerConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; valid: {', '.join(VARIANTS)}")
+        _check_field_types(self, reals=("eta", "lam", "r", "confidence", "C", "alpha_margin"))
         for name in ("eta", "lam", "r", "C"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be strictly positive and finite, "
@@ -123,9 +125,10 @@ class Learner:
         self.instances += 1
         return pred
 
-    def _add_step(self, base: SparseVector, coeff: float, x: SparseVector) -> None:
-        """Set the weights to base + coeff*sigma*x cut to B; first-order variants keep sigma empty."""
-        self.w = _add_cut(base, coeff, x, self.B, self.sigma)
+    def _add_step(self, base: SparseVector, coeff: float, x: SparseVector,
+                  beta: float | None = None) -> None:
+        """Set w to base + coeff*sigma*x cut to B; a given beta also shrinks sigma on x."""
+        self.w = _add_cut(base, coeff, x, self.B, self.sigma, beta)
         self.updates += 1
 
     # -- perceptron-with-truncation family ------------------------------------
@@ -217,10 +220,11 @@ class Learner:
         beta = 1.0 / (v_conf + self.config.r)
         loss = max(0.0, 1.0 - y * margin)
         alpha = loss * beta
-        if alpha > 0.0:
-            self._add_step(self.w, alpha * y, x)
         # Confidence tightens on every informative instance, update or not.
-        self._shrink_sigma(x, beta)
+        if alpha > 0.0:
+            self._add_step(self.w, alpha * y, x, beta)
+        else:
+            self._shrink_sigma(x, beta)
 
     def _cw_alpha(self, m: float, v_conf: float) -> float:
         if v_conf <= 0.0:
@@ -237,8 +241,7 @@ class Learner:
         avp = alpha * v_conf * phi
         u = 0.25 * (-avp + math.sqrt(avp * avp + 4.0 * v_conf)) ** 2
         beta = alpha * phi / (math.sqrt(u) + avp)
-        self._add_step(self.w, alpha * y, x)
-        self._shrink_sigma(x, beta)
+        self._add_step(self.w, alpha * y, x, beta)
 
     def _update_cw(self, x: SparseVector, y: int, margin: float) -> None:
         v_conf = self._confidence(x)

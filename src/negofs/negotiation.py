@@ -37,7 +37,7 @@ from enum import Enum
 from typing import Mapping, Optional, Protocol, Sequence
 
 from .learners import Learner, sign_of
-from .sparse import SparseVector, _overlay, _sorted_from_dict, check_budget, dot
+from .sparse import SparseVector, _check_field_types, _overlay, _sorted_from_dict, check_budget, dot
 from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
 from .utility import IssueWeightProfile, TimeStrategyParams, issue_badness, time_dependent_value
 
@@ -162,8 +162,9 @@ class NegotiationConfig:
     measure_time: bool = True     # False: every offer's cost time stays 0.0
 
     def __post_init__(self):
+        _check_field_types(self, ("t_max", "merged_budget"), ("epsilon",))
         _check_trial_settings(self.t_max, self.epsilon, self.conflict_rule)
-        if isinstance(self.merged_budget, bool) or not self.merged_budget >= 1:
+        if not self.merged_budget >= 1:
             raise ValueError(f"merged_budget must be an int >= 1, got {self.merged_budget!r}")
 
 

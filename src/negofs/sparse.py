@@ -1,19 +1,21 @@
 """Sparse vector arithmetic shared by the learners and the negotiation engine.
 
-Vectors are index->value maps over a fixed dimension. All operations are
-pure: they return new vectors and never mutate their inputs, so vectors can
-be shared freely between learners after a broadcast.
+Vectors are index->value maps over a fixed dimension. Operations return new
+vectors and never mutate an input vector, so vectors can be shared freely
+between learners after a broadcast. The one mutation is of a second-order
+learner's sigma dict, which _add_cut shrinks in the loop that writes x.
 
 The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-integer or repeated indices and non-finite values. Vectors
 the package computes or draws itself skip it through the private helpers at
 the bottom of this module, which only sort the keys (or keep the existing
-order) and drop entries below ZERO_EPS. Every learner
-update's cut to its budget ends in one of them, _cut, which ranks by
-magnitude, lower index first on ties, unless the excess falls on entries
-the step itself wrote: _add_cut then deletes them from its copy. ALMA and
-FOFS step, scale into an L2 ball and cut with one copy. The plain truncation
-and projection these cuts must equal are test references in
+order) and drop entries below ZERO_EPS. Every learner update's cut to its
+budget ends in one of them, _cut, which ranks by magnitude, lower index first
+on ties, unless the excess falls on entries the step itself wrote: _add_cut
+then deletes them from its copy. When most of the copy is cut, _cut picks the
+B kept entries by magnitude and sorts only their indices. ALMA and FOFS step,
+scale into an L2 ball and cut with one copy. The plain truncation and
+projection these cuts must equal are test references in
 tests/dense_oracle.py.
 The merge overlays each distinct offer vector once and only re-sorts the
 result, since offered values already clear ZERO_EPS. A vector may cache a
@@ -144,6 +146,17 @@ def check_budget(B: int, dimension: int) -> int:
     return B
 
 
+def _check_field_types(config, ints: Sequence[str] = (), reals: Sequence[str] = ()) -> None:
+    """Refuse a config's integer field that is not an int (or is a bool), and a bool
+    real field, naming the field: a bool or a float would otherwise fail late or pass."""
+    for name in ints:
+        if type(getattr(config, name)) is not int:
+            raise ValueError(f"{name} must be an int, got {getattr(config, name)!r}")
+    for name in reals:
+        if isinstance(getattr(config, name), bool):
+            raise ValueError(f"{name} must be a real, got {getattr(config, name)!r}")
+
+
 def _check_same_dimension(a: SparseVector, b: SparseVector) -> None:
     if a.dimension != b.dimension:
         raise DimensionMismatchError(
@@ -153,8 +166,9 @@ def _check_same_dimension(a: SparseVector, b: SparseVector) -> None:
 
 def dot(a: SparseVector, b: SparseVector) -> float:
     """Inner product over the shared support."""
-    _check_same_dimension(a, b)
-    if len(b) < len(a):
+    if a.dimension != b.dimension:  # checked inline: dot runs on every step
+        _check_same_dimension(a, b)
+    if len(b._data) < len(a._data):
         a, b = b, a
     get = b._data.get
     total = 0.0
@@ -203,17 +217,25 @@ def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
     Entries below ZERO_EPS once scaled are dropped and ties on magnitude keep
     the lower index, as truncate_reference in tests/dense_oracle.py states.
     Scaling down keeps the magnitudes' order, so when no tie straddles the
-    B-th largest and it clears ZERO_EPS, the entries kept are those at or
-    above it: one comprehension sorts, scales, drops noise and cuts.
+    B-th largest and it clears ZERO_EPS, the entries kept are exactly the B
+    at or above it, and one comprehension sorts, scales and cuts. When most
+    of out is cut (2B < len(out)), those B are picked first and only their
+    indices are sorted.
     """
-    keys = sorted(out) if keys is None else keys
     if len(out) > B:
         magnitudes = sorted(map(abs, out.values()), reverse=True)
-        cut = c * magnitudes[B - 1]
+        top = magnitudes[B - 1]
+        cut = c * top
         if c * magnitudes[B] < cut and cut >= ZERO_EPS:
+            if 2 * B < len(out):  # most of out is cut: sort only the B kept, |v| >= top
+                kept = sorted([i for i, v in out.items() if v >= top or -v >= top])
+                return SparseVector._trusted(dimension, {i: c * out[i] for i in kept}, cut)
+            if keys is None:
+                keys = sorted(out)
             return SparseVector._trusted(
                 dimension, {i: u for i in keys if abs(u := c * out[i]) >= cut}, cut
             )
+    keys = sorted(out) if keys is None else keys
     data = {i: u for i in keys if abs(u := c * out[i]) >= ZERO_EPS}
     if len(data) > B:  # a tie straddles the cut: rank by (-|u|, index)
         keep = {i for i, _ in sorted(data.items(), key=lambda iv: (-abs(iv[1]), iv[0]))[:B]}
@@ -222,20 +244,33 @@ def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
 
 
 def _add_cut(
-    base: SparseVector, coeff: float, x: SparseVector, B: int, sigma: Mapping[int, float]
+    base: SparseVector, coeff: float, x: SparseVector, B: int, sigma: dict[int, float],
+    beta: float | None = None,
 ) -> SparseVector:
     """base + coeff*sigma*x, sigma 1.0 where unstored, cut to B entries as _cut cuts.
 
-    One copy of base takes x's writes. When the entries to drop are all among
-    them, strictly below the floor of base's magnitudes, they are deleted from
-    the copy, which keeps base's index order unless a new index survives.
+    One copy of base takes x's writes. A given beta shrinks each sigma_i they
+    read to s - beta*s*s*v*v in the same loop; nothing else here mutates an
+    argument. When the entries to drop are all among the writes, strictly
+    below the floor of base's magnitudes, they are deleted from the copy,
+    which keeps base's index order unless a new index survives.
     Otherwise _cut rebuilds the copy, at once when most of it is cut.
     """
-    _check_same_dimension(base, x)
-    out = base.to_dict()
-    get = out.get
-    for i, v in x._data.items():
-        out[i] = get(i, 0.0) + coeff * sigma.get(i, 1.0) * v
+    if base.dimension != x.dimension:
+        _check_same_dimension(base, x)
+    out = base._data.copy()
+    get, scale_of = out.get, sigma.get
+    if beta is not None:
+        for i, v in x._data.items():
+            s = scale_of(i, 1.0)
+            out[i] = get(i, 0.0) + coeff * s * v
+            sigma[i] = s - beta * s * s * v * v
+    elif sigma:
+        for i, v in x._data.items():
+            out[i] = get(i, 0.0) + coeff * scale_of(i, 1.0) * v
+    else:
+        for i, v in x._data.items():
+            out[i] = get(i, 0.0) + coeff * v
     excess = len(out) - B
     if 2 * excess > len(out):
         return _cut(base.dimension, out, B)

@@ -31,7 +31,7 @@ from .negotiation import (
     run_negotiation,
     score_chunk,
 )
-from .sparse import SparseVector
+from .sparse import SparseVector, _check_field_types
 from .trust import TrustParams, direct_trust
 from .utility import IssueWeightProfile
 
@@ -51,6 +51,8 @@ class SystemConfig:
     measure_time: bool = True             # False: every cost time stays 0.0
 
     def __post_init__(self):
+        _check_field_types(self, ("k", "t_max", "seed"),
+                           ("budget_fraction", "calibration_fraction", "epsilon"))
         n = len(self.roster)
         if n < 2:
             raise ValueError("the roster needs at least 2 learners")

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .sparse import _check_field_types
+
 
 @dataclass(frozen=True)
 class IssueWeightProfile:
@@ -29,6 +31,7 @@ class IssueWeightProfile:
     cost_time: float = 0.3
 
     def __post_init__(self):
+        _check_field_types(self, reals=("trust", "error", "cost_time"))
         for name, w in zip(("trust", "error", "cost_time"), self.as_tuple()):
             if not 0 <= w < math.inf:
                 raise ValueError(f"issue weight {name} must be finite and >= 0, got {w}")
@@ -51,6 +54,7 @@ class TimeStrategyParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        _check_field_types(self, reals=("f1", "f2", "t_init", "t_max", "beta"))
         for name in ("f1", "f2", "t_init", "t_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

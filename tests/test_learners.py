@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -45,6 +46,14 @@ def test_parameter_ranges_enforced():
         LearnerConfig("CW", confidence=0.5)
     with pytest.raises(ValueError):
         LearnerConfig("ALMA", alpha_margin=0.0)
+
+
+@pytest.mark.parametrize("field", ["eta", "lam", "r", "confidence", "C", "alpha_margin"])
+def test_config_rejects_a_bool_real(field):
+    # True passes as 1.0: alpha_margin = True was accepted as 1.
+    with pytest.raises(ValueError) as err:
+        LearnerConfig("PA", **{field: True})
+    assert str(err.value) == f"{field} must be a real, got True"
 
 
 def test_budget_must_be_set_and_valid():
@@ -409,3 +418,94 @@ def test_dense_oracle_equivalence_all_variants():
         learner.step(sv(2, {0: 1e200, 1: 1.0}), 1)
         oracle.step([1e200, 1.0], 1)
         assert [learner.w.to_dict().get(i, 0.0) for i in range(2)] == oracle.w != [0.0, 0.0]
+
+
+# -- pinned bytes ------------------------------------------------------------------------
+
+def _pinned_stream(d, nnz, n, seed):
+    """n instances of exactly nnz entries, labelled by a planted sparse model with 5% flips."""
+    rng = random.Random(seed)
+    planted = {i: rng.choice((-1.0, 1.0)) for i in rng.sample(range(d), 8)}
+    stream = []
+    for _ in range(n):
+        entries = {i: rng.uniform(-1.0, 1.0) for i in rng.sample(range(d), nnz)}
+        margin = 0.0
+        for i, v in sorted(entries.items()):
+            margin += planted.get(i, 0.0) * v
+        y = 1 if margin > 0 else -1
+        stream.append((sv(d, entries), -y if rng.random() < 0.05 else y))
+    return stream
+
+
+# (d, B, nnz, instances, seed): the ensemble benchmark's shape, where an update
+# cuts most of its copy, and a wide one where an update cuts few entries.
+_PIN_SHAPES = {"most-cut": (57, 6, 20, 400, 11), "few-cut": (2000, 200, 20, 300, 12)}
+
+# At the default C = 1 SCW's cap never binds on these streams, so it would step as CW.
+_PIN_CONFIG = {"SCW": {"C": 0.3}}
+
+_VARIANT_PINS = {
+    ("PETRUN", "most-cut"):  # 197 mistakes, 215 updates, 6 weights
+        "e4e1c46ee822d02136ae3cfc0f3f1184f94c60349e599b91fa00f4a550b031fe",
+    ("PETRUN", "few-cut"):  # 141 mistakes, 175 updates, 200 weights
+        "a528e21095d3e6d2662f1843e51a2e5c1c853a80f122acee25e30302e0d7abcb",
+    ("RAND", "most-cut"):  # 187 mistakes, 260 updates, 2 weights
+        "5c5d0bf0b9f34c49f91f2e9cdca81975abed2b0a20f6db3a6263cea982b2f8d2",
+    ("RAND", "few-cut"):  # 38 mistakes, 296 updates, 1 weights
+        "af741cbfa3533f374d38e56ac37f378c99159d0967c5553cd6ab5a02b7bea882",
+    ("FOFS", "most-cut"):  # 192 mistakes, 207 updates, 6 weights
+        "b4b46728f328c4ece13fd852e6c8ca7d14330cc49817a020bd21c8fa87cadbf3",
+    ("FOFS", "few-cut"):  # 142 mistakes, 177 updates, 200 weights
+        "ce2fca5dd6d88485dc6921fc1600461ceb6eb28dbcc0ea0bb190305de43ebc03",
+    ("OGD", "most-cut"):  # 150 mistakes, 323 updates, 6 weights
+        "94cbe9d2ecf754c8bf6b02b8a7d1f02988003739ce9c4ba468c65b1de390d75e",
+    ("OGD", "few-cut"):  # 143 mistakes, 300 updates, 200 weights
+        "6af1afb78d5ed0d23ba033328c6b680b6a92f2b786f2c51f4a8e89b5c624f5ce",
+    ("PA", "most-cut"):  # 145 mistakes, 377 updates, 6 weights
+        "0468cacbe42831ce056d4c73d8059491d5d39ad39f9f186dba93434b6a9b8d39",
+    ("PA", "few-cut"):  # 134 mistakes, 300 updates, 200 weights
+        "c18f0ac06429345336acf267911407f2547bac02b7ff843615af96ef76c8163e",
+    ("ROMMA", "most-cut"):  # 163 mistakes, 179 updates, 6 weights
+        "6b6db7542ce18efd332a606a62b862006d4abef4d697fe27adbc8988f7fcc1b9",
+    ("ROMMA", "few-cut"):  # 127 mistakes, 164 updates, 200 weights
+        "b2d50efd1adb9d733f22db7e84f9caca4c3de16862cf569458a3b1290a7070d0",
+    ("ALMA", "most-cut"):  # 159 mistakes, 225 updates, 6 weights
+        "938e14e1870d12c6a6dcb2558c01c339c692edd2af7553bcebd1f35cedf9c2a1",
+    ("ALMA", "few-cut"):  # 149 mistakes, 232 updates, 200 weights
+        "22aa91a23c43d668d29769dfc9e4088882bc3423a0ec54cc764c16e8d605d731",
+    ("SOP", "most-cut"):  # 168 mistakes, 179 updates, 6 weights
+        "a699b2307c60702ba78516594ade5946c5d4481d8eb5276f05b44c6a0530dbd4",
+    ("SOP", "few-cut"):  # 144 mistakes, 177 updates, 200 weights
+        "1fe67941cc1792f1be97bc389c17b63c809cdb3c8fb8d817d89397925eda0b04",
+    ("CW", "most-cut"):  # 128 mistakes, 354 updates, 6 weights
+        "80fd7699ca46391baa693ce093ea9c99291e9d33326a49247ac1cff46bd40bac",
+    ("CW", "few-cut"):  # 138 mistakes, 300 updates, 200 weights
+        "2bb8ba071be5d06c6b6d69d3a799dad8a6d2c5a5c1bbe3da5636b18891768a56",
+    ("AROW", "most-cut"):  # 131 mistakes, 388 updates, 6 weights
+        "fa02c12ae31da53e59cf05c005ca8e166fa9e9367d5ca6e3ae8696e5394f21bf",
+    ("AROW", "few-cut"):  # 136 mistakes, 300 updates, 200 weights
+        "b14964c8b080fa3c59424a64bcf2489fe6b5d64d775c9f7ad3960ca31c30f580",
+    ("SCW", "most-cut"):  # 135 mistakes, 358 updates, 6 weights
+        "b6ac950ba4c0efcc7b6f2ff5d9dfb279e851e4918107bccf5472925a266af11f",
+    ("SCW", "few-cut"):  # 138 mistakes, 300 updates, 200 weights
+        "9ee729eb933dce0f2ba72ab73a722388469800654d5f35b2713328876b716667",
+}
+
+
+def _final_state_digest(learner):
+    """sha256 of the exact weights and sigma (float.hex), the mistakes and the updates."""
+    weights = ",".join(f"{i}:{v.hex()}" for i, v in learner.w.items())
+    sigma = ",".join(f"{i}:{s.hex()}" for i, s in sorted(learner.sigma.items()))
+    text = f"{weights}|{sigma}|{learner.mistakes}|{learner.updates}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("variant, shape", [(v, s) for v in VARIANTS for s in _PIN_SHAPES],
+                         ids=[f"{v}-{s}" for v in VARIANTS for s in _PIN_SHAPES])
+def test_variant_bytes_are_pinned(variant, shape):
+    # The reference mistake counts would miss a last-bit drift in the arithmetic.
+    d, B, nnz, n, seed = _PIN_SHAPES[shape]
+    learner = make(variant, d=d, B=B, seed=seed, **_PIN_CONFIG.get(variant, {}))
+    for x, y in _pinned_stream(d, nnz, n, seed):
+        learner.step(x, y)
+    assert _final_state_digest(learner) == _VARIANT_PINS[variant, shape]

@@ -104,6 +104,18 @@ def test_negotiation_config_rejects_bad_trial_settings(setting, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"t_max": 2.5}, "t_max must be an int, got 2.5"),
+    ({"t_max": True}, "t_max must be an int, got True"),
+    ({"merged_budget": 2.5}, "merged_budget must be an int, got 2.5"),
+    ({"epsilon": True}, "epsilon must be a real, got True"),
+], ids=["float-t_max", "bool-t_max", "float-merged_budget", "bool-epsilon"])
+def test_negotiation_config_rejects_a_field_of_the_wrong_type(setting, message):
+    with pytest.raises(ValueError) as err:
+        ncfg(**setting)
+    assert str(err.value) == message
+
+
 def test_feature_trust_starts_at_initial_and_clamps():
     ft = FeatureTrust(epsilon=1 / 3)
     assert ft.value(4) == 0.05

@@ -373,6 +373,9 @@ _CUT_FACTORS = st.one_of(
 @example({3: 0.5, 1: -0.5, 0: 0.5, 7: 2.0}, 2, 1.0)  # a tie straddles the cut
 @example({0: 3.0, 2: -_TIE_B, 1: _TIE_A, 5: 0.5}, 2, 0.7)  # a tie appears once scaled
 @example({4: 1.0, 2: -1.5}, 3, 0.5)              # already within budget
+@example({0: 1.0, 1: -0.5, 2: 0.5, 3: 0.25, 5: 0.5}, 2, 1.0)  # most is cut, a tie straddles it
+@example({0: 30.0, 1: -20.0, 2: 1.0, 3: 0.5, 4: 0.25}, 2, 1e-16)  # most is cut, scaled tiny
+@example({0: 30.0, 1: -2.0, 2: 1.0, 3: 0.5, 4: 0.25}, 2, 1e-16)  # and the B-th below ZERO_EPS
 @settings(max_examples=500)
 def test_cut_equals_truncate_of_the_scaled_rebuild(out, B, c):
     expected = truncate_reference(sparse_reference(sparse_reference(out), c), B)
@@ -444,6 +447,30 @@ def test_in_place_cut_equals_the_rebuild(data):
 @settings(max_examples=500)
 def test_second_order_add_cut_equals_the_rebuild(data):
     check_chained_add_cuts(data, _SIGMAS)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_one_loop_shrink_equals_the_add_cut_then_the_shrink(data):
+    # CW, SCW and AROW pass beta to shrink sigma in the loop that writes the
+    # weights; the two-pass form is an add-cut that reads sigma, then _shrink_sigma.
+    d = 12
+    entries = st.dictionaries(st.integers(0, d - 1), _STEP_VALUES, max_size=d)
+    B = data.draw(st.integers(1, d))
+    w, sigma = sv(d, data.draw(entries)), data.draw(_SIGMAS)
+    two_pass = Learner(LearnerConfig("AROW"), d, B)
+    two_pass.w, two_pass.sigma = w, dict(sigma)
+    for _ in range(data.draw(st.integers(1, 6))):
+        x = sv(d, data.draw(entries))
+        s, beta = data.draw(_STEP_SCALES), data.draw(st.floats(0.0, 4.0))
+        w = _add_cut(w, s, x, B, sigma, beta)
+        two_pass.w = _add_cut(two_pass.w, s, x, B, two_pass.sigma)
+        two_pass._shrink_sigma(x, beta)
+        assert [(i, v.hex()) for i, v in w.items()] == [
+            (i, v.hex()) for i, v in two_pass.w.items()]
+        assert [(i, v.hex()) for i, v in sigma.items()] == [
+            (i, v.hex()) for i, v in two_pass.sigma.items()]
+        assert_floor_holds(w)
 
 
 @pytest.mark.parametrize("w, x, B, expected, in_place", [

@@ -102,6 +102,24 @@ def test_system_config_bounds():
         SystemConfig(roster=roster("PETRUN", "OGD"), k=2, calibration_fraction=1.0)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"k": 2.0}, "k must be an int, got 2.0"),
+    ({"t_max": 2.5}, "t_max must be an int, got 2.5"),
+    ({"t_max": True}, "t_max must be an int, got True"),
+    ({"seed": 1.0}, "seed must be an int, got 1.0"),
+    ({"budget_fraction": True}, "budget_fraction must be a real, got True"),
+    ({"calibration_fraction": False}, "calibration_fraction must be a real, got False"),
+    ({"epsilon": True}, "epsilon must be a real, got True"),
+], ids=["float-k", "float-t_max", "bool-t_max", "float-seed", "bool-budget_fraction",
+        "bool-calibration_fraction", "bool-epsilon"])
+def test_system_config_rejects_a_field_of_the_wrong_type(setting, message):
+    # k = 2.0 failed inside the election, t_max = 2.5 in the middle of a run,
+    # and the bools were taken as 1 or 0.
+    with pytest.raises(ValueError) as err:
+        SystemConfig(roster=roster("PETRUN", "OGD"), **{"k": 2, **setting})
+    assert str(err.value) == message
+
+
 def test_dataset_too_small_rejected():
     ds = Dataset("tiny", 4, [(sv(4, {0: 1.0}), 1)] * 5)
     cfg = SystemConfig(roster=roster("PETRUN", "OGD"), k=2, budget_fraction=0.5)

@@ -238,6 +238,23 @@ def test_time_dependent_value_monotone_between_endpoints():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("field", ["trust", "error", "cost_time"])
+def test_issue_weights_reject_a_bool(field):
+    # IssueWeightProfile(True, False, False) sums to 1 and was accepted.
+    weights = dict(trust=0.0, error=0.0, cost_time=0.0) | {field: True}
+    with pytest.raises(ValueError) as err:
+        IssueWeightProfile(**weights)
+    assert str(err.value) == f"{field} must be a real, got True"
+
+
+@pytest.mark.parametrize("field", ["f1", "f2", "t_init", "t_max", "beta"])
+def test_time_strategy_rejects_a_bool(field):
+    params = dict(f1=2.0, f2=8.0, t_init=0.0, t_max=5.0, beta=1.0) | {field: True}
+    with pytest.raises(ValueError) as err:
+        TimeStrategyParams(**params)
+    assert str(err.value) == f"{field} must be a real, got True"
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         TimeStrategyParams(f1=0, f2=1, t_init=5, t_max=5)
