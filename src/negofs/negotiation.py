@@ -141,14 +141,15 @@ class TrialObserver(Protocol):
                  accepted: Sequence[Offer], merged: SparseVector) -> None: ...
 
 
-def _check_trial_settings(t_max: int, epsilon: Optional[float], conflict_rule: str) -> None:
-    """Checks shared by NegotiationConfig and the system config that builds one."""
-    if t_max < 1:
+def _check_trial_settings(cfg) -> None:
+    """Checks of t_max, epsilon and conflict_rule, shared with SystemConfig."""
+    _check_field_types(cfg, ("t_max",), ("epsilon",))
+    if cfg.t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if epsilon is not None and not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if conflict_rule not in (MIN_ERROR, MIN_UTILITY):
-        raise ValueError(f"unknown conflict rule {conflict_rule!r}")
+    if cfg.epsilon is not None and not 0.0 < cfg.epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {cfg.epsilon}")
+    if cfg.conflict_rule not in (MIN_ERROR, MIN_UTILITY):
+        raise ValueError(f"unknown conflict rule {cfg.conflict_rule!r}")
 
 
 @dataclass
@@ -162,8 +163,8 @@ class NegotiationConfig:
     measure_time: bool = True     # False: every offer's cost time stays 0.0
 
     def __post_init__(self):
-        _check_field_types(self, ("t_max", "merged_budget"), ("epsilon",))
-        _check_trial_settings(self.t_max, self.epsilon, self.conflict_rule)
+        _check_field_types(self, ("merged_budget",))
+        _check_trial_settings(self)
         if not self.merged_budget >= 1:
             raise ValueError(f"merged_budget must be an int >= 1, got {self.merged_budget!r}")
 

@@ -218,9 +218,9 @@ def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
     the lower index, as truncate_reference in tests/dense_oracle.py states.
     Scaling down keeps the magnitudes' order, so when no tie straddles the
     B-th largest and it clears ZERO_EPS, the entries kept are exactly the B
-    at or above it, and one comprehension sorts, scales and cuts. When most
-    of out is cut (2B < len(out)), those B are picked first and only their
-    indices are sorted.
+    at or above it. When most of out is cut (2B < len(out)), those B are
+    picked first and only their indices are sorted; otherwise one
+    comprehension over keys, faster when few are cut, sorts, scales and cuts.
     """
     if len(out) > B:
         magnitudes = sorted(map(abs, out.values()), reverse=True)
@@ -268,7 +268,7 @@ def _add_cut(
     elif sigma:
         for i, v in x._data.items():
             out[i] = get(i, 0.0) + coeff * scale_of(i, 1.0) * v
-    else:
+    else:  # first-order: sigma is 1.0 everywhere, and coeff * 1.0 == coeff
         for i, v in x._data.items():
             out[i] = get(i, 0.0) + coeff * v
     excess = len(out) - B

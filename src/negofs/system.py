@@ -51,8 +51,7 @@ class SystemConfig:
     measure_time: bool = True             # False: every cost time stays 0.0
 
     def __post_init__(self):
-        _check_field_types(self, ("k", "t_max", "seed"),
-                           ("budget_fraction", "calibration_fraction", "epsilon"))
+        _check_field_types(self, ("k", "seed"), ("budget_fraction", "calibration_fraction"))
         n = len(self.roster)
         if n < 2:
             raise ValueError("the roster needs at least 2 learners")
@@ -62,7 +61,7 @@ class SystemConfig:
             raise ValueError("budget_fraction must lie in (0, 1]")
         if not 0.0 < self.calibration_fraction < 1.0:
             raise ValueError("calibration_fraction must lie in (0, 1)")
-        _check_trial_settings(self.t_max, self.epsilon, self.conflict_rule)
+        _check_trial_settings(self)
 
 
 @dataclass
