@@ -1,7 +1,7 @@
 """Online feature selection through negotiating truncation-based learners."""
 
 from .data import Dataset, SyntheticSpec, budget, generate_synthetic, load_sparse_text, permute, save_sparse_text
-from .learners import VARIANTS, Learner, LearnerConfig, Prediction
+from .learners import VARIANTS, Learner, LearnerConfig
 from .negotiation import (
     FeatureTrust,
     MIN_ERROR,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "SyntheticSpec", "budget", "generate_synthetic", "load_sparse_text",
     "permute", "save_sparse_text",
-    "VARIANTS", "Learner", "LearnerConfig", "Prediction",
+    "VARIANTS", "Learner", "LearnerConfig",
     "FeatureTrust", "MIN_ERROR", "MIN_UTILITY", "NegotiationConfig",
     "NegotiationTranscript", "Offer", "Participant",
     "merge_multilateral", "run_negotiation",

@@ -108,7 +108,8 @@ def parse_algorithms(raw: str) -> list[str]:
     return names
 
 
-def parse_synthetic(raw: str, default_seed: int) -> SyntheticSpec:
+def parse_synthetic(raw: str, default_seed: int | None) -> SyntheticSpec:
+    """Parse a --synthetic spec; with default_seed None, a seed key is refused."""
     keys = {}
     for part in raw.split(","):
         part = part.strip()
@@ -121,6 +122,9 @@ def parse_synthetic(raw: str, default_seed: int) -> SyntheticSpec:
         if key in keys:
             raise ConfigError(f"synthetic spec key {key!r} is given twice")
         keys[key] = value.strip()
+    if default_seed is None and "seed" in keys:
+        raise ConfigError("recover takes each run's data seed from --seed; "
+                          "drop seed= from --synthetic")
     try:
         spec = SyntheticSpec(
             d=int(keys.pop("d")),
@@ -128,7 +132,7 @@ def parse_synthetic(raw: str, default_seed: int) -> SyntheticSpec:
             n_relevant=int(keys.pop("relevant")),
             density=float(keys.pop("density", 0.1)),
             label_noise=float(keys.pop("noise", 0.0)),
-            seed=int(keys.pop("seed", default_seed)),
+            seed=int(keys.pop("seed", default_seed or 0)),
         )
     except KeyError as missing:
         raise ConfigError(f"synthetic spec is missing {missing}") from None
@@ -351,7 +355,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    base_spec = parse_synthetic(args.synthetic, args.seed)
+    base_spec = parse_synthetic(args.synthetic, None)
     system = SYSTEMS["MOANOFS"](options_from(args))
 
     lines = ["run,seed,precision,recall,selected,planted"]

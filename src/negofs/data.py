@@ -46,8 +46,8 @@ class Dataset:
                 raise ValueError(
                     f"instance dimension {x.dimension} != dataset dimension {self.dimension}"
                 )
-            if y not in (-1, 1):
-                raise ValueError(f"labels must be -1 or +1, got {y}")
+            if y not in (-1, 1) or isinstance(y, bool):
+                raise ValueError(f"labels must be -1 or +1, got {y!r}")
 
     def __len__(self) -> int:
         return len(self.instances)

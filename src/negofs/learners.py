@@ -25,7 +25,6 @@ import math
 import random
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple
 
 from .sparse import (
     SparseVector,
@@ -45,11 +44,6 @@ VARIANTS = FIRST_ORDER_VARIANTS + SECOND_ORDER_VARIANTS
 # Guard for ROMMA's denominator ||x||^2*||w||^2 - (w'x)^2, which vanishes
 # when w is zero or parallel to x; those cases fall back to a perceptron step.
 _ROMMA_DEGENERATE = 1e-12
-
-
-class Prediction(NamedTuple):
-    sign: int
-    margin: float
 
 
 def sign_of(margin: float) -> int:
@@ -107,8 +101,8 @@ class Learner:
 
     # -- stream consumption -------------------------------------------------
 
-    def step(self, x: SparseVector, y: int, margin: float | None = None) -> Prediction:
-        """Predict, count the mistake, apply the variant's update; return the prediction.
+    def step(self, x: SparseVector, y: int, margin: float | None = None) -> None:
+        """Predict, count the mistake in self.mistakes, apply the variant's update.
 
         margin, when given, must equal dot(self.w, x): a caller that already
         computed it for the same two vectors passes it instead.
@@ -117,13 +111,11 @@ class Learner:
             raise ValueError(f"label must be -1 or +1, got {y}")
         if margin is None:
             margin = dot(self.w, x)
-        pred = Prediction(sign_of(margin), margin)
-        if pred.sign != y:
+        if sign_of(margin) != y:
             self.mistakes += 1
         if len(x):
             self._update_variant(x, y, margin)
         self.instances += 1
-        return pred
 
     def _add_step(self, base: SparseVector, coeff: float, x: SparseVector,
                   beta: float | None = None) -> None:

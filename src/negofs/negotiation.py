@@ -232,22 +232,22 @@ def score_chunk(
 
     first_margin, when given, must equal dot(p.learner.w, x) for the chunk's
     first instance x. When measure_time is set, the seconds the chunk took
-    are added to p.cost_time. Returns the chunk's mistakes; an empty chunk
-    leaves the trust state as it was.
+    are added to p.cost_time. Returns the chunk's mistakes, the change in
+    p.learner.mistakes; an empty chunk leaves the trust state as it was.
     """
     start = time.perf_counter() if measure_time else 0.0
-    correct = 0
+    before = p.learner.mistakes
     margin = first_margin
     for x, y in chunk:
-        if p.learner.step(x, y, margin).sign == y:
-            correct += 1
+        p.learner.step(x, y, margin)
         margin = None
+    mistakes = p.learner.mistakes - before
     if chunk:
-        p.trust_state = update_trust(p.trust_state, satisfaction_of_window(correct, len(chunk)),
-                                     params)
+        satisfaction = satisfaction_of_window(len(chunk) - mistakes, len(chunk))
+        p.trust_state = update_trust(p.trust_state, satisfaction, params)
     if measure_time:
         p.cost_time += time.perf_counter() - start
-    return len(chunk) - correct
+    return mistakes
 
 
 @dataclass

@@ -60,8 +60,11 @@ class SparseVector:
         eps, inf, as_index = ZERO_EPS, math.inf, operator.index  # locals for the per-entry loop
         try:
             for i, v in pairs:
-                if not 0 <= i < dimension:
-                    raise IndexError(f"index {i} out of range for dimension {dimension}")
+                if not 1 < i < dimension:  # only 0 and 1 can be bools
+                    if not 0 <= i < dimension:
+                        raise IndexError(f"index {i} out of range for dimension {dimension}")
+                    if i.__class__ is bool:
+                        raise TypeError(f"index must be an int, got {i!r}")
                 if eps <= abs(v) < inf:
                     data[as_index(i)] = float(v)  # TypeError for a non-integer index
                 elif not abs(v) < eps:  # NaN or ±inf

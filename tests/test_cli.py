@@ -518,12 +518,18 @@ def test_recover_rejects_flags_it_never_reads(capsys, flag, value):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_recover_checks_k_before_generating_data(capsys, monkeypatch):
+@pytest.mark.parametrize("spec, flags, message", [
+    ("d=20,relevant=3,n=100", ["--k", "99"], "k must lie in [2, 9], got 99"),
+    # Each run draws its data seed from --seed and the run index, so seed= would be dropped.
+    ("d=20,relevant=3,n=100,seed=7", [],
+     "recover takes each run's data seed from --seed; drop seed= from --synthetic"),
+], ids=["k", "seed-key"])
+def test_recover_checks_flags_before_generating_data(capsys, monkeypatch, spec, flags, message):
     generated = []
     monkeypatch.setattr(cli, "generate_synthetic", lambda spec: generated.append(spec))
-    argv = ["recover", "--synthetic", "d=20,relevant=3,n=100", "--k", "99", "--runs", "1"]
+    argv = ["recover", "--synthetic", spec, *flags, "--runs", "1"]
     assert main(argv) == EXIT_CONFIG
-    assert "error: k must lie in [2, 9], got 99" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert generated == []
 
 

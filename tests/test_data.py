@@ -346,6 +346,8 @@ def test_synthetic_instance_density():
 def test_dataset_rejects_bad_labels():
     with pytest.raises(ValueError, match="labels"):
         Dataset("bad", 3, [(SparseVector(3, {0: 1.0}), 0)])
+    with pytest.raises(ValueError, match="^labels must be -1 or \\+1, got True$"):
+        Dataset("bad", 3, [(SparseVector(3, {0: 1.0}), True)])
 
 
 def test_dataset_rejects_mismatched_dimension():

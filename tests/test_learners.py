@@ -13,7 +13,6 @@ from negofs.learners import (
     VARIANTS,
     Learner,
     LearnerConfig,
-    Prediction,
 )
 from negofs.sparse import SparseVector, dot
 
@@ -75,25 +74,34 @@ def test_step_rejects_a_label_outside_plus_minus_one():
     assert (learner.instances, learner.mistakes) == (0, 0)
 
 
-# -- predict: step returns the prediction made before its update ---------------------
+# -- predict: step counts a mistake when sgn(dot(w, x)) before its update differs from y
 
 def test_zero_model_predicts_negative():
-    learner = make("PETRUN")
-    assert learner.step(sv(5, {0: 3.0}), 1) == Prediction(-1, 0.0)
+    x = sv(5, {0: 3.0})
+    for y, mistakes in ((1, 1), (-1, 0)):
+        learner = make("PETRUN")
+        assert dot(learner.w, x) == 0.0
+        assert learner.step(x, y) is None
+        assert learner.mistakes == mistakes
 
 
 def test_positive_margin_predicts_positive():
-    learner = make("PETRUN")
-    learner.w = sv(5, {0: 1.0})
-    assert learner.step(sv(5, {0: 2.0}), 1) == Prediction(1, 2.0)
+    x = sv(5, {0: 2.0})
+    for y, mistakes in ((1, 0), (-1, 1)):
+        learner = make("PETRUN")
+        learner.w = sv(5, {0: 1.0})
+        assert dot(learner.w, x) == 2.0
+        learner.step(x, y)
+        assert learner.mistakes == mistakes
 
 
 def test_predict_hand_dot():
     learner = make("PETRUN")
     learner.w = sv(5, {0: 0.5, 2: -0.9})
-    pred = learner.step(sv(5, {0: 2.0, 2: 1.0}), 1)
-    assert pred.sign == 1
-    assert pred.margin == pytest.approx(0.1)
+    x = sv(5, {0: 2.0, 2: 1.0})
+    assert dot(learner.w, x) == pytest.approx(0.1)
+    learner.step(x, 1)
+    assert learner.mistakes == 0
 
 
 # -- PETRUN -----------------------------------------------------------------------
@@ -201,8 +209,8 @@ def test_ogd_gradient_step():
 def test_degenerate_empty_instance_never_updates():
     for variant in VARIANTS:
         learner = make(variant, seed=3)
-        pred = learner.step(sv(5), 1)
-        assert pred == Prediction(-1, 0.0)
+        assert dot(learner.w, sv(5)) == 0.0
+        learner.step(sv(5), 1)
         assert learner.w == sv(5)
         assert learner.mistakes == 1  # sgn(0) = -1 disagrees with +1
         assert learner.sigma == {}
@@ -349,8 +357,8 @@ def test_a_given_margin_steps_like_a_computed_one(variant, B, data):
     given_margin, computed = make(variant, d=8, B=B, seed=5), make(variant, d=8, B=B, seed=5)
     for entries, y in data.draw(st.lists(instances, min_size=1, max_size=25)):
         x = sv(8, entries)
-        got = given_margin.step(x, y, dot(given_margin.w, x))
-        assert got == computed.step(x, y)
+        given_margin.step(x, y, dot(given_margin.w, x))
+        computed.step(x, y)
         assert _state(given_margin) == _state(computed)
 
 

@@ -9,9 +9,9 @@ one dataset error, so that error constructors count as entered.
 The functions defined under src/negofs are listed through ``inspect``:
 module functions and class members, including the targets of ``property``,
 ``staticmethod`` and ``classmethod``. A function whose code lives in another
-file, such as a dataclass- or NamedTuple-generated method, is not negofs
-code and is left out. Functions are matched by code-object identity and
-named ``module:qualname``.
+file, such as a dataclass-generated method, is not negofs code and is left
+out. Functions are matched by code-object identity and named
+``module:qualname``.
 """
 
 import contextlib
@@ -84,8 +84,8 @@ def argvs(tmp: Path) -> list[tuple[list[str], int]]:
           "--runs", "1", "--tmax", "5", "--no-timing"], cli.EXIT_OK),
         (["run", "--synthetic", SYNTHETIC, "--algorithms", "MOANOFS",
           "--conflict-rule", "min-utility", "--runs", "1", "--tmax", "5"], cli.EXIT_OK),
-        (["recover", "--synthetic", SYNTHETIC, "--runs", "1", "--tmax", "5", "--no-timing"],
-         cli.EXIT_OK),
+        (["recover", "--synthetic", SYNTHETIC.removesuffix(",seed=1"), "--runs", "1",
+          "--tmax", "5", "--no-timing"], cli.EXIT_OK),
         (["run", "--synthetic", SYNTHETIC, "--algorithms", "single:PETRUN",
           "--epsilon", "-1"], cli.EXIT_CONFIG),
         (["run", "--dataset", str(malformed), "--algorithms", "single:PETRUN"],
@@ -146,7 +146,6 @@ def test_the_listing_sees_descriptor_targets_and_skips_generated_methods():
     names = set(defined_functions().values())
     assert {"learners:Learner.error_rate", "sparse:SparseVector._trusted",
             "data:Dataset.__post_init__", "trust:TrustState.first_done"} <= names
-    assert not any(n.startswith("learners:Prediction.") for n in names)
     assert "data:Dataset.__init__" not in names
 
 

@@ -53,8 +53,8 @@ def test_constructor_rejects_out_of_range_indices():
 
 
 @pytest.mark.parametrize("entries", [
-    [(1.5, 2.0)], {1.9: 4.0}, [(2.0, 1.0)], [(1.5, 0.0)], [("1", 1.0)],
-], ids=["pair-float", "mapping-float", "integral-float", "float-dropped-value", "str"])
+    [(1.5, 2.0)], {1.9: 4.0}, [(2.0, 1.0)], [(1.5, 0.0)], [("1", 1.0)], {True: 1.0},
+], ids=["pair-float", "mapping-float", "integral-float", "float-dropped-value", "str", "bool"])
 def test_constructor_rejects_non_integer_indices(entries):
     with pytest.raises(TypeError):
         sv(5, entries)
