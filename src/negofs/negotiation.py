@@ -6,6 +6,8 @@ trust value), the offers are merged feature by feature, and the
 merged vector is broadcast back so every participant starts the next trial
 from the agreed selection. Cost time is the seconds a participant's learner
 has spent stepping through its chunks (0.0 unless cfg.measure_time is set).
+cfg is a NegotiationConfig: the TrialSettings both levels run under
+(SystemConfig extends them too) plus the merged budget.
 
 Merge rules, per feature:
   * selected by nobody: stays zero;
@@ -141,30 +143,32 @@ class TrialObserver(Protocol):
                  accepted: Sequence[Offer], merged: SparseVector) -> None: ...
 
 
-def _check_trial_settings(cfg) -> None:
-    """Checks of t_max, epsilon and conflict_rule, shared with SystemConfig."""
-    _check_field_types(cfg, ("t_max",), ("epsilon",))
-    if cfg.t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    if cfg.epsilon is not None and not 0.0 < cfg.epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {cfg.epsilon}")
-    if cfg.conflict_rule not in (MIN_ERROR, MIN_UTILITY):
-        raise ValueError(f"unknown conflict rule {cfg.conflict_rule!r}")
-
-
-@dataclass
-class NegotiationConfig:
-    t_max: int
-    merged_budget: int
-    epsilon: Optional[float] = None
+@dataclass(kw_only=True)
+class TrialSettings:
+    t_max: int = 10
+    epsilon: Optional[float] = None       # None: 1 / number of negotiators
     conflict_rule: str = MIN_ERROR
     issue_weights: IssueWeightProfile = field(default_factory=IssueWeightProfile)
     trust_params: TrustParams = field(default_factory=TrustParams)
-    measure_time: bool = True     # False: every offer's cost time stays 0.0
+    measure_time: bool = True             # False: every offer's cost time stays 0.0
+
+    def __post_init__(self):
+        _check_field_types(self, ("t_max",), ("epsilon",))
+        if self.t_max < 1:
+            raise ValueError("t_max must be >= 1")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.conflict_rule not in (MIN_ERROR, MIN_UTILITY):
+            raise ValueError(f"unknown conflict rule {self.conflict_rule!r}")
+
+
+@dataclass(kw_only=True)
+class NegotiationConfig(TrialSettings):
+    merged_budget: int
 
     def __post_init__(self):
         _check_field_types(self, ("merged_budget",))
-        _check_trial_settings(self)
+        super().__post_init__()
         if not self.merged_budget >= 1:
             raise ValueError(f"merged_budget must be an int >= 1, got {self.merged_budget!r}")
 

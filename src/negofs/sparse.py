@@ -6,16 +6,16 @@ between learners after a broadcast. The one mutation is of a second-order
 learner's sigma dict, which _add_cut shrinks in the loop that writes x.
 
 The public constructor is the one validating boundary: it sorts, range-checks
-and rejects non-integer or repeated indices and non-finite values. Vectors
-the package computes or draws itself skip it through the private helpers at
-the bottom of this module, which only sort the keys (or keep the existing
-order) and drop entries below ZERO_EPS. Every learner update's cut to its
-budget ends in one of them, _cut, which ranks by magnitude, lower index first
-on ties, unless the excess falls on entries the step itself wrote: _add_cut
-then deletes them from its copy. When most of the copy is cut, _cut picks the
-B kept entries by magnitude and sorts only their indices. ALMA and FOFS step,
-scale into an L2 ball and cut with one copy. The plain truncation and
-projection these cuts must equal are test references in
+and rejects non-integer or repeated indices and non-finite or bool values.
+Vectors the package computes or draws itself skip it through the private
+helpers at the bottom of this module, which only sort the keys (or keep the
+existing order) and drop entries below ZERO_EPS. Every learner update's cut
+to its budget ends in one of them, _cut, which ranks by magnitude, lower
+index first on ties, unless the excess falls on entries the step itself
+wrote: _add_cut then deletes them from its copy. When most of the copy is
+cut, _cut picks the B kept entries by magnitude and sorts only their indices.
+ALMA and FOFS step, scale into an L2 ball and cut with one copy. The plain
+truncation and projection these cuts must equal are test references in
 tests/dense_oracle.py.
 The merge overlays each distinct offer vector once and only re-sorts the
 result, since offered values already clear ZERO_EPS. A vector may cache a
@@ -65,6 +65,8 @@ class SparseVector:
                         raise IndexError(f"index {i} out of range for dimension {dimension}")
                     if i.__class__ is bool:
                         raise TypeError(f"index must be an int, got {i!r}")
+                if v.__class__ is bool:  # True would pass as 1.0, False drop as a zero
+                    raise TypeError(f"value must be a real, got {v!r} at index {i}")
                 if eps <= abs(v) < inf:
                     data[as_index(i)] = float(v)  # TypeError for a non-integer index
                 elif not abs(v) < eps:  # NaN or ±inf

@@ -6,7 +6,8 @@ stream, refreshing each learner's trust with its windowed accuracy, and
 keeps the top k. Level 2 hands the remaining stream to the negotiation
 engine. With k equal to the roster size there is nothing to elect, so the
 whole stream goes straight to the negotiation: that is the single-level
-system (MANOFS, and BANOFS with a roster of two).
+system (MANOFS, and BANOFS with a roster of two). Both levels run under
+SystemConfig's TrialSettings; level 2's NegotiationConfig copies them.
 
 An optional observer passed to run_moanofs goes to the negotiation, which
 calls its ``on_trial`` once per finished trial (see negofs.negotiation); a
@@ -16,39 +17,31 @@ NegotiationTranscript records the protocol messages that way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 from .data import Dataset, Instance, budget, permute, stream_of
 from .learners import Learner, LearnerConfig
 from .negotiation import (
-    MIN_ERROR,
     NegotiationConfig,
     Participant,
     TrialMetrics,
     TrialObserver,
-    _check_trial_settings,
+    TrialSettings,
     run_negotiation,
     score_chunk,
 )
 from .sparse import SparseVector, _check_field_types
 from .trust import TrustParams, direct_trust
-from .utility import IssueWeightProfile
 
 
 @dataclass
-class SystemConfig:
+class SystemConfig(TrialSettings):
     roster: list[LearnerConfig]
     k: int
     budget_fraction: float = 0.1
-    t_max: int = 10
     calibration_fraction: float = 0.2
-    issue_weights: IssueWeightProfile = field(default_factory=IssueWeightProfile)
-    trust_params: TrustParams = field(default_factory=TrustParams)
-    conflict_rule: str = MIN_ERROR
     seed: int = 0
-    epsilon: Optional[float] = None       # None: 1 / number of negotiators
-    measure_time: bool = True             # False: every cost time stays 0.0
 
     def __post_init__(self):
         _check_field_types(self, ("k", "seed"), ("budget_fraction", "calibration_fraction"))
@@ -61,7 +54,7 @@ class SystemConfig:
             raise ValueError("budget_fraction must lie in (0, 1]")
         if not 0.0 < self.calibration_fraction < 1.0:
             raise ValueError("calibration_fraction must lie in (0, 1)")
-        _check_trial_settings(self)
+        super().__post_init__()
 
 
 @dataclass
@@ -163,13 +156,7 @@ def run_moanofs(
     level2 = stream[n_cal:]
 
     ncfg = NegotiationConfig(
-        t_max=cfg.t_max,
-        merged_budget=B,
-        epsilon=cfg.epsilon,
-        conflict_rule=cfg.conflict_rule,
-        issue_weights=cfg.issue_weights,
-        trust_params=cfg.trust_params,
-        measure_time=cfg.measure_time,
+        merged_budget=B, **{f.name: getattr(cfg, f.name) for f in fields(TrialSettings)}
     )
     merged, _, trials = run_negotiation(elected, level2, ncfg, observer)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .sparse import _check_field_types
+
 
 @dataclass(frozen=True)
 class TrustParams:
@@ -18,6 +20,7 @@ class TrustParams:
     threshold: float = 0.25   # floor that keeps alpha from saturating
 
     def __post_init__(self):
+        _check_field_types(self, reals=("c", "threshold"))
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
         if not 0.0 < self.c <= 1.0 - self.threshold:

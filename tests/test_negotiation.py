@@ -28,6 +28,7 @@ from negofs.negotiation import (
     score_chunk,
 )
 from negofs.sparse import SparseVector, dot
+from negofs.system import SystemConfig
 from negofs.trust import TrustParams, TrustState, update_trust
 from negofs.utility import TimeStrategyParams, time_dependent_value
 
@@ -95,24 +96,31 @@ def test_negotiation_config_rejects_bad_merged_budget(merged_budget):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ({"t_max": 0}, "t_max must be >= 1"),
-    ({"conflict_rule": "median"}, "unknown conflict rule 'median'"),
-], ids=["t_max", "conflict_rule"])
-def test_negotiation_config_rejects_bad_trial_settings(setting, message):
+    ({"merged_budget": 2.5}, "merged_budget must be an int, got 2.5"),
+], ids=["float-merged_budget"])
+def test_negotiation_config_rejects_a_field_of_the_wrong_type(setting, message):
     with pytest.raises(ValueError) as err:
         ncfg(**setting)
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("config", [
+    ncfg,
+    lambda **setting: SystemConfig(roster=[LearnerConfig("PETRUN"), LearnerConfig("OGD")],
+                                   k=2, **setting),
+], ids=["negotiation", "system"])
 @pytest.mark.parametrize("setting, message", [
+    ({"t_max": 0}, "t_max must be >= 1"),
     ({"t_max": 2.5}, "t_max must be an int, got 2.5"),
     ({"t_max": True}, "t_max must be an int, got True"),
-    ({"merged_budget": 2.5}, "merged_budget must be an int, got 2.5"),
     ({"epsilon": True}, "epsilon must be a real, got True"),
-], ids=["float-t_max", "bool-t_max", "float-merged_budget", "bool-epsilon"])
-def test_negotiation_config_rejects_a_field_of_the_wrong_type(setting, message):
+    ({"epsilon": 0.0}, "epsilon must be positive and finite, got 0.0"),
+    ({"conflict_rule": "median"}, "unknown conflict rule 'median'"),
+], ids=["t_max", "float-t_max", "bool-t_max", "bool-epsilon", "epsilon", "conflict_rule"])
+def test_both_configs_reject_a_bad_trial_setting(config, setting, message):
+    # Both extend TrialSettings, which checks these once.
     with pytest.raises(ValueError) as err:
-        ncfg(**setting)
+        config(**setting)
     assert str(err.value) == message
 
 

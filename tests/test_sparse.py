@@ -293,6 +293,14 @@ def test_constructor_rejects_non_finite_values_by_index(value):
         sv(4, [(1, value)])
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_constructor_rejects_bool_values_by_index(value):
+    with pytest.raises(TypeError, match=f"^value must be a real, got {value} at index 2$"):
+        sv(4, {0: 1.0, 2: value})
+    with pytest.raises(TypeError, match="at index 1$"):
+        sv(4, [(1, value)])
+
+
 def test_constructor_keeps_the_largest_finite_value():
     assert sv(2, {1: -1.7976931348623157e308}).to_dict() == {1: -1.7976931348623157e308}
 

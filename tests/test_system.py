@@ -1,7 +1,7 @@
 import hashlib
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from negofs.negotiation import (
     NegotiationConfig,
     NegotiationTranscript,
     Participant,
+    TrialSettings,
     run_negotiation,
 )
 from negofs.sparse import SparseVector, dot
@@ -27,6 +28,7 @@ from negofs.system import (
     run_moanofs,
 )
 from negofs.trust import TrustParams, TrustState
+from negofs.utility import IssueWeightProfile
 
 
 def sv(d, entries=()):
@@ -104,17 +106,13 @@ def test_system_config_bounds():
 
 @pytest.mark.parametrize("setting, message", [
     ({"k": 2.0}, "k must be an int, got 2.0"),
-    ({"t_max": 2.5}, "t_max must be an int, got 2.5"),
-    ({"t_max": True}, "t_max must be an int, got True"),
     ({"seed": 1.0}, "seed must be an int, got 1.0"),
     ({"budget_fraction": True}, "budget_fraction must be a real, got True"),
     ({"calibration_fraction": False}, "calibration_fraction must be a real, got False"),
-    ({"epsilon": True}, "epsilon must be a real, got True"),
-], ids=["float-k", "float-t_max", "bool-t_max", "float-seed", "bool-budget_fraction",
-        "bool-calibration_fraction", "bool-epsilon"])
+], ids=["float-k", "float-seed", "bool-budget_fraction", "bool-calibration_fraction"])
 def test_system_config_rejects_a_field_of_the_wrong_type(setting, message):
-    # k = 2.0 failed inside the election, t_max = 2.5 in the middle of a run,
-    # and the bools were taken as 1 or 0.
+    # k = 2.0 failed inside the election, and the bools were taken as 1 or 0.
+    # The trial settings' cases are in test_negotiation.py, for both configs.
     with pytest.raises(ValueError) as err:
         SystemConfig(roster=roster("PETRUN", "OGD"), **{"k": 2, **setting})
     assert str(err.value) == message
@@ -125,6 +123,29 @@ def test_dataset_too_small_rejected():
     cfg = SystemConfig(roster=roster("PETRUN", "OGD"), k=2, budget_fraction=0.5)
     with pytest.raises(ValueError, match="at least 10"):
         run_moanofs(ds, cfg)
+
+
+def test_run_moanofs_passes_every_trial_setting_through(monkeypatch):
+    chosen = {"t_max": 4, "epsilon": 0.25, "conflict_rule": MIN_UTILITY,
+              "issue_weights": IssueWeightProfile(0.5, 0.25, 0.25),
+              "trust_params": TrustParams(c=0.4, threshold=0.3), "measure_time": False}
+    cfg = SystemConfig(roster=roster("PETRUN", "OGD", "PA"), k=2, budget_fraction=0.3,
+                       **chosen)
+    seen = []
+
+    def spy(participants, stream, ncfg, observer=None):
+        seen.append(ncfg)
+        return run_negotiation(participants, stream, ncfg, observer)
+
+    monkeypatch.setattr(system, "run_negotiation", spy)
+    ds, _ = small_dataset(seed=4)
+    run_moanofs(ds, cfg)
+    (ncfg,) = seen
+    defaults = TrialSettings()
+    for f in fields(TrialSettings):  # a new setting fails here until the test gives it a value
+        assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+        assert getattr(ncfg, f.name) == getattr(cfg, f.name), f.name
+    assert ncfg.merged_budget == budget(ds.dimension, cfg.budget_fraction)
 
 
 # -- calibration and election end to end ----------------------------------------------

@@ -18,6 +18,13 @@ def test_params_validation():
         TrustParams(threshold=0.0)
 
 
+@pytest.mark.parametrize("field", ["c", "threshold"])
+def test_params_refuse_a_bool_by_name(field):
+    with pytest.raises(ValueError) as err:
+        TrustParams(**{field: True})
+    assert str(err.value) == f"{field} must be a real, got True"
+
+
 def test_satisfaction_of_window():
     assert satisfaction_of_window(10, 10) == 1.0
     assert satisfaction_of_window(0, 10) == 0.0
