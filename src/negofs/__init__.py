@@ -15,7 +15,7 @@ from .negotiation import (
 )
 from .sparse import SparseVector, dot
 from .system import RunReport, SystemConfig, elect_trustful, run_moanofs
-from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
+from .trust import TrustParams, TrustState, update_trust
 from .utility import IssueWeightProfile, TimeStrategyParams, time_dependent_value
 
 __version__ = "0.1.0"
@@ -29,6 +29,6 @@ __all__ = [
     "merge_multilateral", "run_negotiation",
     "SparseVector", "dot",
     "RunReport", "SystemConfig", "elect_trustful", "run_moanofs",
-    "TrustParams", "TrustState", "direct_trust", "satisfaction_of_window", "update_trust",
+    "TrustParams", "TrustState", "update_trust",
     "IssueWeightProfile", "TimeStrategyParams", "time_dependent_value",
 ]

@@ -16,6 +16,8 @@ another.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import statistics
 import sys
 import time
@@ -70,13 +72,6 @@ class ResultRow:
     std_mistakes: float
     mean_error_rate: float
     mean_time_s: float
-
-    def csv(self) -> str:
-        return (
-            f"{self.algorithm},{self.dataset},{self.B},{self.runs},"
-            f"{self.mean_mistakes:.6f},{self.std_mistakes:.6f},"
-            f"{self.mean_error_rate:.6f},{self.mean_time_s:.6f}"
-        )
 
 
 def derive_run_seed(base_seed: int, run_index: int) -> int:
@@ -244,14 +239,24 @@ def run_experiment(
 
 
 def format_csv(rows: list[ResultRow]) -> str:
-    return "\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n"
+    """The header and one line per row; a dataset name holding , or " is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows(
+        (row.algorithm, row.dataset, row.B, row.runs, f"{row.mean_mistakes:.6f}",
+         f"{row.std_mistakes:.6f}", f"{row.mean_error_rate:.6f}", f"{row.mean_time_s:.6f}")
+        for row in rows
+    )
+    return out.getvalue()
 
 
 def format_markdown(rows: list[ResultRow]) -> str:
     """Comparison table; the minimum-error row(s) are flagged in bold."""
     best = min(row.mean_error_rate for row in rows)
+    dataset = rows[0].dataset.replace("|", r"\|")
     lines = [
-        f"| Algorithm | {rows[0].dataset} (B={rows[0].B}, runs={rows[0].runs}) | Error rate |",
+        f"| Algorithm | {dataset} (B={rows[0].B}, runs={rows[0].runs}) | Error rate |",
         "| --- | --- | --- |",
     ]
     for row in rows:

@@ -36,11 +36,11 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Iterator, Mapping, Optional, Protocol, Sequence
 
 from .learners import Learner, sign_of
 from .sparse import SparseVector, _check_field_types, _overlay, _sorted_from_dict, check_budget, dot
-from .trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
+from .trust import TrustParams, TrustState, update_trust
 from .utility import IssueWeightProfile, TimeStrategyParams, issue_badness, time_dependent_value
 
 INITIATOR = "init"
@@ -220,46 +220,51 @@ class Participant:
             w=self.learner.w,
             err_count=self.learner.mistakes,
             cost_time=self.cost_time,
-            trust=direct_trust(self.trust_state),
+            trust=self.trust_state.sat,
             instances=self.learner.instances,
         )
+
+
+def _trial_chunks(
+    stream: Sequence[tuple[SparseVector, int]], t_max: int
+) -> Iterator[Sequence[tuple[SparseVector, int]]]:
+    """The t_max contiguous chunks of size ceil(len(stream) / t_max); trailing ones may be empty."""
+    size = math.ceil(len(stream) / t_max)
+    for i in range(t_max):
+        yield stream[i * size:(i + 1) * size]
 
 
 def score_chunk(
     p: Participant,
     chunk: Sequence[tuple[SparseVector, int]],
-    params: TrustParams,
-    measure_time: bool,
+    settings: TrialSettings,
     first_margin: float | None = None,
-) -> int:
+) -> None:
     """Step p's learner through one chunk and refresh p's trust with the chunk accuracy.
 
     first_margin, when given, must equal dot(p.learner.w, x) for the chunk's
-    first instance x. When measure_time is set, the seconds the chunk took
-    are added to p.cost_time. Returns the chunk's mistakes, the change in
-    p.learner.mistakes; an empty chunk leaves the trust state as it was.
+    first instance x. When settings.measure_time is set, the seconds the
+    chunk took are added to p.cost_time. An empty chunk leaves p untouched.
     """
-    start = time.perf_counter() if measure_time else 0.0
-    before = p.learner.mistakes
+    if not chunk:
+        return
+    start = time.perf_counter() if settings.measure_time else 0.0
+    learner = p.learner
+    before = learner.mistakes
     margin = first_margin
     for x, y in chunk:
-        p.learner.step(x, y, margin)
+        learner.step(x, y, margin)
         margin = None
-    mistakes = p.learner.mistakes - before
-    if chunk:
-        satisfaction = satisfaction_of_window(len(chunk) - mistakes, len(chunk))
-        p.trust_state = update_trust(p.trust_state, satisfaction, params)
-    if measure_time:
+    correct = len(chunk) - (learner.mistakes - before)
+    p.trust_state = update_trust(p.trust_state, correct / len(chunk), settings.trust_params)
+    if settings.measure_time:
         p.cost_time += time.perf_counter() - start
-    return mistakes
 
 
 @dataclass
 class TrialMetrics:
     round: int
-    chunk_size: int
-    stale: bool
-    participant_mistakes: dict[int, int]
+    chunk_size: int       # 0: the stream ran out and the trial negotiated on stale offers
     system_mistakes: int
     merged_support: int
 
@@ -293,7 +298,7 @@ def merge_multilateral(
     feature_trust: FeatureTrust,
     cfg: NegotiationConfig,
 ) -> tuple[SparseVector, FeatureTrust]:
-    """Merge two or more offers and award feature trust.
+    """Merge two or more offers, of one dimension and distinct ids, and award feature trust.
 
     Conflicts (a feature selected by several offers) are resolved by the
     configured rule; ties prefer the lower participant id. The feature trust
@@ -310,6 +315,9 @@ def merge_multilateral(
     for o in offers[1:]:
         if o.w.dimension != dimension:
             raise ValueError("offers must share a dimension")
+    ids = [o.participant_id for o in offers]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"participant ids must be distinct, got {ids}")
 
     if cfg.conflict_rule == MIN_UTILITY:
         costs = offer_costs(offers, cfg.issue_weights)
@@ -374,7 +382,8 @@ def run_negotiation(
     chunk accuracy), then CFP -> merge -> broadcast. The initiator also
     predicts each instance with the current merged vector, which gives the
     system-level online mistake count. Trials past the end of a short stream
-    negotiate on stale offers and are flagged in the metrics.
+    negotiate on stale offers: their chunk_size is 0 and the observer sees
+    stale=True.
 
     Under MIN_ERROR every offer is merged. Under MIN_UTILITY trial r merges
     the offers costing at most 1 - time_dependent_value(r, tactic), the
@@ -397,25 +406,17 @@ def run_negotiation(
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1.0 / len(participants)
     feature_trust = FeatureTrust(epsilon)
     merged = SparseVector(dimension)
-    chunk_size = math.ceil(len(stream) / cfg.t_max)
     tactic = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=float(cfg.t_max))
     metrics: list[TrialMetrics] = []
 
-    for trial in range(1, cfg.t_max + 1):
-        chunk = stream[(trial - 1) * chunk_size: trial * chunk_size]
-        stale = len(chunk) == 0
-
+    for trial, chunk in enumerate(_trial_chunks(stream, cfg.t_max), 1):
         margins = [dot(merged, x) for x, _ in chunk]
         system_mistakes = sum(sign_of(m) != y for m, (_, y) in zip(margins, chunk))
 
         # A participant that still holds the merged vector shares its first margin.
         first_margin = margins[0] if margins else None
-        participant_mistakes: dict[int, int] = {}
         for p in participants:
-            participant_mistakes[p.id] = score_chunk(
-                p, chunk, cfg.trust_params, cfg.measure_time,
-                first_margin if p.learner.w is merged else None,
-            )
+            score_chunk(p, chunk, cfg, first_margin if p.learner.w is merged else None)
 
         offers = call_for_proposals(participants)
         accepted = offers
@@ -425,8 +426,7 @@ def run_negotiation(
         merged, feature_trust = merge_multilateral(accepted, feature_trust, cfg)
         broadcast(merged, participants)
         if observer is not None:
-            observer.on_trial(trial, stale, offers, accepted, merged)
-        metrics.append(TrialMetrics(trial, len(chunk), stale, participant_mistakes,
-                                    system_mistakes, len(merged)))
+            observer.on_trial(trial, not chunk, offers, accepted, merged)
+        metrics.append(TrialMetrics(trial, len(chunk), system_mistakes, len(merged)))
 
     return merged, observer, metrics

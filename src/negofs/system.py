@@ -2,12 +2,13 @@
 elected negotiate the final selected-feature vector.
 
 Level 1 runs every learner over a calibration prefix of the permuted
-stream, refreshing each learner's trust with its windowed accuracy, and
-keeps the top k. Level 2 hands the remaining stream to the negotiation
-engine. With k equal to the roster size there is nothing to elect, so the
-whole stream goes straight to the negotiation: that is the single-level
-system (MANOFS, and BANOFS with a roster of two). Both levels run under
-SystemConfig's TrialSettings; level 2's NegotiationConfig copies them.
+stream, refreshing each learner's trust with its accuracy on the same t_max
+chunks level 2 uses, and keeps the top k. Level 2 hands the remaining
+stream to the negotiation engine. With k equal to the roster size there is
+nothing to elect, so the whole stream goes straight to the negotiation:
+that is the single-level system (MANOFS, and BANOFS with a roster of
+two). Both levels run under SystemConfig's TrialSettings; level 2's
+NegotiationConfig copies them.
 
 An optional observer passed to run_moanofs goes to the negotiation, which
 calls its ``on_trial`` once per finished trial (see negofs.negotiation); a
@@ -16,7 +17,6 @@ NegotiationTranscript records the protocol messages that way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -28,11 +28,11 @@ from .negotiation import (
     TrialMetrics,
     TrialObserver,
     TrialSettings,
+    _trial_chunks,
     run_negotiation,
     score_chunk,
 )
 from .sparse import SparseVector, _check_field_types
-from .trust import TrustParams, direct_trust
 
 
 @dataclass
@@ -98,22 +98,18 @@ def elect_trustful(participants: Sequence[Participant], k: int) -> list[Particip
         raise ValueError(f"cannot elect {k} of {len(participants)} learners")
     ranked = sorted(
         participants,
-        key=lambda p: (-direct_trust(p.trust_state), p.learner.mistakes, p.id),
+        key=lambda p: (-p.trust_state.sat, p.learner.mistakes, p.id),
     )
     return ranked[:k]
 
 
 def calibrate(
-    participants: Sequence[Participant],
-    stream: Sequence[Instance],
-    trust_params: TrustParams,
-    window: int,
-    measure_time: bool,
+    participants: Sequence[Participant], stream: Sequence[Instance], settings: TrialSettings
 ) -> None:
-    """Run each participant's learner over a calibration stream, scoring its trust per window."""
-    for p in participants:
-        for start in range(0, len(stream), window):
-            score_chunk(p, stream[start:start + window], trust_params, measure_time)
+    """Step every participant through the stream's t_max chunks, scoring its trust per chunk."""
+    for chunk in _trial_chunks(stream, settings.t_max):
+        for p in participants:
+            score_chunk(p, chunk, settings)
 
 
 def build_learners(cfg: SystemConfig, dimension: int) -> list[Learner]:
@@ -150,8 +146,7 @@ def run_moanofs(
     elected = participants
     if cfg.k < len(participants):
         n_cal = int(cfg.calibration_fraction * len(stream))
-        window = max(1, math.ceil(n_cal / cfg.t_max))
-        calibrate(participants, stream[:n_cal], cfg.trust_params, window, cfg.measure_time)
+        calibrate(participants, stream[:n_cal], cfg)
         elected = elect_trustful(participants, cfg.k)
     level2 = stream[n_cal:]
 
@@ -168,7 +163,7 @@ def run_moanofs(
             instances=p.learner.instances,
             error_rate=p.learner.error_rate,
             cumulative_time=p.cost_time,
-            trust=direct_trust(p.trust_state),
+            trust=p.trust_state.sat,
             elected=p in elected,
         )
         for p in participants

@@ -37,19 +37,6 @@ class TrustState:
     xi: float = 0.0    # accumulated deviation
     n: int = 0         # transactions seen
 
-    @property
-    def first_done(self) -> bool:
-        return self.n > 0
-
-
-def satisfaction_of_window(correct: int, total: int) -> float:
-    """Satisfaction of one transaction window: fraction of correct predictions."""
-    if total <= 0:
-        raise ValueError(f"window total must be positive, got {total}")
-    if not 0 <= correct <= total:
-        raise ValueError(f"correct must lie in [0, {total}], got {correct}")
-    return correct / total
-
 
 def update_trust(state: TrustState, sat_cur: float, params: TrustParams) -> TrustState:
     """Fold one transaction's satisfaction into the running trust value.
@@ -63,14 +50,10 @@ def update_trust(state: TrustState, sat_cur: float, params: TrustParams) -> Trus
         raise ValueError(f"sat_cur must lie in [0, 1], got {sat_cur}")
     delta = abs(state.sat - sat_cur)
     xi = params.c * delta + (1.0 - params.c) * state.xi
-    if not state.first_done:
+    if state.n == 0:
         alpha = 1.0
     else:
         alpha = params.threshold + params.c * delta / (1.0 + xi)
     sat = alpha * sat_cur + (1.0 - alpha) * state.sat
     return TrustState(sat, xi, state.n + 1)
 
-
-def direct_trust(state: TrustState) -> float:
-    """Direct trust is the running satisfaction itself."""
-    return state.sat

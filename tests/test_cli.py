@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -390,6 +393,32 @@ def test_markdown_format_for_run(tmp_path, capsys):
     assert main(argv) == 0
     output = capsys.readouterr().out
     assert output.startswith("| Algorithm |")
+
+
+HAND_DATA = "+1 1:1.0\n-1 2:1.0\n+1 1:1.0 2:1.0\n"
+
+
+@pytest.mark.parametrize("stem", ["a,b", 'a,"b"'])
+def test_csv_quotes_a_dataset_name_with_a_comma_or_quote(tmp_path, capsys, stem):
+    data = tmp_path / f"{stem}.txt"
+    data.write_text(HAND_DATA, encoding="utf-8")
+    argv = ["run", "--dataset", str(data), "--algorithms", "single:PETRUN,single:OGD",
+            "--runs", "1", "--no-timing"]
+    assert main(argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [len(row) for row in rows] == [8, 8, 8]
+    assert [row[1] for row in rows[1:]] == [stem, stem]
+
+
+def test_markdown_escapes_a_bar_in_the_dataset_name(tmp_path, capsys):
+    data = tmp_path / "x|y.txt"
+    data.write_text(HAND_DATA, encoding="utf-8")
+    argv = ["compare", "--dataset", str(data), "--algorithms", "single:PETRUN,single:OGD",
+            "--runs", "1", "--no-timing"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [len(re.split(r"(?<!\\)\|", line)) - 2 for line in lines] == [3, 3, 3, 3]
+    assert lines[0].startswith(r"| Algorithm | x\|y (B=")
 
 
 # -- cmd_compare -----------------------------------------------------------------------------

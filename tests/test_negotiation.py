@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from itertools import groupby
@@ -20,6 +21,8 @@ from negofs.negotiation import (
     Offer,
     Participant,
     ProtocolMessage,
+    TrialSettings,
+    _trial_chunks,
     broadcast,
     call_for_proposals,
     merge_multilateral,
@@ -193,6 +196,17 @@ def test_bilateral_tie_breaks_on_lower_id():
 def test_bilateral_dimension_mismatch():
     with pytest.raises(ValueError, match="share a dimension"):
         bilateral(offer(0, {0: 1.0}, d=3), offer(1, {0: 1.0}, d=4))
+
+
+@pytest.mark.parametrize("offers, message", [
+    ([offer(0, {0: 1.0})], r"^1 offer\(s\) cannot be merged$"),
+    # Min-utility costs are keyed by id: a repeat would overwrite one offer's cost.
+    ([offer(0, {0: 1.0}), offer(0, {1: 1.0}), offer(1, {2: 1.0})],
+     r"^participant ids must be distinct, got \[0, 0, 1\]$"),
+], ids=["one-offer", "repeated-id"])
+def test_merge_rejects_bad_offers(offers, message):
+    with pytest.raises(ValueError, match=message):
+        merge_multilateral(offers, FeatureTrust(0.5), ncfg(conflict_rule=MIN_UTILITY))
 
 
 # -- merge_multilateral -------------------------------------------------------------------
@@ -513,7 +527,7 @@ def test_short_stream_flags_stale_rounds():
     merged, transcript, metrics = run_negotiation(
         participants, stream, ncfg(t_max=5, merged_budget=4), NegotiationTranscript()
     )
-    stale_rounds = [m for m in metrics if m.stale]
+    stale_rounds = [m for m in metrics if m.chunk_size == 0]
     assert len(stale_rounds) == 3  # ceil(2/5) = 1 per chunk, data gone after 2
     stale_cfps = [m for m in transcript.messages
                   if m.kind == MessageKind.CFP and m.detail == "stale"]
@@ -559,15 +573,33 @@ def test_transcript_is_recorded_only_when_passed():
 def test_score_chunk_counts_mistakes_and_refreshes_trust():
     p = petrun_participant(0, 3, 2)
     chunk = [(sv(3, {0: 1.0}), 1), (sv(3, {0: 1.0}), 1), (sv(3, {1: 1.0}), -1)]
+    params = TrustParams(c=0.4, threshold=0.3)
+    settings = TrialSettings(trust_params=params, measure_time=False)
     # zero model: first +1 is a mistake, the second is now right, -1 is right
-    mistakes = score_chunk(p, chunk, TrustParams(), measure_time=False)
+    score_chunk(p, chunk, settings)
     state = p.trust_state
-    assert mistakes == 1
-    assert state == update_trust(TrustState(), 2 / 3, TrustParams())
+    assert p.learner.mistakes == 1
+    assert state == update_trust(TrustState(), 2 / 3, params)
     assert p.learner.instances == 3
-    assert score_chunk(p, [], TrustParams(), measure_time=False) == 0
-    assert p.trust_state == state
+    # An empty chunk leaves the participant untouched, timed or not.
+    for measure_time in (False, True):
+        score_chunk(p, [], TrialSettings(trust_params=params, measure_time=measure_time))
+    assert (p.learner.mistakes, p.learner.instances, p.trust_state) == (1, 3, state)
     assert p.cost_time == 0.0
+
+
+@given(n=st.integers(0, 60), data=st.data())
+def test_trial_chunks_are_t_max_slices_that_rebuild_the_stream(n, data):
+    t_max = data.draw(st.integers(1, max(1, 3 * n)), label="t_max")
+    stream = list(range(n))
+    chunks = list(_trial_chunks(stream, t_max))
+    assert len(chunks) == t_max
+    assert [i for chunk in chunks for i in chunk] == stream
+    # The old calibration windows, then only empty chunks.
+    window = max(1, math.ceil(n / t_max))
+    windows = [stream[start:start + window] for start in range(0, n, window)]
+    assert chunks[:len(windows)] == windows
+    assert not any(chunks[len(windows):])
 
 
 def test_min_utility_round_accepts_by_pressure_threshold():

@@ -145,7 +145,7 @@ def defined_functions() -> dict[object, str]:
 def test_the_listing_sees_descriptor_targets_and_skips_generated_methods():
     names = set(defined_functions().values())
     assert {"learners:Learner.error_rate", "sparse:SparseVector._trusted",
-            "data:Dataset.__post_init__", "trust:TrustState.first_done"} <= names
+            "data:Dataset.__post_init__", "system:RunReport.system_error_rate"} <= names
     assert "data:Dataset.__init__" not in names
 
 

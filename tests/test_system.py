@@ -27,7 +27,7 @@ from negofs.system import (
     elect_trustful,
     run_moanofs,
 )
-from negofs.trust import TrustParams, TrustState
+from negofs.trust import TrustParams, TrustState, update_trust
 from negofs.utility import IssueWeightProfile
 
 
@@ -156,12 +156,11 @@ def test_label_flipped_learner_gets_lowest_trust_and_loses_election():
     ds, _ = small_dataset(seed=6, noise=0.0, d=16, relevant=3, density=0.4, n=200)
     stream = stream_of(ds, permute(ds, 1))[:160]
     params = TrustParams()
-    window = 16
+    window = 16  # 160 instances in 10 chunks
 
     clean = [participant(i, ds.dimension) for i in range(2)]
-    calibrate(clean, stream, params, window=window, measure_time=True)
+    calibrate(clean, stream, TrialSettings(t_max=10, trust_params=params))
 
-    from negofs.trust import update_trust
     flipped = Learner(LearnerConfig("PETRUN"), ds.dimension, 6)
     flipped_state = TrustState()
     correct = 0
@@ -186,13 +185,49 @@ def test_noise_learner_never_displaces_clean_ones():
         stream = stream_of(ds, permute(ds, rep))[:160]
         rng = random.Random(rep * 13 + 1)
         noise_stream = [(x, rng.choice((-1, 1))) for x, _ in stream]
-        params = TrustParams()
+        cfg = TrialSettings(t_max=10)  # 160 instances in chunks of 16
 
         clean = [participant(i, ds.dimension, v) for i, v in enumerate(("PETRUN", "OGD", "PA"))]
         noisy = participant(3, ds.dimension)
-        calibrate(clean, stream, params, window=16, measure_time=True)
-        calibrate([noisy], noise_stream, params, window=16, measure_time=True)
+        calibrate(clean, stream, cfg)
+        calibrate([noisy], noise_stream, cfg)
         assert 3 not in ids(elect_trustful(clean + [noisy], k=3)), f"rep {rep}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 60), data=st.data())
+def test_calibrate_scores_the_old_windows(n, data):
+    # Calibration used to step each learner in turn through windows of
+    # max(1, ceil(n / t_max)); level 2's chunks are those windows, then empty ones.
+    t_max = data.draw(st.integers(1, max(1, 3 * n)), label="t_max")
+    variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=3),
+                         label="variants")
+    params = TrustParams(c=0.4, threshold=0.3)
+    d, rng = 5, random.Random(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    stream = [(sv(d, {i: rng.choice((-1.0, 0.5, 2.0)) for i in rng.sample(range(d), 2)}),
+               rng.choice((-1, 1))) for _ in range(n)]
+
+    def fresh():
+        return [Participant(i, Learner(LearnerConfig(v), d, 2, seed=i))
+                for i, v in enumerate(variants)]
+
+    calibrated, by_hand = fresh(), fresh()
+    calibrate(calibrated, stream, TrialSettings(t_max=t_max, trust_params=params,
+                                                measure_time=False))
+    window = max(1, math.ceil(n / t_max))
+    for p in by_hand:
+        for start in range(0, n, window):
+            chunk = stream[start:start + window]
+            before = p.learner.mistakes
+            for x, y in chunk:
+                p.learner.step(x, y)
+            correct = len(chunk) - (p.learner.mistakes - before)
+            p.trust_state = update_trust(p.trust_state, correct / len(chunk), params)
+
+    for p, q in zip(calibrated, by_hand):
+        assert learner_state(p.learner) == learner_state(q.learner)
+        assert p.trust_state == q.trust_state
+        assert p.cost_time == q.cost_time == 0.0
 
 
 # -- run_moanofs -------------------------------------------------------------------------
@@ -254,7 +289,7 @@ def test_an_observer_changes_nothing(monkeypatch, k, rule):
 
     report = reports[0]
     assert [t[0] for t in recorder.trials] == list(range(1, cfg.t_max + 1))
-    assert [t[1] for t in recorder.trials] == [t.stale for t in report.trials]
+    assert [t[1] for t in recorder.trials] == [t.chunk_size == 0 for t in report.trials]
     assert recorder.holders == [sorted(report.elected)] * cfg.t_max
     assert recorder.trials[-1][4] == report.merged
     # Each round's merged vector is what the next round predicts with.
@@ -493,7 +528,6 @@ def test_tiny_pipeline_invariants(data):
         assert report.calibration_instances == 0
         assert report.elected == list(range(size))
     assert report.calibration_degenerate == (cfg.k < size and report.calibration_instances == 0)
-    assert all(t.stale == (t.chunk_size == 0) for t in report.trials)
     assert sum(t.chunk_size for t in report.trials) == report.system_instances
     first, second = NegotiationTranscript(), NegotiationTranscript()
     assert run_moanofs(ds, cfg, first).merged == report.merged

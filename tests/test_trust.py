@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negofs.trust import TrustParams, TrustState, direct_trust, satisfaction_of_window, update_trust
+from negofs.trust import TrustParams, TrustState, update_trust
 
 
 def test_params_validation():
@@ -25,24 +25,13 @@ def test_params_refuse_a_bool_by_name(field):
     assert str(err.value) == f"{field} must be a real, got True"
 
 
-def test_satisfaction_of_window():
-    assert satisfaction_of_window(10, 10) == 1.0
-    assert satisfaction_of_window(0, 10) == 0.0
-    assert satisfaction_of_window(7, 10) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        satisfaction_of_window(1, 0)
-    with pytest.raises(ValueError):
-        satisfaction_of_window(11, 10)
-
-
 def test_fresh_state_has_zero_trust():
-    assert direct_trust(TrustState()) == 0.0
+    assert TrustState().sat == 0.0
 
 
 def test_first_transaction_forces_alpha_one():
     state = update_trust(TrustState(), 1.0, TrustParams())
     assert state.sat == 1.0
-    assert direct_trust(state) == 1.0
     assert state.n == 1
     # the deviation accumulator is updated even on the first transaction
     assert state.xi == pytest.approx(0.5)
@@ -63,15 +52,6 @@ def test_matching_satisfaction_is_fixed_point():
     before = state.sat
     state = update_trust(state, before, params)
     assert state.sat == pytest.approx(before)
-
-
-def test_direct_trust_equals_sat_always():
-    params = TrustParams()
-    state = TrustState()
-    rng = random.Random(0)
-    for _ in range(50):
-        state = update_trust(state, rng.random(), params)
-        assert direct_trust(state) == state.sat
 
 
 def test_out_of_range_sat_cur_rejected():
