@@ -6,7 +6,7 @@ random-mask learner), ``MANOFS`` for the full roster negotiating the whole
 stream, and ``MOANOFS`` for the two-level pipeline with trust election.
 
 Each run r permutes the dataset with seed ``base*1000003 + r`` and reports
-the mistake count, error rate and the CPU time (``time.process_time``) of
+the mistake and instance counts and the CPU time (``time.process_time``) of
 the whole run: permutation, learner set-up, steps and merges.
 ``--no-timing`` freezes all time measurements at zero so output files are
 byte-reproducible. Every run executes in the calling process, one after
@@ -183,7 +183,6 @@ class RunOutcome:
     algorithm: str
     mistakes: int
     instances: int
-    error_rate: float
     cpu_seconds: float
 
 
@@ -197,10 +196,10 @@ def execute_run(algorithm: str, dataset: Dataset, run_seed: int, opts: RunOption
         learner = Learner(replace(template, variant=variant), dataset.dimension, B, seed=run_seed)
         for x, y in stream_of(dataset, permute(dataset, run_seed)):
             learner.step(x, y)
-        outcome = (learner.mistakes, learner.instances, learner.error_rate)
+        outcome = (learner.mistakes, learner.instances)
     elif algorithm in SYSTEMS:
         report = run_moanofs(dataset, replace(SYSTEMS[algorithm](opts), seed=run_seed))
-        outcome = (report.system_mistakes, report.system_instances, report.system_error_rate)
+        outcome = (report.system_mistakes, report.system_instances)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     cpu = time.process_time() - cpu_start if opts.system.measure_time else 0.0
@@ -231,7 +230,7 @@ def run_experiment(
                 runs=runs,
                 mean_mistakes=statistics.fmean(mistake_counts),
                 std_mistakes=statistics.stdev(mistake_counts) if runs > 1 else 0.0,
-                mean_error_rate=statistics.fmean(o.error_rate for o in results),
+                mean_error_rate=statistics.fmean(o.mistakes / o.instances for o in results),
                 mean_time_s=statistics.fmean(o.cpu_seconds for o in results),
             )
         )
@@ -254,7 +253,7 @@ def format_csv(rows: list[ResultRow]) -> str:
 def format_markdown(rows: list[ResultRow]) -> str:
     """Comparison table; the minimum-error row(s) are flagged in bold."""
     best = min(row.mean_error_rate for row in rows)
-    dataset = rows[0].dataset.replace("|", r"\|")
+    dataset = rows[0].dataset.replace("|", r"\|").replace("\r", " ").replace("\n", " ")
     lines = [
         f"| Algorithm | {dataset} (B={rows[0].B}, runs={rows[0].runs}) | Error rate |",
         "| --- | --- | --- |",

@@ -111,7 +111,8 @@ def load_sparse_text(
     """Load a sparse text file into a Dataset.
 
     File indices are 1-based and must be strictly ascending within a line.
-    Labels and values must be finite (no nan, inf, or overflow like 1e400).
+    Labels and values must be finite (no nan, inf, or overflow like 1e400)
+    and written in ASCII without '_' digit separators.
     Labels {+1,-1} are kept; {0,1} and {1,2} alphabets are mapped onto
     {-1,+1} once the whole file has been seen. Any other alphabet is reported
     at the line of its second distinct label. ``dimension`` overrides the
@@ -129,6 +130,8 @@ def load_sparse_text(
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            if "_" in line or not line.isascii():  # int() and float() accept both
+                raise SparseTextParseError(line_no, "'_' or a non-ASCII character")
             tokens = line.split()
             raw = _parse_label(tokens[0], line_no)
             if raw not in raw_labels:  # a new label: check the alphabet at its line

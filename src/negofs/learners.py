@@ -91,13 +91,8 @@ class Learner:
         self.updates = 0           # updates actually applied to w
         self.instances = 0
         self.rng = random.Random(seed)
-        self._alma_k = 1
         self._phi = NormalDist().inv_cdf(config.confidence)
         self._update_variant = getattr(self, f"_update_{config.variant.lower()}")
-
-    @property
-    def error_rate(self) -> float:
-        return self.mistakes / self.instances if self.instances else 0.0
 
     # -- stream consumption -------------------------------------------------
 
@@ -174,12 +169,12 @@ class Learner:
         alpha = self.config.alpha_margin
         x_norm = x.norm_l2()
         margin_hat = margin / x_norm
-        gamma = (1.0 / alpha) / math.sqrt(self._alma_k)
+        k = self.updates + 1
+        gamma = (1.0 / alpha) / math.sqrt(k)
         if y * margin_hat <= (1.0 - alpha) * gamma:
-            eta_k = math.sqrt(2.0) / math.sqrt(self._alma_k)
+            eta_k = math.sqrt(2.0) / math.sqrt(k)
             self.w = _add_project_cut(self.w, eta_k * y / x_norm, x, self.B)
             self.updates += 1
-            self._alma_k += 1
 
     # -- diagonal second-order variants ----------------------------------------
 

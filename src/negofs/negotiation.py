@@ -263,7 +263,6 @@ def score_chunk(
 
 @dataclass
 class TrialMetrics:
-    round: int
     chunk_size: int       # 0: the stream ran out and the trial negotiated on stale offers
     system_mistakes: int
     merged_support: int
@@ -427,6 +426,6 @@ def run_negotiation(
         broadcast(merged, participants)
         if observer is not None:
             observer.on_trial(trial, not chunk, offers, accepted, merged)
-        metrics.append(TrialMetrics(trial, len(chunk), system_mistakes, len(merged)))
+        metrics.append(TrialMetrics(len(chunk), system_mistakes, len(merged)))
 
     return merged, observer, metrics

@@ -60,20 +60,15 @@ class SystemConfig(TrialSettings):
 @dataclass
 class LearnerReport:
     learner_id: int
-    variant: str
     mistakes: int
     instances: int
-    error_rate: float
     cumulative_time: float
     trust: float
-    elected: bool
 
 
 @dataclass
 class RunReport:
-    dataset: str
     B: int
-    conflict_rule: str
     per_learner: list[LearnerReport]
     elected: list[int]
     trials: list[TrialMetrics]
@@ -81,11 +76,6 @@ class RunReport:
     system_mistakes: int
     system_instances: int
     calibration_instances: int
-    calibration_degenerate: bool
-
-    @property
-    def system_error_rate(self) -> float:
-        return self.system_mistakes / self.system_instances if self.system_instances else 0.0
 
 
 def elect_trustful(participants: Sequence[Participant], k: int) -> list[Participant]:
@@ -158,21 +148,16 @@ def run_moanofs(
     per_learner = [
         LearnerReport(
             learner_id=p.id,
-            variant=p.learner.config.variant,
             mistakes=p.learner.mistakes,
             instances=p.learner.instances,
-            error_rate=p.learner.error_rate,
             cumulative_time=p.cost_time,
             trust=p.trust_state.sat,
-            elected=p in elected,
         )
         for p in participants
     ]
 
     return RunReport(
-        dataset=dataset.name,
         B=B,
-        conflict_rule=cfg.conflict_rule,
         per_learner=per_learner,
         elected=[p.id for p in elected],
         trials=trials,
@@ -180,5 +165,4 @@ def run_moanofs(
         system_mistakes=sum(t.system_mistakes for t in trials),
         system_instances=len(level2),
         calibration_instances=n_cal,
-        calibration_degenerate=cfg.k < len(participants) and n_cal == 0,
     )

@@ -411,14 +411,17 @@ def test_csv_quotes_a_dataset_name_with_a_comma_or_quote(tmp_path, capsys, stem)
 
 
 def test_markdown_escapes_a_bar_in_the_dataset_name(tmp_path, capsys):
-    data = tmp_path / "x|y.txt"
-    data.write_text(HAND_DATA, encoding="utf-8")
-    argv = ["compare", "--dataset", str(data), "--algorithms", "single:PETRUN,single:OGD",
-            "--runs", "1", "--no-timing"]
-    assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [len(re.split(r"(?<!\\)\|", line)) - 2 for line in lines] == [3, 3, 3, 3]
-    assert lines[0].startswith(r"| Algorithm | x\|y (B=")
+    # A line break in the name is written as a space: the header stays one line.
+    for name, header in [("x|y.txt", r"| Algorithm | x\|y (B="),
+                         ("x\ny\rz.txt", "| Algorithm | x y z (B=")]:
+        data = tmp_path / name
+        data.write_text(HAND_DATA, encoding="utf-8")
+        argv = ["compare", "--dataset", str(data), "--algorithms", "single:PETRUN,single:OGD",
+                "--runs", "1", "--no-timing"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [len(re.split(r"(?<!\\)\|", line)) - 2 for line in lines] == [3, 3, 3, 3]
+        assert lines[0].startswith(header)
 
 
 # -- cmd_compare -----------------------------------------------------------------------------

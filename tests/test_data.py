@@ -82,6 +82,18 @@ def test_non_finite_token_names_line(tmp_path, text, reason):
         load_sparse_text(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("text", [
+    "+1 1:1.0\n-1 1_0:1_5\n",
+    "+1 1:1.0\n0_1 2:1.0\n",
+    "+1 1:1.0\n-1 \u0661:\u0662\n",
+], ids=["underscore-index-and-value", "underscore-label", "arabic-indic-digits"])
+def test_numerals_only_python_reads_are_refused(tmp_path, text):
+    # int() and float() read 1_0 as 10, 0_1 as 1 and the Arabic-Indic 1 and 2 as 1 and 2.
+    with pytest.raises(SparseTextParseError) as err:
+        load_sparse_text(write(tmp_path, text))
+    assert str(err.value) == "line 2: '_' or a non-ASCII character"
+
+
 def test_non_ascending_indices_rejected(tmp_path):
     with pytest.raises(SparseTextParseError, match="line 1.*non-ascending"):
         load_sparse_text(write(tmp_path, "+1 3:1.0 2:1.0\n"))

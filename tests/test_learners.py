@@ -344,7 +344,7 @@ def test_flipped_labels_match_reference_simulation():
 
 def _state(learner):
     return (list(learner.w.items()), list(learner.sigma.items()), learner.mistakes,
-            learner.updates, learner.instances, learner._alma_k, learner.rng.getstate())
+            learner.updates, learner.instances, learner.rng.getstate())
 
 
 @given(st.sampled_from(VARIANTS), st.integers(1, 8), st.data())
