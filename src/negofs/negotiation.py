@@ -39,7 +39,7 @@ from enum import Enum
 from typing import Iterator, Mapping, Optional, Protocol, Sequence
 
 from .learners import Learner, sign_of
-from .sparse import SparseVector, _check_field_types, _overlay, _sorted_from_dict, check_budget, dot
+from .sparse import SparseVector, _check_field_types, _from_unsorted, _overlay, check_budget, dot
 from .trust import TrustParams, TrustState, update_trust
 from .utility import IssueWeightProfile, TimeStrategyParams, issue_badness, time_dependent_value
 
@@ -296,11 +296,13 @@ def merge_multilateral(
     offers: Sequence[Offer],
     feature_trust: FeatureTrust,
     cfg: NegotiationConfig,
+    costs: Mapping[int, float] | None = None,
 ) -> tuple[SparseVector, FeatureTrust]:
     """Merge two or more offers, of one dimension and distinct ids, and award feature trust.
 
     Conflicts (a feature selected by several offers) are resolved by the
-    configured rule; ties prefer the lower participant id. The feature trust
+    configured rule; ties prefer the lower participant id. Under MIN_UTILITY,
+    costs, when given, must equal offer_costs(offers, cfg.issue_weights). The feature trust
     of every selected feature grows by epsilon per selecting offer. If the
     union exceeds the merged budget, features are kept by descending trust,
     then descending magnitude, then ascending index.
@@ -319,14 +321,15 @@ def merge_multilateral(
         raise ValueError(f"participant ids must be distinct, got {ids}")
 
     if cfg.conflict_rule == MIN_UTILITY:
-        costs = offer_costs(offers, cfg.issue_weights)
+        if costs is None:
+            costs = offer_costs(offers, cfg.issue_weights)
         ranked = sorted(offers, key=lambda o: (costs[o.participant_id], o.participant_id))
     else:
         ranked = sorted(offers, key=lambda o: (o.err_count, o.participant_id))
 
     # Filled worst first, so the conflict winner's value is written last.
     merged, supports = _overlay([o.w for o in reversed(ranked)])
-    pending = set(merged).difference(feature_trust.capped)
+    pending = merged.keys() - feature_trust.capped
     if pending:
         feature_trust.award({i: sum(i in s for s in supports) for i in pending})
 
@@ -342,8 +345,8 @@ def merge_multilateral(
         for _, _, negated in order[:excess]:
             del merged[-negated]
 
-    # Every offered value already has |v| >= ZERO_EPS: only the order is rebuilt.
-    return _sorted_from_dict(dimension, merged), feature_trust
+    # Every offered value already has |v| >= ZERO_EPS; readers sort the order on demand.
+    return _from_unsorted(dimension, merged), feature_trust
 
 
 def broadcast(merged: SparseVector, participants: Sequence[Participant]) -> None:
@@ -357,15 +360,15 @@ def broadcast(merged: SparseVector, participants: Sequence[Participant]) -> None
 
 
 def _accept_offers(offers: list[Offer], weights: IssueWeightProfile,
-                   threshold: float) -> list[Offer]:
-    """The offers whose cost is at most threshold, or else the two cheapest."""
+                   threshold: float) -> tuple[list[Offer], dict[int, float]]:
+    """The offers whose cost is at most threshold, or else the two cheapest, and every cost."""
     costs = offer_costs(offers, weights)
     acceptable = [o for o in offers if costs[o.participant_id] <= threshold]
     if len(acceptable) < 2:
         # Cooperative fallback: the negotiation must conclude, so the two
         # cheapest offers are taken even under early-round pressure.
         acceptable = sorted(offers, key=lambda o: (costs[o.participant_id], o.participant_id))[:2]
-    return acceptable
+    return acceptable, costs
 
 
 def run_negotiation(
@@ -418,11 +421,13 @@ def run_negotiation(
             score_chunk(p, chunk, cfg, first_margin if p.learner.w is merged else None)
 
         offers = call_for_proposals(participants)
-        accepted = offers
+        accepted, costs = offers, None
         if cfg.conflict_rule == MIN_UTILITY:
             threshold = 1.0 - time_dependent_value(float(trial), tactic)
-            accepted = _accept_offers(offers, cfg.issue_weights, threshold)
-        merged, feature_trust = merge_multilateral(accepted, feature_trust, cfg)
+            accepted, costs = _accept_offers(offers, cfg.issue_weights, threshold)
+            if len(accepted) < len(offers):  # the costs are normalised over the offers merged
+                costs = None
+        merged, feature_trust = merge_multilateral(accepted, feature_trust, cfg, costs)
         broadcast(merged, participants)
         if observer is not None:
             observer.on_trial(trial, not chunk, offers, accepted, merged)

@@ -1,26 +1,29 @@
 """Sparse vector arithmetic shared by the learners and the negotiation engine.
 
 Vectors are index->value maps over a fixed dimension. Operations return new
-vectors and never mutate an input vector, so vectors can be shared freely
-between learners after a broadcast. The one mutation is of a second-order
+vectors and never change an input vector's entries, so vectors can be shared
+freely between learners after a broadcast. The one mutation is of a second-order
 learner's sigma dict, which _add_cut shrinks in the loop that writes x.
+
+Readers see the entries, and float sums run over them, in ascending index
+order, but a vector's dict may be held unsorted: a reader that depends on the
+order sorts it on first use and keeps it. The merge and _add_cut's in-place
+cut leave their dicts in the order of their writes.
 
 The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-integer or repeated indices and non-finite or bool values.
 Vectors the package computes or draws itself skip it through the private
-helpers at the bottom of this module, which only sort the keys (or keep the
-existing order) and drop entries below ZERO_EPS. Every learner update's cut
-to its budget ends in one of them, _cut, which ranks by magnitude, lower
-index first on ties, unless the excess falls on entries the step itself
-wrote: _add_cut then deletes them from its copy. When most of the copy is
-cut, _cut picks the B kept entries by magnitude and sorts only their indices.
+helpers at the bottom of this module, which drop entries below ZERO_EPS.
+Every learner update's cut to its budget ends in one of them. _cut ranks by
+magnitude, lower index first on ties, and sorts only the B kept indices when
+most of its input is cut. _add_cut deletes the excess from its copy instead
+when it falls on entries the step wrote, or when no tie straddles the cut.
 ALMA and FOFS step, scale into an L2 ball and cut with one copy. The plain
 truncation and projection these cuts must equal are test references in
 tests/dense_oracle.py.
-The merge overlays each distinct offer vector once and only re-sorts the
-result, since offered values already clear ZERO_EPS. A vector may cache a
-lower bound on its magnitudes (its floor), which scale carries over to its
-result.
+The merge overlays each distinct offer vector once and wraps the result as
+it is: offered values already clear ZERO_EPS. A vector may cache a lower
+bound on its magnitudes (its floor), which scale carries over to its result.
 
 Float sums are written as loops, not with sum(), which compensates from
 CPython 3.12 on; a loop adds left to right on every interpreter.
@@ -43,11 +46,12 @@ class DimensionMismatchError(ValueError):
 
 
 class SparseVector:
-    """Immutable sparse vector: only nonzero entries are stored, index-sorted."""
+    """Immutable sparse vector: only nonzero entries are stored, read in index order."""
 
-    # _floor is a cached lower bound on the magnitudes (None until needed);
-    # only this module reads it, and it plays no part in ==, hash, repr or pickling.
-    __slots__ = ("dimension", "_data", "_floor")
+    # _floor is a cached lower bound on the magnitudes (None until needed) and
+    # _sorted says whether _data is index-sorted; only this module reads them,
+    # and neither plays a part in ==, hash, repr or pickling.
+    __slots__ = ("dimension", "_data", "_floor", "_sorted")
 
     def __init__(self, dimension: int, entries: EntrySource = ()):
         if isinstance(dimension, bool):
@@ -81,20 +85,31 @@ class SparseVector:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "_floor", None)
+        object.__setattr__(self, "_sorted", True)
 
     @classmethod
     def _trusted(
-        cls, dimension: int, data: dict[int, float], floor: float | None = None
+        cls, dimension: int, data: dict[int, float], floor: float | None = None,
+        in_order: bool = True,
     ) -> "SparseVector":
-        """Wrap data that is already index-sorted, in range and free of |v| < ZERO_EPS.
+        """Wrap data that is in range and free of |v| < ZERO_EPS, index-sorted if in_order.
 
         floor, when given, must be at most the smallest magnitude in data.
         """
         vector = object.__new__(cls)
-        object.__setattr__(vector, "dimension", dimension)
-        object.__setattr__(vector, "_data", data)
-        object.__setattr__(vector, "_floor", floor)
+        _set_dimension(vector, dimension)
+        _set_data(vector, data)
+        _set_floor(vector, floor)
+        _set_sorted(vector, in_order)
         return vector
+
+    def _ordered(self) -> dict[int, float]:
+        """The entries in index order, sorted on the first call only."""
+        if not self._sorted:
+            data = self._data
+            _set_data(self, {i: data[i] for i in sorted(data)})
+            _set_sorted(self, True)
+        return self._data
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseVector is immutable")
@@ -104,20 +119,20 @@ class SparseVector:
 
     def items(self) -> Iterator[tuple[int, float]]:
         """Yield (index, value) pairs in ascending index order."""
-        return iter(self._data.items())
+        return iter((self._data if self._sorted else self._ordered()).items())
 
     def indices(self) -> Iterator[int]:
-        return iter(self._data.keys())
+        return iter(self._ordered().keys())
 
     def to_dict(self) -> dict[int, float]:
-        return dict(self._data)
+        return dict(self._ordered())
 
     def norm_l2(self) -> float:
-        return _root(self.norm_l2_sq(), self._data.values())
+        return _root(self.norm_l2_sq(), self._ordered().values())
 
     def norm_l2_sq(self) -> float:
         total = 0.0
-        for v in self._data.values():
+        for v in (self._data if self._sorted else self._ordered()).values():
             total += v * v
         return total
 
@@ -127,19 +142,26 @@ class SparseVector:
         return self.dimension == other.dimension and self._data == other._data
 
     def __hash__(self):
-        return hash((self.dimension, tuple(self._data.items())))
+        return hash((self.dimension, tuple(self._ordered().items())))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{i}: {v!r}" for i, v in self._data.items())
+        body = ", ".join(f"{i}: {v!r}" for i, v in self._ordered().items())
         return f"SparseVector({self.dimension}, {{{body}}})"
 
     def __getstate__(self):
-        return (self.dimension, self._data)
+        return (self.dimension, self._ordered())
 
     def __setstate__(self, state):
         object.__setattr__(self, "dimension", state[0])
         object.__setattr__(self, "_data", state[1])
         object.__setattr__(self, "_floor", None)
+        object.__setattr__(self, "_sorted", True)
+
+
+# The slots' own setters, which skip the attribute lookup of object.__setattr__;
+# the package builds a vector per learner update.
+_set_dimension, _set_data, _set_floor, _set_sorted = (
+    SparseVector.__dict__[name].__set__ for name in SparseVector.__slots__)
 
 
 def check_budget(B: int, dimension: int) -> int:
@@ -177,7 +199,7 @@ def dot(a: SparseVector, b: SparseVector) -> float:
         a, b = b, a
     get = b._data.get
     total = 0.0
-    for i, v in a._data.items():
+    for i, v in (a._data if a._sorted else a._ordered()).items():
         total += v * get(i, 0.0)
     return total
 
@@ -198,14 +220,15 @@ def scale(w: SparseVector, s: float) -> SparseVector:
         w.dimension,
         {i: u for i, v in w._data.items() if abs(u := s * v) >= ZERO_EPS},
         floor,
+        w._sorted,
     )
 
 
 # -- construction from data the package built itself --------------------------
 
-def _sorted_from_dict(dimension: int, out: dict[int, float]) -> SparseVector:
-    """Wrap a dict of in-range int indices whose values all have |v| >= ZERO_EPS."""
-    return SparseVector._trusted(dimension, {i: out[i] for i in sorted(out)})
+def _from_unsorted(dimension: int, out: dict[int, float]) -> SparseVector:
+    """Wrap a dict of in-range int indices, in any order, whose values all have |v| >= ZERO_EPS."""
+    return SparseVector._trusted(dimension, out, None, False)
 
 
 def _from_ascending(dimension: int, indices: list[int], values: list[float]) -> SparseVector:
@@ -217,7 +240,8 @@ def _from_ascending(dimension: int, indices: list[int], values: list[float]) -> 
 
 def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
          keys: list[int] | None = None) -> SparseVector:
-    """c*out cut to its B largest magnitudes, for 0 < c <= 1; keys, if given, is sorted(out).
+    """c*out cut to its B largest magnitudes, index-sorted, for 0 < c <= 1; keys, if
+    given, is sorted(out); out may be in any order.
 
     Entries below ZERO_EPS once scaled are dropped and ties on magnitude keep
     the lower index, as truncate_reference in tests/dense_oracle.py states.
@@ -257,9 +281,12 @@ def _add_cut(
     One copy of base takes x's writes. A given beta shrinks each sigma_i they
     read to s - beta*s*s*v*v in the same loop; nothing else here mutates an
     argument. When the entries to drop are all among the writes, strictly
-    below the floor of base's magnitudes, they are deleted from the copy,
-    which keeps base's index order unless a new index survives.
-    Otherwise _cut rebuilds the copy, at once when most of it is cut.
+    below the floor of base's magnitudes, they are deleted from the copy.
+    When the excess reaches past the writes and no tie straddles the B-th
+    largest magnitude, every entry below it is deleted. The copy keeps
+    base's order, with new indices after it, so it is marked index-sorted
+    only when base is and no index was added. Otherwise (a tie, or most of
+    the copy cut) _cut rebuilds it.
     """
     if base.dimension != x.dimension:
         _check_same_dimension(base, x)
@@ -279,16 +306,23 @@ def _add_cut(
     excess = len(out) - B
     if 2 * excess > len(out):
         return _cut(base.dimension, out, B)
+    in_order = base._sorted and len(out) == len(base._data)
     floor = _magnitude_floor(base)
-    below = []  # x's writes below the floor, the only ones the cut may drop
+    below = []  # x's writes below the floor: an excess within them is cut from them alone
     for i in x._data:
         if (m := abs(out[i])) < ZERO_EPS:
             del out[i]  # _cut would drop it too
             excess -= 1
         elif m < floor:
             below.append((m, -i))
-    if excess > len(below):
-        return _cut(base.dimension, out, B)
+    if excess > len(below):  # every magnitude is >= ZERO_EPS here, so the cut is too
+        magnitudes = sorted(map(abs, out.values()))
+        floor = magnitudes[excess]
+        if not magnitudes[excess - 1] < floor:  # a tie straddles the cut
+            return _cut(base.dimension, out, B)
+        for i in [i for i, v in out.items() if -floor < v < floor]:
+            del out[i]
+        return SparseVector._trusted(base.dimension, out, floor, in_order)
     if excess > 0:
         below.sort()
         for _, negated in below[:excess]:
@@ -296,10 +330,7 @@ def _add_cut(
         del below[:excess]
     if below:
         floor = min(below)[0]
-    held = base._data
-    if any(i in out and i not in held for i in x._data):
-        out = {i: out[i] for i in sorted(out)}
-    return SparseVector._trusted(base.dimension, out, floor)
+    return SparseVector._trusted(base.dimension, out, floor, in_order)
 
 
 def _add_project_cut(
@@ -344,7 +375,7 @@ def _magnitude_floor(w: SparseVector) -> float:
     floor = w._floor
     if floor is None:
         floor = min(map(abs, w._data.values()), default=math.inf)
-        object.__setattr__(w, "_floor", floor)
+        _set_floor(w, floor)
     return floor
 
 
@@ -365,7 +396,7 @@ def _overlay(
 
 
 def _restrict(w: SparseVector, keep) -> SparseVector:
-    """The entries of w whose index is in keep, in w's index order."""
+    """The entries of w whose index is in keep, in w's order."""
     return SparseVector._trusted(
-        w.dimension, {i: v for i, v in w._data.items() if i in keep}
+        w.dimension, {i: v for i, v in w._data.items() if i in keep}, None, w._sorted
     )

@@ -82,8 +82,8 @@ def test_package_exports_only_what_it_imports():
     assert sorted(set(exported) - set(imported_names(tree))) == []
 
 
-# SparseVector's storage, its cached floor and its unchecked constructor.
-REPRESENTATION = {"_data", "_floor", "_trusted"}
+# SparseVector's storage, its cached floor, its order flag and its unchecked constructor.
+REPRESENTATION = {"_data", "_floor", "_sorted", "_trusted"}
 
 
 def representation_reads(source: str) -> list[str]:

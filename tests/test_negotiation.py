@@ -617,6 +617,23 @@ def test_min_utility_round_accepts_by_pressure_threshold():
         assert len(accepted) >= 2
 
 
+def test_a_round_that_accepts_every_offer_costs_them_once(monkeypatch):
+    # The merge reuses the acceptance's costs only when it merges every offer:
+    # a subset's costs are scored over the subset's own range.
+    calls = []
+    real = offer_costs
+    monkeypatch.setattr("negofs.negotiation.offer_costs",
+                        lambda offers, weights: calls.append(len(offers)) or real(offers, weights))
+    participants = [Participant(i, Learner(LearnerConfig(v), 4, 2, seed=i))
+                    for i, v in enumerate(("PETRUN", "OGD", "AROW"))]
+    _, spy, _ = run_negotiation(participants, build_stream(0, 4, 30),
+                                ncfg(t_max=4, merged_budget=4, conflict_rule=MIN_UTILITY),
+                                MergeSpy())
+    shapes = [(len(offers), len(accepted)) for offers, accepted, _ in spy.merges]
+    assert shapes == [(3, 2), (3, 2), (3, 3), (3, 3)]  # both kinds of round
+    assert calls == [3, 2, 3, 2, 3, 3]
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):

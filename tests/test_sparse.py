@@ -19,7 +19,9 @@ from negofs.sparse import (
     _add_cut,
     _add_project_cut,
     _cut,
+    _from_unsorted,
     _overlay,
+    _restrict,
     check_budget,
     dot,
     scale,
@@ -390,7 +392,7 @@ def test_cut_equals_truncate_of_the_scaled_rebuild(out, B, c):
     got = _cut(12, out, B, c)
     assert got.to_dict() == expected
     assert list(got.items()) == list(expected.items())
-    assert_floor_holds(got)
+    assert_caches_hold(got)
 
 
 def _updated(w, s, x, sigma):
@@ -401,8 +403,10 @@ def _updated(w, s, x, sigma):
     return out
 
 
-def assert_floor_holds(w):
-    assert w._floor is None or all(w._floor <= abs(v) for _, v in w.items())
+def assert_caches_hold(w):
+    """A cached floor bounds every magnitude, and a dict marked index-sorted is."""
+    assert not w._sorted or list(w._data) == sorted(w._data)
+    assert w._floor is None or all(w._floor <= abs(v) for v in w._data.values())
 
 
 # Halves make magnitude ties across the cut and exact cancellations common; the
@@ -427,13 +431,16 @@ _SIGMAS = st.dictionaries(
 def check_chained_add_cuts(data, sigmas):
     """_add_cut against the truncated rebuild, over a chain of updates.
 
-    Chained updates carry each result's floor into the next; the first base
-    may exceed the budget, as the merged vector does right after a broadcast.
+    Chained updates carry each result's floor and order into the next; the
+    first base may exceed the budget and be unsorted, as the merged vector is
+    right after a broadcast.
     """
     d = 12
     entries = st.dictionaries(st.integers(0, d - 1), _STEP_VALUES, max_size=d)
     B = data.draw(st.integers(1, d))
     w = sv(d, data.draw(entries))
+    if data.draw(st.booleans()):  # as the merge wraps it: the dict in any order
+        w = _from_unsorted(d, dict(data.draw(st.permutations(list(w.items())))))
     for _ in range(data.draw(st.integers(1, 6))):
         x = sv(d, data.draw(entries))
         s, sigma = data.draw(_STEP_SCALES), data.draw(sigmas)
@@ -441,7 +448,7 @@ def check_chained_add_cuts(data, sigmas):
         got = _add_cut(w, s, x, B, sigma)
         assert got.to_dict() == expected
         assert list(got.items()) == list(expected.items())
-        assert_floor_holds(got)
+        assert_caches_hold(got)
         w = got
 
 
@@ -478,7 +485,7 @@ def test_one_loop_shrink_equals_the_add_cut_then_the_shrink(data):
             (i, v.hex()) for i, v in two_pass.w.items()]
         assert [(i, v.hex()) for i, v in sigma.items()] == [
             (i, v.hex()) for i, v in two_pass.sigma.items()]
-        assert_floor_holds(w)
+        assert_caches_hold(w)
 
 
 @pytest.mark.parametrize("w, x, B, expected, in_place", [
@@ -486,6 +493,9 @@ def test_one_loop_shrink_equals_the_add_cut_then_the_shrink(data):
     ({0: 3.0, 1: 2.0, 5: 1.0}, {5: -0.875, 7: 1e-16}, 2, {0: 3.0, 1: 2.0}, True),
     # x's write ties the floor at a lower index, so the base entry goes: rebuilt.
     ({3: 2.0, 5: 1.0}, {0: 1.0}, 2, {0: 1.0, 3: 2.0}, False),
+    # PETRUN's shape: the writes land above the floor, so the excess reaches
+    # past them; no tie straddles the cut, so base's smallest is deleted.
+    ({0: 3.0, 1: 2.0, 5: 1.0}, {1: 1.5, 7: -2.5}, 3, {0: 3.0, 1: 3.5, 7: -2.5}, True),
 ])
 def test_in_place_cut_only_when_it_is_exact(w, x, B, expected, in_place, monkeypatch):
     # The copy is internal to _add_cut; an in-place cut is one that never calls _cut.
@@ -494,7 +504,7 @@ def test_in_place_cut_only_when_it_is_exact(w, x, B, expected, in_place, monkeyp
     got = _add_cut(sv(10, w), 1.0, sv(10, x), B, {})
     assert list(got.items()) == sorted(expected.items())
     assert (rebuilds == []) == in_place
-    assert_floor_holds(got)
+    assert_caches_hold(got)
 
 
 def test_a_cached_floor_is_invisible():
@@ -530,7 +540,7 @@ def test_scale_carries_a_floor_that_bounds_every_magnitude(entries, s, known):
     if got is w:
         return
     assert got._floor is None or not math.isnan(got._floor)
-    assert_floor_holds(got)
+    assert_caches_hold(got)
     fresh = sv(12, got.to_dict())
     assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
     assert pickle.dumps(got) == pickle.dumps(fresh)
@@ -566,7 +576,7 @@ def test_add_project_cut_equals_the_three_steps(data):
     got = _add_project_cut(w, s, x, B, lam)
     assert got.to_dict() == expected
     assert list(got.items()) == list(expected.items())
-    assert_floor_holds(got)
+    assert_caches_hold(got)
 
 
 @pytest.mark.parametrize("w, B, lam", [
@@ -586,6 +596,54 @@ def test_add_project_cut_edge_cases(w, B, lam):
     got = _add_project_cut(w, 1.0, x, B, lam)
     expected = _three_steps(w, 1.0, x, B, lam)
     assert list(got.items()) == list(expected.items())
+
+
+# Sums over these depend on their order: 1 + 1e16 + 1 adds left to right to
+# 1e16. 1e200 squared overflows, so norm_l2 is then taken relative to the
+# largest magnitude, where 1 + 1e-16 + 1e-16 likewise differs from 1e-16 + 1e-16 + 1.
+_ORDER_SENSITIVE = st.one_of(
+    st.floats(-5, 5, allow_nan=False).filter(lambda v: abs(v) >= ZERO_EPS),
+    st.sampled_from([1.0, 1e8, 1e16, -1e16, 1e192, 1e200]),
+)
+
+
+@given(st.dictionaries(st.integers(0, 11), _ORDER_SENSITIVE, max_size=12),
+       st.dictionaries(st.integers(0, 11), _ORDER_SENSITIVE, max_size=12),
+       st.integers(0, 2 ** 16))
+@example({0: 1.0, 2: 1e8, 5: 1.0}, {0: 1.0, 2: 1e8, 5: 1.0}, 0)  # order 0, 5, 2
+@example({0: 1.0, 2: 1e16, 5: 1.0, 7: 1e192, 9: 1e200, 11: 1e192},
+         {0: 1.0, 2: 1.0, 5: 1.0, 7: 1e-190, 9: 1e-190, 11: 1e-190}, 1)  # order 5, 7, 11, 0, 9, 2
+@settings(max_examples=300)
+def test_an_unsorted_dict_cannot_be_told_from_its_sorted_twin(entries, other_entries, seed):
+    twin, other = sv(12, entries), sv(12, other_entries)
+    values = twin.to_dict()
+    order = list(values)
+    random.Random(seed).shuffle(order)
+
+    def unsorted():  # a new vector for each reader: the first ordered read sorts the dict
+        return _from_unsorted(12, {i: values[i] for i in order})
+
+    readers = {
+        "items": lambda v: list(v.items()),
+        "indices": lambda v: list(v.indices()),
+        "to_dict": lambda v: list(v.to_dict().items()),
+        "repr": repr,
+        "hash": hash,
+        "pickle": lambda v: pickle.dumps(pickle.loads(pickle.dumps(v))),
+        "dot": lambda v: dot(v, other).hex(),
+        "dot, swapped": lambda v: dot(other, v).hex(),
+        "norm_l2_sq": lambda v: v.norm_l2_sq().hex(),
+        "norm_l2": lambda v: v.norm_l2().hex(),
+    }
+    for name, read in readers.items():
+        assert read(unsorted()) == read(twin), name
+    assert unsorted() == twin and twin == unsorted()
+    # What is derived from it keeps its order, and says so truthfully.
+    for derive in (lambda v: scale(v, -0.5), lambda v: _restrict(v, set(order[::2])),
+                   lambda v: _add_cut(v, 1.0, other, 6, {})):
+        got = derive(unsorted())
+        assert_caches_hold(got)
+        assert list(got.items()) == list(derive(twin).items())
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=9), st.data())
