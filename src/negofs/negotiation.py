@@ -307,8 +307,10 @@ def merge_multilateral(
     union exceeds the merged budget, features are kept by descending trust,
     then descending magnitude, then ascending index.
 
-    Only features below the trust cap are counted and awarded, and the cut
-    ranks capped features only when it must drop some of them.
+    Only features below the trust cap are counted and awarded. The cut
+    ranks the uncapped features only when some of them stay. Capped
+    features all tie on trust, so the ones it must drop are those at or
+    below one magnitude, ranked one by one only when a tie straddles it.
     """
     if len(offers) < 2:
         raise ValueError(f"{len(offers)} offer(s) cannot be merged")
@@ -336,14 +338,28 @@ def merge_multilateral(
     excess = len(merged) - cfg.merged_budget
     if excess > 0:
         # Drop the excess lowest by (trust, |v|, -index), the reverse of the
-        # keep order. Capped features all tie at 1.0 above the rest, so they
-        # are ranked only when the cut reaches past every uncapped one.
-        value, capped = feature_trust.value, feature_trust.capped
-        order = sorted((t, abs(merged[i]), -i) for i in pending if (t := value(i)) < 1.0)
-        if excess > len(order):
-            order += sorted((1.0, abs(v), -i) for i, v in merged.items() if i in capped)
-        for _, _, negated in order[:excess]:
+        # keep order. Capped features all tie at 1.0 above the rest, so the
+        # uncapped ones are ranked only when some of them stay.
+        value = feature_trust.value
+        order = [(t, abs(merged[i]), -i) for i in pending if (t := value(i)) < 1.0]
+        if excess < len(order):
+            order.sort()
+            del order[excess:]
+        for _, _, negated in order:
             del merged[-negated]
+        excess -= len(order)
+    if excess > 0:
+        # Only capped features are left: drop the excess smallest magnitudes,
+        # all at once unless a tie straddles the cut.
+        magnitudes = sorted(map(abs, merged.values()))
+        cut = magnitudes[excess - 1]
+        if cut < magnitudes[excess]:
+            dropped = [i for i, v in merged.items() if -cut <= v <= cut]
+        else:
+            smallest = sorted((abs(v), -i) for i, v in merged.items())[:excess]
+            dropped = [-negated for _, negated in smallest]
+        for i in dropped:
+            del merged[i]
 
     # Every offered value already has |v| >= ZERO_EPS; readers sort the order on demand.
     return _from_unsorted(dimension, merged), feature_trust

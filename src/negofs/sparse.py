@@ -7,8 +7,8 @@ learner's sigma dict, which _add_cut shrinks in the loop that writes x.
 
 Readers see the entries, and float sums run over them, in ascending index
 order, but a vector's dict may be held unsorted: a reader that depends on the
-order sorts it on first use and keeps it. The merge and _add_cut's in-place
-cut leave their dicts in the order of their writes.
+order sorts it on first use and keeps it. The merge and the in-place cuts
+leave their dicts in the order of their writes.
 
 The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-integer or repeated indices and non-finite or bool values.
@@ -16,11 +16,12 @@ Vectors the package computes or draws itself skip it through the private
 helpers at the bottom of this module, which drop entries below ZERO_EPS.
 Every learner update's cut to its budget ends in one of them. _cut ranks by
 magnitude, lower index first on ties, and sorts only the B kept indices when
-most of its input is cut. _add_cut deletes the excess from its copy instead
-when it falls on entries the step wrote, or when no tie straddles the cut.
-ALMA and FOFS step, scale into an L2 ball and cut with one copy. The plain
-truncation and projection these cuts must equal are test references in
-tests/dense_oracle.py.
+most of its input is cut. _add_cut, and _add_project_cut (ALMA's and FOFS's
+step, scaled into an L2 ball), each write one copy and let _cut_excess
+delete the excess from it instead when it falls on entries the step wrote,
+or when no tie straddles the cut; _add_project_cut then scales what is left.
+The plain truncation and projection these cuts must equal are test
+references in tests/dense_oracle.py.
 The merge overlays each distinct offer vector once and wraps the result as
 it is: offered values already clear ZERO_EPS. A vector may cache a lower
 bound on its magnitudes (its floor), which scale carries over to its result.
@@ -123,9 +124,6 @@ class SparseVector:
 
     def indices(self) -> Iterator[int]:
         return iter(self._ordered().keys())
-
-    def to_dict(self) -> dict[int, float]:
-        return dict(self._ordered())
 
     def norm_l2(self) -> float:
         return _root(self.norm_l2_sq(), self._ordered().values())
@@ -315,22 +313,49 @@ def _add_cut(
             excess -= 1
         elif m < floor:
             below.append((m, -i))
-    if excess > len(below):  # every magnitude is >= ZERO_EPS here, so the cut is too
+    floor = _cut_excess(out, below, excess, floor)
+    if floor is None:
+        return _cut(base.dimension, out, B)
+    return SparseVector._trusted(base.dimension, out, floor, in_order)
+
+
+def _cut_excess(
+    out: dict[int, float], below: list[tuple[float, int]], excess: int, floor: float,
+    c: float = 1.0,
+) -> float | None:
+    """Delete from out, in place, the entries _cut(dimension, out, B, c) would drop.
+
+    excess is len(out) - B, and every magnitude in out is at least ZERO_EPS.
+    below lists (|v|, -i) for the entries of out strictly below floor, every
+    other magnitude being at least floor. An excess that fits within below
+    is deleted from it alone, sorted only when some of it stays. An excess
+    past it deletes every entry below the B-th largest magnitude. Returns a
+    lower bound on the magnitudes kept, or None, out untouched, when _cut
+    must rebuild: a tie straddles the cut, or for c < 1 the dropped and kept
+    magnitudes meet once scaled or the kept ones fall below ZERO_EPS. (With
+    c = 1 a tie among below is ranked by index, as _cut ranks it.)
+    """
+    if excess > len(below):
         magnitudes = sorted(map(abs, out.values()))
-        floor = magnitudes[excess]
-        if not magnitudes[excess - 1] < floor:  # a tie straddles the cut
-            return _cut(base.dimension, out, B)
+        top, floor = magnitudes[excess - 1], magnitudes[excess]
+        if not (c * top < c * floor and c * floor >= ZERO_EPS):
+            return None
         for i in [i for i, v in out.items() if -floor < v < floor]:
             del out[i]
-        return SparseVector._trusted(base.dimension, out, floor, in_order)
-    if excess > 0:
+        return floor
+    dropped = below
+    if excess <= 0:
+        dropped = ()
+        if below:
+            floor = min(below)[0]
+    elif excess < len(below):  # some of below stays, and its smallest is the new floor
         below.sort()
-        for _, negated in below[:excess]:
-            del out[-negated]
-        del below[:excess]
-    if below:
-        floor = min(below)[0]
-    return SparseVector._trusted(base.dimension, out, floor, in_order)
+        dropped, floor = below[:excess], below[excess][0]
+    if c < 1.0 and not ((not dropped or c * max(dropped)[0] < c * floor) and c * floor >= ZERO_EPS):
+        return None
+    for _, negated in dropped:
+        del out[-negated]
+    return floor
 
 
 def _add_project_cut(
@@ -338,16 +363,23 @@ def _add_project_cut(
 ) -> SparseVector:
     """w + s*x, scaled into the L2 ball of radius 1/sqrt(lam), then cut to B entries.
 
-    The factor is min(1, 1/(sqrt(lam)*||w + s*x||)), 1 for the zero vector,
+    The factor c is min(1, 1/(sqrt(lam)*||w + s*x||)), 1 for the zero vector,
     as project_l2_ball_reference in tests/dense_oracle.py states. One copy of
-    w takes x's writes, and its keys are sorted once, for the norm and for _cut.
+    w takes x's writes, and its sorted keys give the norm. _cut_excess then
+    cuts the copy in place, as _add_cut does, and the result is c times what
+    is left, in the copy's order; a cut it cannot make exactly is rebuilt
+    through _cut, index-sorted.
     """
     _check_same_dimension(w, x)
-    out = w.to_dict()
+    out = w._data.copy()
     get = out.get
+    floor = _magnitude_floor(w)
+    below = []
     for i, v in x._data.items():
-        if abs(u := get(i, 0.0) + s * v) >= ZERO_EPS:
+        if (m := abs(u := get(i, 0.0) + s * v)) >= ZERO_EPS:
             out[i] = u
+            if m < floor:
+                below.append((m, -i))
         else:
             out.pop(i, None)
     keys = sorted(out)
@@ -355,7 +387,11 @@ def _add_project_cut(
     for v in map(out.__getitem__, keys):
         sq += v * v
     c = min(1.0, 1.0 / (math.sqrt(lam) * _root(sq, map(out.__getitem__, keys)))) if sq else 1.0
-    return _cut(w.dimension, out, B, c, keys)
+    excess = len(out) - B
+    if 2 * excess > len(out) or (floor := _cut_excess(out, below, excess, floor, c)) is None:
+        return _cut(w.dimension, out, B, c, keys)
+    return SparseVector._trusted(
+        w.dimension, out if c == 1.0 else {i: c * v for i, v in out.items()}, c * floor, False)
 
 
 def _root(sq: float, values: Iterable[float]) -> float:

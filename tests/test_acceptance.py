@@ -100,11 +100,11 @@ def test_criterion_2_merge_oracle_equivalence():
         merged, _ = merge_multilateral(offers, FeatureTrust(1 / n_offers), cfg)
         errs = {o.participant_id: o.err_count for o in offers}
         reference = merge_offers_reference(
-            [(o.participant_id, [o.w.to_dict().get(i, 0.0) for i in range(d)], o.err_count)
+            [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count)
              for o in offers],
             conflict_key=lambda pid: errs[pid],
         )
-        if [merged.to_dict().get(i, 0.0) for i in range(d)] != reference:
+        if [dict(merged.items()).get(i, 0.0) for i in range(d)] != reference:
             mismatches += 1
     elapsed = time.perf_counter() - start
     verdict(2, mismatches == 0 and elapsed < 5,
@@ -170,9 +170,9 @@ def test_criterion_6_learner_oracle_equivalence():
             for _ in range(steps):
                 x, y = random_instance(stream_rng, d, max_nnz=5)
                 learner.step(x, y)
-                oracle.step([x.to_dict().get(i, 0.0) for i in range(d)], y)
+                oracle.step([dict(x.items()).get(i, 0.0) for i in range(d)], y)
             for i in range(d):
-                gap = abs(learner.w.to_dict().get(i, 0.0) - oracle.w[i])
+                gap = abs(dict(learner.w.items()).get(i, 0.0) - oracle.w[i])
                 worst = max(worst, gap)
                 if gap > 1e-10:
                     failures.append((variant, trial, i, gap))
@@ -269,11 +269,11 @@ def test_criterion_9_reduction_identities():
     for offers, accepted, round_merged in merges:
         errors = {o.participant_id: o.err_count for o in offers}
         expected = merge_offers_reference(
-            [(o.participant_id, [o.w.to_dict().get(i, 0.0) for i in range(d)], o.err_count) for o in offers],
+            [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count) for o in offers],
             conflict_key=errors.__getitem__,
         )
         if (len(offers) != 2 or accepted != offers
-                or [round_merged.to_dict().get(i, 0.0) for i in range(d)] != expected):
+                or [dict(round_merged.items()).get(i, 0.0) for i in range(d)] != expected):
             bilateral_ok = False
 
     # (b) the two-level pipeline with k = n is bitwise the single-level system

@@ -298,7 +298,7 @@ def test_single_petrun_matches_hand_trace(tmp_path):
     oracle = DenseLearner("PETRUN", ds.dimension, B=1)
     for idx in order:
         x, y = ds.instances[idx]
-        oracle.step([x.to_dict().get(i, 0.0) for i in range(ds.dimension)], y)
+        oracle.step([dict(x.items()).get(i, 0.0) for i in range(ds.dimension)], y)
 
     row = out.read_text().splitlines()[1].split(",")
     assert row[0] == "single:PETRUN"

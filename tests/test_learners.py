@@ -265,7 +265,7 @@ def test_arow_two_step_hand_trace():
     learner.step(x, 1)
     learner.step(x, 1)
     # second step: v=0.5, beta=2/3, loss=0.5, alpha=1/3, w=0.5+1/6, sigma=0.5-1/6
-    assert learner.w.to_dict().get(0, 0.0) == pytest.approx(2 / 3, abs=1e-12)
+    assert dict(learner.w.items()).get(0, 0.0) == pytest.approx(2 / 3, abs=1e-12)
     assert learner.sigma[0] == pytest.approx(1 / 3, abs=1e-12)
 
 
@@ -337,7 +337,7 @@ def test_flipped_labels_match_reference_simulation():
         margin = sum(planted.get(i, 0.0) * v for i, v in x.items())
         y = -1 if margin > 0 else 1  # flipped labels
         learner.step(x, y)
-        oracle.step([x.to_dict().get(i, 0.0) for i in range(d)], y)
+        oracle.step([dict(x.items()).get(i, 0.0) for i in range(d)], y)
     assert learner.mistakes == oracle.mistakes
     assert learner.mistakes > 50
 
@@ -414,10 +414,10 @@ def test_dense_oracle_equivalence_all_variants():
             for _ in range(steps):
                 x, y = random_instance(stream_rng, d, max_nnz=5)
                 learner.step(x, y)
-                oracle.step([x.to_dict().get(i, 0.0) for i in range(d)], y)
+                oracle.step([dict(x.items()).get(i, 0.0) for i in range(d)], y)
             assert learner.mistakes == oracle.mistakes, variant
             for i in range(d):
-                assert learner.w.to_dict().get(i, 0.0) == pytest.approx(oracle.w[i], abs=1e-10), (
+                assert dict(learner.w.items()).get(i, 0.0) == pytest.approx(oracle.w[i], abs=1e-10), (
                     variant, i)
     # ||x||^2 overflows to inf: both sides take the rescaled norm.
     for variant in ("ALMA", "FOFS"):
@@ -425,7 +425,7 @@ def test_dense_oracle_equivalence_all_variants():
         oracle = DenseLearner(variant, 2, 2)
         learner.step(sv(2, {0: 1e200, 1: 1.0}), 1)
         oracle.step([1e200, 1.0], 1)
-        assert [learner.w.to_dict().get(i, 0.0) for i in range(2)] == oracle.w != [0.0, 0.0]
+        assert [dict(learner.w.items()).get(i, 0.0) for i in range(2)] == oracle.w != [0.0, 0.0]
 
 
 # -- pinned bytes ------------------------------------------------------------------------

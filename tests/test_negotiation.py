@@ -217,7 +217,7 @@ def test_multilateral_unselected_feature_stays_zero():
         [offer(0, {0: 1.0}), offer(1, {1: 1.0}), offer(2, {0: 0.5})],
         ft, ncfg(),
     )
-    assert merged.to_dict().get(5, 0.0) == 0.0
+    assert dict(merged.items()).get(5, 0.0) == 0.0
     assert ft.value(5) == 0.05  # untouched
 
 
@@ -227,7 +227,7 @@ def test_multilateral_single_selector_keeps_weight_and_bumps_tf():
         [offer(0, {0: 1.0}), offer(1, {1: 1.0}), offer(2, {2: 0.7})],
         ft, ncfg(),
     )
-    assert merged.to_dict().get(2, 0.0) == 0.7
+    assert dict(merged.items()).get(2, 0.0) == 0.7
     assert ft.value(2) == pytest.approx(0.05 + 1 / 3)
 
 
@@ -269,7 +269,7 @@ def test_multilateral_min_utility_conflict_rule():
     costs = offer_costs([cheap, costly], cfg.issue_weights)
     merged, _ = merge_multilateral([cheap, costly], FeatureTrust(0.5), cfg)
     winner = min(costs, key=lambda pid: (costs[pid], pid))
-    assert merged.to_dict().get(0, 0.0) == (0.4 if winner == 0 else -0.6)
+    assert dict(merged.items()).get(0, 0.0) == (0.4 if winner == 0 else -0.6)
 
 
 def test_merge_matches_per_feature_reference():
@@ -295,19 +295,44 @@ def test_merge_matches_per_feature_reference():
             else:
                 key = {o.participant_id: o.err_count for o in offers}
             dense = merge_offers_reference(
-                [(o.participant_id, [o.w.to_dict().get(i, 0.0) for i in range(d)], o.err_count)
+                [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count)
                  for o in offers],
                 conflict_key=key.__getitem__,
             )
             # Trust after this merge: the initial value plus epsilon per selection.
             trust = [min(1.0, FeatureTrust.INITIAL
-                         + (1 / n_offers) * sum(i in o.w.to_dict() for o in offers))
+                         + (1 / n_offers) * sum(i in dict(o.w.items()) for o in offers))
                      for i in range(d)]
             ranked = sorted((i for i in range(d) if dense[i] != 0.0),
                             key=lambda i: (-trust[i], -abs(dense[i]), i))
             kept = set(ranked[:merged_budget])
-            assert [merged.to_dict().get(i, 0.0) for i in range(d)] == [
+            assert [dict(merged.items()).get(i, 0.0) for i in range(d)] == [
                 dense[i] if i in kept else 0.0 for i in range(d)]
+
+
+def merge_with_carried_trust(offers, cfg, trust, epsilon):
+    """The merged values over range(d) by the direct method, and the uncut union.
+
+    Every offered index earns epsilon per selection in trust (updated in
+    place, capped at 1.0), then the whole union is sorted by (-trust, -|v|,
+    index) and cut to the merged budget.
+    """
+    d = offers[0].w.dimension
+    if cfg.conflict_rule == MIN_UTILITY:
+        key = offer_costs(offers, cfg.issue_weights)
+    else:
+        key = {o.participant_id: o.err_count for o in offers}
+    dense = merge_offers_reference(
+        [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count)
+         for o in offers],
+        conflict_key=key.__getitem__,
+    )
+    union = [i for i in range(d) if dense[i] != 0.0]
+    for i, count in Counter(i for o in offers for i in o.w.indices()).items():
+        trust[i] = min(1.0, trust.get(i, FeatureTrust.INITIAL) + epsilon * count)
+    ranked = sorted(union, key=lambda i: (-trust[i], -abs(dense[i]), i))
+    kept = set(ranked[:cfg.merged_budget])
+    return [dense[i] if i in kept else 0.0 for i in range(d)], {i: dense[i] for i in union}
 
 
 def test_merges_across_rounds_match_a_reference_that_carries_trust():
@@ -335,23 +360,9 @@ def test_merges_across_rounds_match_a_reference_that_carries_trust():
                     cfg = ncfg(merged_budget=rng.randint(1, d), conflict_rule=rule)
                     merged, feature_trust = merge_multilateral(offers, feature_trust, cfg)
 
-                    if rule == MIN_UTILITY:
-                        key = offer_costs(offers, cfg.issue_weights)
-                    else:
-                        key = {o.participant_id: o.err_count for o in offers}
-                    dense = merge_offers_reference(
-                        [(o.participant_id, [o.w.to_dict().get(i, 0.0) for i in range(d)], o.err_count)
-                         for o in offers],
-                        conflict_key=key.__getitem__,
-                    )
-                    union = [i for i in range(d) if dense[i] != 0.0]
                     before = dict(trust)
-                    for i, count in Counter(i for o in offers for i in o.w.indices()).items():
-                        trust[i] = min(1.0, trust.get(i, FeatureTrust.INITIAL) + epsilon * count)
-                    ranked = sorted(union, key=lambda i: (-trust[i], -abs(dense[i]), i))
-                    kept = set(ranked[:cfg.merged_budget])
-                    assert [merged.to_dict().get(i, 0.0) for i in range(d)] == [
-                        dense[i] if i in kept else 0.0 for i in range(d)]
+                    expected, union = merge_with_carried_trust(offers, cfg, trust, epsilon)
+                    assert [dict(merged.items()).get(i, 0.0) for i in range(d)] == expected
                     assert [feature_trust.value(i) for i in range(d)] == [
                         trust.get(i, FeatureTrust.INITIAL) for i in range(d)]
 
@@ -364,6 +375,37 @@ def test_merges_across_rounds_match_a_reference_that_carries_trust():
                     seen["cut within uncapped"] += 0 < excess <= uncapped
                     seen["never capped"] += epsilon == 1e-6 and excess > 0
                     assert epsilon > 1e-6 or max(trust.values(), default=0.0) < 1.0
+    assert all(seen.values()), seen
+
+
+def test_a_cut_into_capped_features_matches_the_reference_on_ties():
+    # Capped features all have trust 1.0, so a cut that reaches them ranks
+    # them by magnitude alone: at one threshold when no tie straddles it,
+    # by (|v|, -index) when one does. Epsilon 0.5 caps a feature after two
+    # selections, and magnitudes drawn from three values tie often.
+    rng = random.Random(3030)
+    seen = {"threshold": 0, "tie": 0}
+    for rule in (MIN_ERROR, MIN_UTILITY):
+        for _ in range(30):
+            d = rng.randint(4, 16)
+            feature_trust, trust = FeatureTrust(0.5), {}
+            for _ in range(rng.randint(2, 10)):
+                offers = []
+                for pid in range(rng.randint(2, 4)):
+                    support = rng.sample(range(d), rng.randint(d // 2, d))
+                    entries = {i: rng.choice((-2.0, -0.5, 0.5, 1.0)) for i in support}
+                    offers.append(offer(pid, entries, err=rng.randint(0, 3), d=d,
+                                        cost_time=rng.choice([0.0, 0.5]),
+                                        trust=rng.random(), instances=10))
+                cfg = ncfg(merged_budget=rng.randint(1, d // 2), conflict_rule=rule)
+                merged, feature_trust = merge_multilateral(offers, feature_trust, cfg)
+
+                expected, union = merge_with_carried_trust(offers, cfg, trust, 0.5)
+                assert [dict(merged.items()).get(i, 0.0) for i in range(d)] == expected
+                capped = sorted(abs(v) for i, v in union.items() if trust[i] == 1.0)
+                cut = len(capped) - cfg.merged_budget
+                if cut > 0:
+                    seen["tie" if capped[cut - 1] == capped[cut] else "threshold"] += 1
     assert all(seen.values()), seen
 
 
@@ -469,10 +511,10 @@ def test_n2_reduces_to_bilateral_merge_each_trial():
         assert len(offers) == 2 and accepted == offers
         errors = {o.participant_id: o.err_count for o in offers}
         expected = merge_offers_reference(
-            [(o.participant_id, [o.w.to_dict().get(i, 0.0) for i in range(d)], o.err_count) for o in offers],
+            [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count) for o in offers],
             conflict_key=errors.__getitem__,
         )
-        assert [round_merged.to_dict().get(i, 0.0) for i in range(d)] == expected
+        assert [dict(round_merged.items()).get(i, 0.0) for i in range(d)] == expected
     assert merged == merges[-1][2]
 
 
@@ -504,7 +546,7 @@ def test_three_petrun_trace_matches_independent_simulation():
         chunk = stream[trial * 3: (trial + 1) * 3]
         for li in range(3):
             for x, y in chunk:
-                xs = [x.to_dict().get(i, 0.0) for i in range(d)]
+                xs = [dict(x.items()).get(i, 0.0) for i in range(d)]
                 margin = sum(w * v for w, v in zip(weights[li], xs))
                 if (1 if margin > 0 else -1) != y:
                     errors[li] += 1
@@ -517,7 +559,7 @@ def test_three_petrun_trace_matches_independent_simulation():
         )
         weights = [list(merged_ref) for _ in range(3)]
 
-    assert [merged.to_dict().get(i, 0.0) for i in range(d)] == pytest.approx(merged_ref, abs=1e-12)
+    assert [dict(merged.items()).get(i, 0.0) for i in range(d)] == pytest.approx(merged_ref, abs=1e-12)
     assert [p.learner.mistakes for p in participants] == errors
 
 

@@ -36,7 +36,7 @@ def sv(d, entries=()):
 
 def test_constructor_drops_zero_and_tiny_entries():
     v = sv(4, {0: 1.0, 1: 0.0, 2: 1e-16})
-    assert v.to_dict() == {0: 1.0}
+    assert dict(v.items()) == {0: 1.0}
     assert len(v) == 1
 
 
@@ -183,8 +183,8 @@ def test_add_cut_dimension_mismatch():
 
 def cut(w, B):
     """_cut of a vector's entries to B, asserted equal to the oracle's truncation."""
-    got = _cut(w.dimension, w.to_dict(), B)
-    assert list(got.items()) == list(truncate_reference(w.to_dict(), B).items())
+    got = _cut(w.dimension, dict(w.items()), B)
+    assert list(got.items()) == list(truncate_reference(dict(w.items()), B).items())
     return got
 
 
@@ -205,7 +205,7 @@ def test_truncate_tie_break_keeps_lower_index():
     # brute force: stable sort on (-|v|, index) must agree
     entries = {0: 0.3, 1: -0.3, 2: 0.3}
     expected = dict(sorted(entries.items(), key=lambda iv: (-abs(iv[1]), iv[0]))[:2])
-    assert out.to_dict() == expected
+    assert dict(out.items()) == expected
 
 
 @given(st.integers(1, 12), st.data())
@@ -223,11 +223,11 @@ def test_truncate_is_optimal_and_idempotent(d, data):
     assert cut(out, B) == out
     # kept mass is maximal over all B-subsets (brute force for small d)
     kept_mass = sum(abs(v) for _, v in out.items())
-    best = sorted((abs(v) for v in w.to_dict().values()), reverse=True)[:B]
+    best = sorted((abs(v) for v in dict(w.items()).values()), reverse=True)[:B]
     assert kept_mass == pytest.approx(sum(best), rel=1e-12, abs=1e-12)
     # kept entries keep their original values
     for i, v in out.items():
-        assert w.to_dict().get(i, 0.0) == v
+        assert dict(w.items()).get(i, 0.0) == v
 
 
 # -- the L2-ball projection: _add_project_cut with no step and no cut ----------------
@@ -235,7 +235,7 @@ def test_truncate_is_optimal_and_idempotent(d, data):
 def project(w, lam):
     """w scaled into the L2 ball of radius 1/sqrt(lam), asserted equal to the oracle's."""
     got = _add_project_cut(w, 1.0, sv(w.dimension), w.dimension, lam)
-    assert list(got.items()) == list(project_l2_ball_reference(w.to_dict(), lam).items())
+    assert list(got.items()) == list(project_l2_ball_reference(dict(w.items()), lam).items())
     return got
 
 
@@ -304,12 +304,12 @@ def test_constructor_rejects_bool_values_by_index(value):
 
 
 def test_constructor_keeps_the_largest_finite_value():
-    assert sv(2, {1: -1.7976931348623157e308}).to_dict() == {1: -1.7976931348623157e308}
+    assert dict(sv(2, {1: -1.7976931348623157e308}).items()) == {1: -1.7976931348623157e308}
 
 
 def rebuilt(v):
     """The same entries passed through the validating public constructor."""
-    return SparseVector(v.dimension, v.to_dict())
+    return SparseVector(v.dimension, dict(v.items()))
 
 
 def assert_same_vector(v):
@@ -351,7 +351,7 @@ def test_truncate_ties_keep_the_lower_indices(d, data):
     B = data.draw(st.integers(1, d))
     expected = dict(sorted(w.items(), key=lambda iv: (-abs(iv[1]), iv[0]))[:B])
     out = cut(w, B)
-    assert out.to_dict() == expected
+    assert dict(out.items()) == expected
     assert_same_vector(out)
 
 
@@ -390,14 +390,14 @@ _CUT_FACTORS = st.one_of(
 def test_cut_equals_truncate_of_the_scaled_rebuild(out, B, c):
     expected = truncate_reference(sparse_reference(sparse_reference(out), c), B)
     got = _cut(12, out, B, c)
-    assert got.to_dict() == expected
+    assert dict(got.items()) == expected
     assert list(got.items()) == list(expected.items())
     assert_caches_hold(got)
 
 
 def _updated(w, s, x, sigma):
     """w's entries with x's indices rewritten to w_i + s*sigma_i*x_i, sigma_i 1.0 where unstored."""
-    out = w.to_dict()
+    out = dict(w.items())
     for i, v in x.items():
         out[i] = out.get(i, 0.0) + s * sigma.get(i, 1.0) * v
     return out
@@ -446,7 +446,7 @@ def check_chained_add_cuts(data, sigmas):
         s, sigma = data.draw(_STEP_SCALES), data.draw(sigmas)
         expected = truncate_reference(sparse_reference(_updated(w, s, x, sigma)), B)
         got = _add_cut(w, s, x, B, sigma)
-        assert got.to_dict() == expected
+        assert dict(got.items()) == expected
         assert list(got.items()) == list(expected.items())
         assert_caches_hold(got)
         w = got
@@ -496,6 +496,9 @@ def test_one_loop_shrink_equals_the_add_cut_then_the_shrink(data):
     # PETRUN's shape: the writes land above the floor, so the excess reaches
     # past them; no tie straddles the cut, so base's smallest is deleted.
     ({0: 3.0, 1: 2.0, 5: 1.0}, {1: 1.5, 7: -2.5}, 3, {0: 3.0, 1: 3.5, 7: -2.5}, True),
+    # Two writes below the floor tie exactly across the cut: ranked by index in place.
+    ({0: 3.0, 1: 2.0, 5: 1.0}, {7: 0.5, 8: -0.5, 9: 0.25}, 4, {0: 3.0, 1: 2.0, 5: 1.0, 7: 0.5},
+     True),
 ])
 def test_in_place_cut_only_when_it_is_exact(w, x, B, expected, in_place, monkeypatch):
     # The copy is internal to _add_cut; an in-place cut is one that never calls _cut.
@@ -512,7 +515,7 @@ def test_a_cached_floor_is_invisible():
     x = sv(10, {5: 0.25, 6: 1.5})
     got = _add_cut(w, 1.0, x, 3, {})
     assert got._floor is not None
-    fresh = sv(10, got.to_dict())
+    fresh = sv(10, dict(got.items()))
     assert fresh._floor is None
     assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
     assert pickle.dumps(got) == pickle.dumps(fresh)
@@ -541,7 +544,7 @@ def test_scale_carries_a_floor_that_bounds_every_magnitude(entries, s, known):
         return
     assert got._floor is None or not math.isnan(got._floor)
     assert_caches_hold(got)
-    fresh = sv(12, got.to_dict())
+    fresh = sv(12, dict(got.items()))
     assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
     assert pickle.dumps(got) == pickle.dumps(fresh)
 
@@ -563,19 +566,64 @@ _WIDE_VALUES = st.one_of(
 )
 
 
+# ALMA's and FOFS's factors between updates: FOFS decays its weights first,
+# and scale carries the floor over to the decayed vector.
+_DECAYS = st.sampled_from([1.0, 1.0, 0.998, 0.5, 1e-16])
+
+
 @given(st.data())
 @settings(max_examples=500)
 def test_add_project_cut_equals_the_three_steps(data):
+    # Chained updates carry each result's floor and order into the next; the
+    # first base may be unsorted, as the merged vector is after a broadcast.
     d = 12
     entries = st.dictionaries(st.integers(0, d - 1), _WIDE_VALUES, max_size=d)
-    w, x = sv(d, data.draw(entries)), sv(d, data.draw(entries))
-    s = data.draw(st.one_of(_STEP_SCALES, st.sampled_from([8.0, -20.0])))
+    w = sv(d, data.draw(entries))
+    if data.draw(st.booleans()):
+        w = _from_unsorted(d, dict(data.draw(st.permutations(list(w.items())))))
     B = data.draw(st.integers(1, d))
     lam = data.draw(_LAMS)
-    expected = _three_steps(w, s, x, B, lam)
-    got = _add_project_cut(w, s, x, B, lam)
-    assert got.to_dict() == expected
+    for _ in range(data.draw(st.integers(1, 4))):
+        w = scale(w, data.draw(_DECAYS))
+        x = sv(d, data.draw(entries))
+        s = data.draw(st.one_of(_STEP_SCALES, st.sampled_from([8.0, -20.0])))
+        expected = _three_steps(w, s, x, B, lam)
+        got = _add_project_cut(w, s, x, B, lam)
+        assert dict(got.items()) == expected
+        assert list(got.items()) == list(expected.items())
+        assert_caches_hold(got)
+        w = got
+
+
+@pytest.mark.parametrize("w, x, B, lam, in_place", [
+    # x's writes are the excess, all below w's floor: deleted from the copy.
+    ({0: 3.0, 1: 2.0, 5: 1.0}, {7: 0.5, 8: -0.25}, 3, 1.0, True),
+    # One of them stays and is the new floor; only the other is deleted.
+    ({0: 3.0, 1: 2.0, 5: 1.0}, {7: 0.5, 8: -0.25}, 4, 1.0, True),
+    # The excess reaches past the writes: w's smallest entry is deleted.
+    ({0: 3.0, 1: 2.0, 5: 1.0}, {1: 1.5, 7: -2.5}, 3, 1.0, True),
+    # Two distinct writes below the floor tie once scaled, the smaller at the
+    # lower index, which the scaled cut keeps: rebuilt.
+    ({0: 3.0}, {1: 2.1562499999999996, 2: 2.15625}, 2, 1.0, False),
+    # The same past the writes, between two of w's entries.
+    ({0: 3.0, 1: 1.4296874999999998, 2: 1.4296875}, {3: 2.5}, 3, 1.0, False),
+    # A kept entry falls below ZERO_EPS once scaled: rebuilt.
+    ({0: 4.0, 1: 0.002}, {2: 0.001}, 2, 1e28, False),
+], ids=["writes-dropped", "a-write-stays", "past-the-writes", "scaled-tie", "scaled-tie-past",
+        "scaled-below-eps"])
+def test_in_place_projection_only_when_it_is_exact(w, x, B, lam, in_place, monkeypatch):
+    # Every case scales by a factor below 1; the rebuilt ones keep other
+    # entries than the unscaled cut. An in-place cut never calls _cut.
+    rebuilds = []
+    monkeypatch.setattr("negofs.sparse._cut", lambda *args: rebuilds.append(args) or _cut(*args))
+    w, x = sv(12, w), sv(12, x)
+    got = _add_project_cut(w, 1.0, x, B, lam)
+    expected = _three_steps(w, 1.0, x, B, lam)
     assert list(got.items()) == list(expected.items())
+    summed = sparse_reference(_updated(w, 1.0, x, {}))
+    assert math.sqrt(lam) * math.sqrt(sum(v * v for v in summed.values())) > 1.0
+    assert (truncate_reference(summed, B).keys() == expected.keys()) == in_place
+    assert (rebuilds == []) == in_place
     assert_caches_hold(got)
 
 
@@ -616,7 +664,7 @@ _ORDER_SENSITIVE = st.one_of(
 @settings(max_examples=300)
 def test_an_unsorted_dict_cannot_be_told_from_its_sorted_twin(entries, other_entries, seed):
     twin, other = sv(12, entries), sv(12, other_entries)
-    values = twin.to_dict()
+    values = dict(twin.items())
     order = list(values)
     random.Random(seed).shuffle(order)
 
@@ -626,7 +674,6 @@ def test_an_unsorted_dict_cannot_be_told_from_its_sorted_twin(entries, other_ent
     readers = {
         "items": lambda v: list(v.items()),
         "indices": lambda v: list(v.indices()),
-        "to_dict": lambda v: list(v.to_dict().items()),
         "repr": repr,
         "hash": hash,
         "pickle": lambda v: pickle.dumps(pickle.loads(pickle.dumps(v))),
@@ -655,7 +702,7 @@ def test_overlay_writes_each_vector_once_with_the_same_result(picks, data):
     vectors = [pool[k] for k in picks]
     expected = {}
     for w in vectors:
-        expected.update(w.to_dict())
+        expected.update(dict(w.items()))
     merged, supports = _overlay(vectors)
     assert merged == expected
     assert [set(s) for s in supports] == [set(w.indices()) for w in vectors]
