@@ -112,7 +112,8 @@ def load_sparse_text(
 
     File indices are 1-based and must be strictly ascending within a line.
     Labels and values must be finite (no nan, inf, or overflow like 1e400)
-    and written in ASCII without '_' digit separators.
+    and written in ASCII without '_' digit separators; the file must be
+    valid UTF-8, and a byte that is not is reported at its line.
     Labels {+1,-1} are kept; {0,1} and {1,2} alphabets are mapped onto
     {-1,+1} once the whole file has been seen. Any other alphabet is reported
     at the line of its second distinct label. ``dimension`` overrides the
@@ -124,9 +125,16 @@ def load_sparse_text(
     max_index = max_index_line = 0
     last_line_no = 0
 
-    with path.open("r", encoding="utf-8") as fh:
+    # surrogateescape keeps text mode's line breaks and turns each byte that is
+    # not valid UTF-8 into a lone surrogate, which the line's encode refuses.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             last_line_no = line_no
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise SparseTextParseError(line_no, "not valid UTF-8") from None
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -29,7 +29,6 @@ from statistics import NormalDist
 from .sparse import (
     SparseVector,
     _add_cut,
-    _add_project_cut,
     _check_field_types,
     _restrict,
     check_budget,
@@ -113,9 +112,10 @@ class Learner:
         self.instances += 1
 
     def _add_step(self, base: SparseVector, coeff: float, x: SparseVector,
-                  beta: float | None = None) -> None:
-        """Set w to base + coeff*sigma*x cut to B; a given beta also shrinks sigma on x."""
-        self.w = _add_cut(base, coeff, x, self.B, self.sigma, beta)
+                  beta: float | None = None, lam: float | None = None) -> None:
+        """Set w to base + coeff*sigma*x cut to B; a given beta also shrinks sigma on x,
+        and a given lam first scales the sum into the L2 ball of radius 1/sqrt(lam)."""
+        self.w = _add_cut(base, coeff, x, self.B, self.sigma, beta, lam)
         self.updates += 1
 
     # -- perceptron-with-truncation family ------------------------------------
@@ -137,8 +137,7 @@ class Learner:
         if y * margin <= 0.0:
             cfg = self.config
             decayed = scale(self.w, 1.0 - cfg.lam * cfg.eta)
-            self.w = _add_project_cut(decayed, cfg.eta * y, x, self.B, cfg.lam)
-            self.updates += 1
+            self._add_step(decayed, cfg.eta * y, x, lam=cfg.lam)
 
     # -- other first-order variants -------------------------------------------
 
@@ -173,8 +172,7 @@ class Learner:
         gamma = (1.0 / alpha) / math.sqrt(k)
         if y * margin_hat <= (1.0 - alpha) * gamma:
             eta_k = math.sqrt(2.0) / math.sqrt(k)
-            self.w = _add_project_cut(self.w, eta_k * y / x_norm, x, self.B)
-            self.updates += 1
+            self._add_step(self.w, eta_k * y / x_norm, x, lam=1.0)
 
     # -- diagonal second-order variants ----------------------------------------
 

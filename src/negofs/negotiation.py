@@ -333,7 +333,12 @@ def merge_multilateral(
     merged, supports = _overlay([o.w for o in reversed(ranked)])
     pending = merged.keys() - feature_trust.capped
     if pending:
-        feature_trust.award({i: sum(i in s for s in supports) for i in pending})
+        # support & pending iterates the smaller side; most merged features are capped.
+        selections = dict.fromkeys(pending, 0)
+        for support in supports:
+            for i in support & pending:
+                selections[i] += 1
+        feature_trust.award(selections)
 
     excess = len(merged) - cfg.merged_budget
     if excess > 0:

@@ -14,14 +14,14 @@ The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-integer or repeated indices and non-finite or bool values.
 Vectors the package computes or draws itself skip it through the private
 helpers at the bottom of this module, which drop entries below ZERO_EPS.
-Every learner update's cut to its budget ends in one of them. _cut ranks by
-magnitude, lower index first on ties, and sorts only the B kept indices when
-most of its input is cut. _add_cut, and _add_project_cut (ALMA's and FOFS's
-step, scaled into an L2 ball), each write one copy and let _cut_excess
-delete the excess from it instead when it falls on entries the step wrote,
-or when no tie straddles the cut; _add_project_cut then scales what is left.
-The plain truncation and projection these cuts must equal are test
-references in tests/dense_oracle.py.
+Every learner update is one _add_cut (RAND then masks its result). It
+writes the step into one copy of the weights, scales the sum into an L2
+ball when given a lam (ALMA's and FOFS's step), and lets _cut_excess
+delete the excess from the copy in place. A cut that cannot be made there
+exactly (a tie straddles it, or most of the copy goes) is rebuilt by _cut,
+which ranks by magnitude, lower index first on ties; when no tie straddles
+the cut it sorts only the B kept indices. The plain truncation and
+projection these cuts must equal are test references in tests/dense_oracle.py.
 The merge overlays each distinct offer vector once and wraps the result as
 it is: offered values already clear ZERO_EPS. A vector may cache a lower
 bound on its magnitudes (its floor), which scale carries over to its result.
@@ -182,17 +182,10 @@ def _check_field_types(config, ints: Sequence[str] = (), reals: Sequence[str] = 
             raise ValueError(f"{name} must be a real, got {getattr(config, name)!r}")
 
 
-def _check_same_dimension(a: SparseVector, b: SparseVector) -> None:
-    if a.dimension != b.dimension:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {a.dimension} vs {b.dimension}"
-        )
-
-
 def dot(a: SparseVector, b: SparseVector) -> float:
     """Inner product over the shared support."""
-    if a.dimension != b.dimension:  # checked inline: dot runs on every step
-        _check_same_dimension(a, b)
+    if a.dimension != b.dimension:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
     if len(b._data) < len(a._data):
         a, b = b, a
     get = b._data.get
@@ -236,34 +229,23 @@ def _from_ascending(dimension: int, indices: list[int], values: list[float]) -> 
     return SparseVector._trusted(dimension, data)
 
 
-def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
-         keys: list[int] | None = None) -> SparseVector:
-    """c*out cut to its B largest magnitudes, index-sorted, for 0 < c <= 1; keys, if
-    given, is sorted(out); out may be in any order.
+def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0) -> SparseVector:
+    """c*out cut to its B largest magnitudes, index-sorted, for 0 < c <= 1; out may be in any order.
 
     Entries below ZERO_EPS once scaled are dropped and ties on magnitude keep
     the lower index, as truncate_reference in tests/dense_oracle.py states.
     Scaling down keeps the magnitudes' order, so when no tie straddles the
-    B-th largest and it clears ZERO_EPS, the entries kept are exactly the B
-    at or above it. When most of out is cut (2B < len(out)), those B are
-    picked first and only their indices are sorted; otherwise one
-    comprehension over keys, faster when few are cut, sorts, scales and cuts.
+    B-th largest and it clears ZERO_EPS once scaled, the entries kept are
+    exactly the B at or above it, and only their indices are sorted.
     """
     if len(out) > B:
         magnitudes = sorted(map(abs, out.values()), reverse=True)
         top = magnitudes[B - 1]
         cut = c * top
         if c * magnitudes[B] < cut and cut >= ZERO_EPS:
-            if 2 * B < len(out):  # most of out is cut: sort only the B kept, |v| >= top
-                kept = sorted([i for i, v in out.items() if v >= top or -v >= top])
-                return SparseVector._trusted(dimension, {i: c * out[i] for i in kept}, cut)
-            if keys is None:
-                keys = sorted(out)
-            return SparseVector._trusted(
-                dimension, {i: u for i in keys if abs(u := c * out[i]) >= cut}, cut
-            )
-    keys = sorted(out) if keys is None else keys
-    data = {i: u for i in keys if abs(u := c * out[i]) >= ZERO_EPS}
+            kept = sorted([i for i, v in out.items() if v >= top or -v >= top])
+            return SparseVector._trusted(dimension, {i: c * out[i] for i in kept}, cut)
+    data = {i: u for i in sorted(out) if abs(u := c * out[i]) >= ZERO_EPS}
     if len(data) > B:  # a tie straddles the cut: rank by (-|u|, index)
         keep = {i for i, _ in sorted(data.items(), key=lambda iv: (-abs(iv[1]), iv[0]))[:B]}
         data = {i: u for i, u in data.items() if i in keep}
@@ -272,22 +254,27 @@ def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0,
 
 def _add_cut(
     base: SparseVector, coeff: float, x: SparseVector, B: int, sigma: dict[int, float],
-    beta: float | None = None,
+    beta: float | None = None, lam: float | None = None,
 ) -> SparseVector:
-    """base + coeff*sigma*x, sigma 1.0 where unstored, cut to B entries as _cut cuts.
+    """c*(base + coeff*sigma*x), sigma 1.0 where unstored, cut to B entries as _cut cuts.
+
+    c is 1 without lam. With lam it is min(1, 1/(sqrt(lam)*||sum||)), 1 for
+    the zero sum, which scales the sum into the L2 ball of radius
+    1/sqrt(lam), as project_l2_ball_reference in tests/dense_oracle.py
+    states; the norm runs over the copy's sorted keys, once the writes
+    below ZERO_EPS are dropped.
 
     One copy of base takes x's writes. A given beta shrinks each sigma_i they
     read to s - beta*s*s*v*v in the same loop; nothing else here mutates an
-    argument. When the entries to drop are all among the writes, strictly
-    below the floor of base's magnitudes, they are deleted from the copy.
-    When the excess reaches past the writes and no tie straddles the B-th
-    largest magnitude, every entry below it is deleted. The copy keeps
-    base's order, with new indices after it, so it is marked index-sorted
-    only when base is and no index was added. Otherwise (a tie, or most of
-    the copy cut) _cut rebuilds it.
+    argument. _cut_excess deletes the excess from the copy in place, and the
+    result is c times what is left, in the copy's order: base's, with new
+    indices after it, so it is marked index-sorted only when base is and no
+    index was added. A cut _cut_excess cannot make exactly, or a cut of most
+    of the copy, is rebuilt by _cut; without lam the latter is caught before
+    the ZERO_EPS drop, which _cut makes itself.
     """
     if base.dimension != x.dimension:
-        _check_same_dimension(base, x)
+        raise DimensionMismatchError(f"dimension mismatch: {base.dimension} vs {x.dimension}")
     out = base._data.copy()
     get, scale_of = out.get, sigma.get
     if beta is not None:
@@ -302,7 +289,7 @@ def _add_cut(
         for i, v in x._data.items():
             out[i] = get(i, 0.0) + coeff * v
     excess = len(out) - B
-    if 2 * excess > len(out):
+    if lam is None and 2 * excess > len(out):
         return _cut(base.dimension, out, B)
     in_order = base._sorted and len(out) == len(base._data)
     floor = _magnitude_floor(base)
@@ -313,9 +300,18 @@ def _add_cut(
             excess -= 1
         elif m < floor:
             below.append((m, -i))
-    floor = _cut_excess(out, below, excess, floor)
-    if floor is None:
-        return _cut(base.dimension, out, B)
+    c = 1.0
+    if lam is not None:
+        keys = sorted(out)
+        sq = 0.0
+        for v in map(out.__getitem__, keys):
+            sq += v * v
+        if sq:
+            c = min(1.0, 1.0 / (math.sqrt(lam) * _root(sq, map(out.__getitem__, keys))))
+    if 2 * excess > len(out) or (floor := _cut_excess(out, below, excess, floor, c)) is None:
+        return _cut(base.dimension, out, B, c)
+    if c < 1.0:
+        out, floor = {i: c * v for i, v in out.items()}, c * floor
     return SparseVector._trusted(base.dimension, out, floor, in_order)
 
 
@@ -356,42 +352,6 @@ def _cut_excess(
     for _, negated in dropped:
         del out[-negated]
     return floor
-
-
-def _add_project_cut(
-    w: SparseVector, s: float, x: SparseVector, B: int, lam: float = 1.0
-) -> SparseVector:
-    """w + s*x, scaled into the L2 ball of radius 1/sqrt(lam), then cut to B entries.
-
-    The factor c is min(1, 1/(sqrt(lam)*||w + s*x||)), 1 for the zero vector,
-    as project_l2_ball_reference in tests/dense_oracle.py states. One copy of
-    w takes x's writes, and its sorted keys give the norm. _cut_excess then
-    cuts the copy in place, as _add_cut does, and the result is c times what
-    is left, in the copy's order; a cut it cannot make exactly is rebuilt
-    through _cut, index-sorted.
-    """
-    _check_same_dimension(w, x)
-    out = w._data.copy()
-    get = out.get
-    floor = _magnitude_floor(w)
-    below = []
-    for i, v in x._data.items():
-        if (m := abs(u := get(i, 0.0) + s * v)) >= ZERO_EPS:
-            out[i] = u
-            if m < floor:
-                below.append((m, -i))
-        else:
-            out.pop(i, None)
-    keys = sorted(out)
-    sq = 0.0
-    for v in map(out.__getitem__, keys):
-        sq += v * v
-    c = min(1.0, 1.0 / (math.sqrt(lam) * _root(sq, map(out.__getitem__, keys)))) if sq else 1.0
-    excess = len(out) - B
-    if 2 * excess > len(out) or (floor := _cut_excess(out, below, excess, floor, c)) is None:
-        return _cut(w.dimension, out, B, c, keys)
-    return SparseVector._trusted(
-        w.dimension, out if c == 1.0 else {i: c * v for i, v in out.items()}, c * floor, False)
 
 
 def _root(sq: float, values: Iterable[float]) -> float:

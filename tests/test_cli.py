@@ -480,6 +480,15 @@ def test_min_utility_golden_bytes(capsys):
     assert capsys.readouterr().out == (GOLDEN / "min_utility.csv").read_text(encoding="utf-8")
 
 
+def test_projection_golden_bytes(capsys):
+    # The console-script argv CI diffs; the only golden run of ALMA's and
+    # FOFS's L2-ball step through the CLI.
+    argv = ["run", "--synthetic", "d=20,relevant=3,n=100,seed=1",
+            "--algorithms", "single:ALMA,single:FOFS", "--runs", "2", "--no-timing"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "projection.csv").read_text(encoding="utf-8")
+
+
 # -- cmd_recover -------------------------------------------------------------------------------
 
 def test_recover_golden_bytes(capsys):

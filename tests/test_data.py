@@ -94,6 +94,25 @@ def test_numerals_only_python_reads_are_refused(tmp_path, text):
     assert str(err.value) == "line 2: '_' or a non-ASCII character"
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"+1 1:1.0\n-1 2:\xff.0\n", "line 2: not valid UTF-8"),
+    (b"+1 1:1.0\r\n# header\r\n-1 2:1.0 # \xe9t\xe9\r\n", "line 3: not valid UTF-8"),
+    (b"+1 1:1.0\r-1 2:1.0\r+1 \xc3\n", "line 3: not valid UTF-8"),
+], ids=["value", "crlf-comment", "cr"])
+def test_invalid_utf8_names_its_line(tmp_path, data, message):
+    # Lines are counted as text mode counts them: \n, \r\n and a lone \r each end one.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(SparseTextParseError) as err:
+        load_sparse_text(path)
+    assert str(err.value) == message
+
+
+def test_non_ascii_utf8_in_a_comment_is_accepted(tmp_path):
+    ds = load_sparse_text(write(tmp_path, "# caf\u00e9 \u2192 r\u00e9sum\u00e9\n+1 1:1.0\n-1 2:0.5  # \u00e9t\u00e9\n"))
+    assert len(ds) == 2
+
+
 def test_non_ascending_indices_rejected(tmp_path):
     with pytest.raises(SparseTextParseError, match="line 1.*non-ascending"):
         load_sparse_text(write(tmp_path, "+1 3:1.0 2:1.0\n"))

@@ -389,6 +389,55 @@ def test_no_mistake_stability_perceptron_family():
                 assert learner.mistakes == before_mistakes
 
 
+def _separable_stream(rng, d, gamma, radius, n):
+    """n instances of norm at most radius with margin y*<u, x> >= gamma for a unit-norm u.
+
+    u is supported on a random subset of the dimensions. Each x is a part
+    along u, at the margin for one instance in four, plus a sparse part
+    orthogonal to u, which is what makes the stream hard to learn.
+    """
+    support = rng.sample(range(d), rng.randint(1, d))
+    u = [0.0] * d
+    for i in support:
+        u[i] = rng.gauss(0.0, 1.0)
+    u_norm = math.sqrt(sum(v * v for v in u))
+    u = [v / u_norm for v in u]
+    stream = []
+    for _ in range(n):
+        y = rng.choice((-1, 1))
+        along = gamma if rng.random() < 0.25 else rng.uniform(gamma, radius)
+        z = [0.0] * d
+        for i in rng.sample(range(d), rng.randint(0, d)):
+            z[i] = rng.gauss(0.0, 1.0)
+        z_u = sum(a * b for a, b in zip(z, u))
+        z = [a - z_u * b for a, b in zip(z, u)]
+        z_norm = math.sqrt(sum(v * v for v in z))
+        room = math.sqrt(max(0.0, radius * radius - along * along))
+        z_scale = rng.uniform(0.0, room) / z_norm if z_norm > 0.0 else 0.0
+        x = [y * along * b + z_scale * a for a, b in zip(z, u)]
+        stream.append((sv(d, {i: v for i, v in enumerate(x) if v}), y))
+    return stream, u
+
+
+@given(st.sampled_from(["PETRUN", "ROMMA"]), st.sampled_from([0.05, 0.1, 0.3]),
+       st.sampled_from([0.5, 1.0, 4.0]), st.integers(3, 30), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_mistakes_within_the_novikoff_bound(variant, gamma, radius, d, seed):
+    """On a stream separable with margin gamma by a unit-norm vector, PETRUN
+    (Novikoff 1962) and ROMMA (Li & Long 2002, "The relaxed online maximum
+    margin algorithm") make at most (R/gamma)^2 mistakes, R the largest ||x||.
+    With B = d nothing is truncated; the stream is replayed to let mistakes pile up."""
+    stream, u = _separable_stream(random.Random(seed), d, gamma, radius, 150)
+    R = max(x.norm_l2() for x, _ in stream)
+    margin = min(y * sum(v * u[i] for i, v in x.items()) for x, y in stream)
+    assert margin >= gamma * (1.0 - 1e-12)
+    learner = make(variant, d=d, B=d)
+    for _ in range(4):
+        for x, y in stream:
+            learner.step(x, y)
+    assert learner.mistakes <= (R / gamma) ** 2
+
+
 def test_determinism_same_config_same_stream():
     rng = random.Random(44)
     stream = [random_instance(rng, 10, max_nnz=5) for _ in range(150)]

@@ -17,7 +17,6 @@ from negofs.sparse import (
     DimensionMismatchError,
     SparseVector,
     _add_cut,
-    _add_project_cut,
     _cut,
     _from_unsorted,
     _overlay,
@@ -230,11 +229,11 @@ def test_truncate_is_optimal_and_idempotent(d, data):
         assert dict(w.items()).get(i, 0.0) == v
 
 
-# -- the L2-ball projection: _add_project_cut with no step and no cut ----------------
+# -- the L2-ball projection: _add_cut with a lam, no step and no cut ----------------
 
 def project(w, lam):
     """w scaled into the L2 ball of radius 1/sqrt(lam), asserted equal to the oracle's."""
-    got = _add_project_cut(w, 1.0, sv(w.dimension), w.dimension, lam)
+    got = _add_cut(w, 1.0, sv(w.dimension), w.dimension, {}, lam=lam)
     assert list(got.items()) == list(project_l2_ball_reference(dict(w.items()), lam).items())
     return got
 
@@ -386,6 +385,10 @@ _CUT_FACTORS = st.one_of(
 @example({0: 1.0, 1: -0.5, 2: 0.5, 3: 0.25, 5: 0.5}, 2, 1.0)  # most is cut, a tie straddles it
 @example({0: 30.0, 1: -20.0, 2: 1.0, 3: 0.5, 4: 0.25}, 2, 1e-16)  # most is cut, scaled tiny
 @example({0: 30.0, 1: -2.0, 2: 1.0, 3: 0.5, 4: 0.25}, 2, 1e-16)  # and the B-th below ZERO_EPS
+@example({7: 0.25, 0: 1.0, 5: 0.5, 3: -2.0}, 3, 1.0)  # few are cut, no tie
+@example({7: 0.25, 0: 1.0, 5: 0.5, 3: -2.0}, 3, 0.7)  # the same, scaled
+@example({9: 2.0, 1: -1.0, 4: 3.0, 2: 0.5}, 2, 1.0)  # half is cut, no tie
+@example({9: 2.0, 1: -1.0, 4: 3.0, 2: 0.5}, 2, 0.7)  # the same, scaled
 @settings(max_examples=500)
 def test_cut_equals_truncate_of_the_scaled_rebuild(out, B, c):
     expected = truncate_reference(sparse_reference(sparse_reference(out), c), B)
@@ -588,7 +591,7 @@ def test_add_project_cut_equals_the_three_steps(data):
         x = sv(d, data.draw(entries))
         s = data.draw(st.one_of(_STEP_SCALES, st.sampled_from([8.0, -20.0])))
         expected = _three_steps(w, s, x, B, lam)
-        got = _add_project_cut(w, s, x, B, lam)
+        got = _add_cut(w, s, x, B, {}, lam=lam)
         assert dict(got.items()) == expected
         assert list(got.items()) == list(expected.items())
         assert_caches_hold(got)
@@ -617,7 +620,7 @@ def test_in_place_projection_only_when_it_is_exact(w, x, B, lam, in_place, monke
     rebuilds = []
     monkeypatch.setattr("negofs.sparse._cut", lambda *args: rebuilds.append(args) or _cut(*args))
     w, x = sv(12, w), sv(12, x)
-    got = _add_project_cut(w, 1.0, x, B, lam)
+    got = _add_cut(w, 1.0, x, B, {}, lam=lam)
     expected = _three_steps(w, 1.0, x, B, lam)
     assert list(got.items()) == list(expected.items())
     summed = sparse_reference(_updated(w, 1.0, x, {}))
@@ -641,7 +644,7 @@ def test_in_place_projection_only_when_it_is_exact(w, x, B, lam, in_place, monke
 ], ids=["scaled-tie", "below-eps", "within-ball", "outside-lam-ball", "overflowing-norm"])
 def test_add_project_cut_edge_cases(w, B, lam):
     w, x = sv(12, w), sv(12, {3: 0.5})
-    got = _add_project_cut(w, 1.0, x, B, lam)
+    got = _add_cut(w, 1.0, x, B, {}, lam=lam)
     expected = _three_steps(w, 1.0, x, B, lam)
     assert list(got.items()) == list(expected.items())
 
