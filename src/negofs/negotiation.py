@@ -39,7 +39,8 @@ from enum import Enum
 from typing import Iterator, Mapping, Optional, Protocol, Sequence
 
 from .learners import Learner, sign_of
-from .sparse import SparseVector, _check_field_types, _from_unsorted, _overlay, check_budget, dot
+from .sparse import SparseVector, _check_field_types, _cut, _cut_excess, _from_unsorted, _overlay
+from .sparse import check_budget, dot
 from .trust import TrustParams, TrustState, update_trust
 from .utility import IssueWeightProfile, TimeStrategyParams, issue_badness, time_dependent_value
 
@@ -309,8 +310,9 @@ def merge_multilateral(
 
     Only features below the trust cap are counted and awarded. The cut
     ranks the uncapped features only when some of them stay. Capped
-    features all tie on trust, so the ones it must drop are those at or
-    below one magnitude, ranked one by one only when a tie straddles it.
+    features all tie on trust, so what is left of the excess falls on their
+    smallest magnitudes: sparse._cut_excess deletes it in place, and
+    sparse._cut rebuilds the merged vector when a tie straddles the cut.
     """
     if len(offers) < 2:
         raise ValueError(f"{len(offers)} offer(s) cannot be merged")
@@ -353,18 +355,10 @@ def merge_multilateral(
         for _, _, negated in order:
             del merged[-negated]
         excess -= len(order)
-    if excess > 0:
-        # Only capped features are left: drop the excess smallest magnitudes,
-        # all at once unless a tie straddles the cut.
-        magnitudes = sorted(map(abs, merged.values()))
-        cut = magnitudes[excess - 1]
-        if cut < magnitudes[excess]:
-            dropped = [i for i, v in merged.items() if -cut <= v <= cut]
-        else:
-            smallest = sorted((abs(v), -i) for i, v in merged.items())[:excess]
-            dropped = [-negated for _, negated in smallest]
-        for i in dropped:
-            del merged[i]
+    # Only capped features are left: cut the excess smallest magnitudes as a
+    # learner cuts its weights, rebuilt when a tie straddles the cut.
+    if excess > 0 and _cut_excess(merged, [], excess, 0.0) is None:
+        return _cut(dimension, merged, cfg.merged_budget), feature_trust
 
     # Every offered value already has |v| >= ZERO_EPS; readers sort the order on demand.
     return _from_unsorted(dimension, merged), feature_trust

@@ -8,22 +8,24 @@ learner's sigma dict, which _add_cut shrinks in the loop that writes x.
 Readers see the entries, and float sums run over them, in ascending index
 order, but a vector's dict may be held unsorted: a reader that depends on the
 order sorts it on first use and keeps it. The merge and the in-place cuts
-leave their dicts in the order of their writes.
+leave their dicts in the order of their writes, marked unsorted.
 
 The public constructor is the one validating boundary: it sorts, range-checks
 and rejects non-integer or repeated indices and non-finite or bool values.
 Vectors the package computes or draws itself skip it through the private
 helpers at the bottom of this module, which drop entries below ZERO_EPS.
-Every learner update is one _add_cut (RAND then masks its result). It
-writes the step into one copy of the weights, scales the sum into an L2
-ball when given a lam (ALMA's and FOFS's step), and lets _cut_excess
-delete the excess from the copy in place. A cut that cannot be made there
-exactly (a tie straddles it, or most of the copy goes) is rebuilt by _cut,
-which ranks by magnitude, lower index first on ties; when no tie straddles
-the cut it sorts only the B kept indices. The plain truncation and
-projection these cuts must equal are test references in tests/dense_oracle.py.
-The merge overlays each distinct offer vector once and wraps the result as
-it is: offered values already clear ZERO_EPS. A vector may cache a lower
+
+One magnitude cut serves every budget. _cut_excess deletes the excess
+smallest magnitudes from a dict in place; a cut it cannot make exactly is
+rebuilt by _cut, a plain truncation that keeps the B largest magnitudes,
+lower index first on ties, and sorts only the B kept indices when no tie
+straddles the cut. Every learner update is one _add_cut (RAND then masks
+its result): it writes the step into one copy of the weights and cuts it,
+scaled by c into an L2 ball when given a lam (ALMA's and FOFS's step);
+_cut rebuilds from c times the copy. The merge overlays each distinct offer
+vector once and cuts its capped features the same way; its values already
+clear ZERO_EPS. The plain truncation and projection these cuts must equal
+are test references in tests/dense_oracle.py. A vector may cache a lower
 bound on its magnitudes (its floor), which scale carries over to its result.
 
 Float sums are written as loops, not with sum(), which compensates from
@@ -229,26 +231,24 @@ def _from_ascending(dimension: int, indices: list[int], values: list[float]) -> 
     return SparseVector._trusted(dimension, data)
 
 
-def _cut(dimension: int, out: dict[int, float], B: int, c: float = 1.0) -> SparseVector:
-    """c*out cut to its B largest magnitudes, index-sorted, for 0 < c <= 1; out may be in any order.
+def _cut(dimension: int, out: dict[int, float], B: int) -> SparseVector:
+    """out cut to its B largest magnitudes, index-sorted; out may be in any order.
 
-    Entries below ZERO_EPS once scaled are dropped and ties on magnitude keep
-    the lower index, as truncate_reference in tests/dense_oracle.py states.
-    Scaling down keeps the magnitudes' order, so when no tie straddles the
-    B-th largest and it clears ZERO_EPS once scaled, the entries kept are
+    Entries below ZERO_EPS are dropped and ties on magnitude keep the lower
+    index, as truncate_reference in tests/dense_oracle.py states. When no tie
+    straddles the B-th largest and it clears ZERO_EPS, the entries kept are
     exactly the B at or above it, and only their indices are sorted.
     """
     if len(out) > B:
         magnitudes = sorted(map(abs, out.values()), reverse=True)
         top = magnitudes[B - 1]
-        cut = c * top
-        if c * magnitudes[B] < cut and cut >= ZERO_EPS:
+        if magnitudes[B] < top and top >= ZERO_EPS:
             kept = sorted([i for i, v in out.items() if v >= top or -v >= top])
-            return SparseVector._trusted(dimension, {i: c * out[i] for i in kept}, cut)
-    data = {i: u for i in sorted(out) if abs(u := c * out[i]) >= ZERO_EPS}
-    if len(data) > B:  # a tie straddles the cut: rank by (-|u|, index)
+            return SparseVector._trusted(dimension, {i: out[i] for i in kept}, top)
+    data = {i: v for i in sorted(out) if abs(v := out[i]) >= ZERO_EPS}
+    if len(data) > B:  # a tie straddles the cut: rank by (-|v|, index)
         keep = {i for i, _ in sorted(data.items(), key=lambda iv: (-abs(iv[1]), iv[0]))[:B]}
-        data = {i: u for i, u in data.items() if i in keep}
+        data = {i: v for i, v in data.items() if i in keep}
     return SparseVector._trusted(dimension, data)
 
 
@@ -267,11 +267,12 @@ def _add_cut(
     One copy of base takes x's writes. A given beta shrinks each sigma_i they
     read to s - beta*s*s*v*v in the same loop; nothing else here mutates an
     argument. _cut_excess deletes the excess from the copy in place, and the
-    result is c times what is left, in the copy's order: base's, with new
-    indices after it, so it is marked index-sorted only when base is and no
-    index was added. A cut _cut_excess cannot make exactly, or a cut of most
-    of the copy, is rebuilt by _cut; without lam the latter is caught before
-    the ZERO_EPS drop, which _cut makes itself.
+    result is c times what is left, in the copy's order, marked unsorted. A
+    cut _cut_excess cannot make exactly, or a cut of most of the copy, is
+    rebuilt by _cut from c times the copy: project, then truncate, which is
+    exact because scaling by c <= 1 keeps the magnitudes in order. Without
+    lam a cut of most of the copy is caught before the ZERO_EPS drop, which
+    _cut makes itself.
     """
     if base.dimension != x.dimension:
         raise DimensionMismatchError(f"dimension mismatch: {base.dimension} vs {x.dimension}")
@@ -291,7 +292,6 @@ def _add_cut(
     excess = len(out) - B
     if lam is None and 2 * excess > len(out):
         return _cut(base.dimension, out, B)
-    in_order = base._sorted and len(out) == len(base._data)
     floor = _magnitude_floor(base)
     below = []  # x's writes below the floor: an excess within them is cut from them alone
     for i in x._data:
@@ -309,19 +309,20 @@ def _add_cut(
         if sq:
             c = min(1.0, 1.0 / (math.sqrt(lam) * _root(sq, map(out.__getitem__, keys))))
     if 2 * excess > len(out) or (floor := _cut_excess(out, below, excess, floor, c)) is None:
-        return _cut(base.dimension, out, B, c)
+        return _cut(base.dimension, {i: c * v for i, v in out.items()} if c < 1.0 else out, B)
     if c < 1.0:
         out, floor = {i: c * v for i, v in out.items()}, c * floor
-    return SparseVector._trusted(base.dimension, out, floor, in_order)
+    return SparseVector._trusted(base.dimension, out, floor, False)
 
 
 def _cut_excess(
     out: dict[int, float], below: list[tuple[float, int]], excess: int, floor: float,
     c: float = 1.0,
 ) -> float | None:
-    """Delete from out, in place, the entries _cut(dimension, out, B, c) would drop.
+    """Delete from out, in place, the entries that _cut would drop from c times out.
 
-    excess is len(out) - B, and every magnitude in out is at least ZERO_EPS.
+    excess is len(out) - B, 0 < c <= 1, and every magnitude in out is at
+    least ZERO_EPS; the merge passes an empty below and floor 0.0.
     below lists (|v|, -i) for the entries of out strictly below floor, every
     other magnitude being at least floor. An excess that fits within below
     is deleted from it alone, sorted only when some of it stays. An excess

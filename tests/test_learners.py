@@ -438,6 +438,27 @@ def test_mistakes_within_the_novikoff_bound(variant, gamma, radius, d, seed):
     assert learner.mistakes <= (R / gamma) ** 2
 
 
+@given(st.sampled_from([0.05, 0.1, 0.3]), st.sampled_from([0.5, 1.0, 4.0]),
+       st.integers(3, 30), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_pa_squared_loss_within_its_bound(gamma, radius, d, seed):
+    """On a stream separable with margin gamma by a unit-norm u, plain PA's
+    cumulative squared hinge loss is at most (R/gamma)^2, R the largest ||x||
+    (Crammer et al., "Online Passive-Aggressive Algorithms", JMLR 2006,
+    Theorem 2, with u/gamma as the competitor of zero loss). B = d cuts
+    nothing, and C = 1e300 never caps loss/||x||^2; the stream is replayed."""
+    stream, _ = _separable_stream(random.Random(seed), d, gamma, radius, 150)
+    R = max(x.norm_l2() for x, _ in stream)
+    learner = make("PA", d=d, B=d, C=1e300)
+    total = 0.0
+    for _ in range(4):
+        for x, y in stream:
+            margin = dot(learner.w, x)
+            total += max(0.0, 1.0 - y * margin) ** 2
+            learner.step(x, y, margin)
+    assert total <= (R / gamma) ** 2
+
+
 def test_determinism_same_config_same_stream():
     rng = random.Random(44)
     stream = [random_instance(rng, 10, max_nnz=5) for _ in range(150)]

@@ -367,8 +367,14 @@ _RAW_VALUES = st.one_of(
 _TIE_A, _TIE_B = 1.8700101551766397, 1.8700101551766395
 assert _TIE_A != _TIE_B and 0.7 * _TIE_A == 0.7 * _TIE_B
 
-# _cut only ever scales down: 1.0 is the plain truncation, the tiny factor
-# pushes the B-th magnitude below ZERO_EPS.
+# Two adjacent floats that tie once {1: _MOST_CUT_B, 2: _MOST_CUT_A, 3: 0.5}
+# is scaled into the unit ball, found by search as the two above were.
+_MOST_CUT_A, _MOST_CUT_B = 1.8880000000000072, 1.888000000000007
+_most_cut = project_l2_ball_reference({1: _MOST_CUT_B, 2: _MOST_CUT_A, 3: 0.5}, 1.0)
+assert _MOST_CUT_A != _MOST_CUT_B and _most_cut[1] == _most_cut[2]
+
+# A projected step hands _cut its copy scaled by c <= 1: 1.0 is the plain
+# truncation, the tiny factor pushes the B-th magnitude below ZERO_EPS.
 _CUT_FACTORS = st.one_of(
     st.sampled_from([1.0, 0.7, 1e-16]),
     st.floats(0.0, 1.0, exclude_min=True),
@@ -392,7 +398,7 @@ _CUT_FACTORS = st.one_of(
 @settings(max_examples=500)
 def test_cut_equals_truncate_of_the_scaled_rebuild(out, B, c):
     expected = truncate_reference(sparse_reference(sparse_reference(out), c), B)
-    got = _cut(12, out, B, c)
+    got = _cut(12, {i: c * v for i, v in out.items()}, B)
     assert dict(got.items()) == expected
     assert list(got.items()) == list(expected.items())
     assert_caches_hold(got)
@@ -641,7 +647,11 @@ def test_in_place_projection_only_when_it_is_exact(w, x, B, lam, in_place, monke
     ({0: 0.25, 4: -0.5}, 3, 100.0),
     # The sum of squares overflows to inf; the largest entry keeps the direction.
     ({0: 1e200, 1: 1.0}, 2, 1.0),
-], ids=["scaled-tie", "below-eps", "within-ball", "outside-lam-ball", "overflowing-norm"])
+    # Most of the copy is cut, and its two largest tie only once scaled: _cut
+    # gets the scaled copy and keeps the lower index, not the larger value.
+    ({1: _MOST_CUT_B, 2: _MOST_CUT_A}, 1, 1.0),
+], ids=["scaled-tie", "below-eps", "within-ball", "outside-lam-ball", "overflowing-norm",
+        "most-cut-scaled-tie"])
 def test_add_project_cut_edge_cases(w, B, lam):
     w, x = sv(12, w), sv(12, {3: 0.5})
     got = _add_cut(w, 1.0, x, B, {}, lam=lam)
