@@ -13,7 +13,8 @@ Merge rules, per feature:
   * selected by nobody: stays zero;
   * selected by exactly one offer: that offer's weight survives;
   * selected by several offers: the weight comes from the offer that wins
-    the conflict rule (fewest errors, or lowest composite utility cost).
+    the conflict rule: fewest errors, or lowest composite utility cost, the
+    one cost per offer per round, scored over all of the round's offers.
 
 Every selection also earns the feature trust points; when the merged
 support would exceed the merged budget, the most trusted (then largest,
@@ -303,7 +304,8 @@ def merge_multilateral(
 
     Conflicts (a feature selected by several offers) are resolved by the
     configured rule; ties prefer the lower participant id. Under MIN_UTILITY,
-    costs, when given, must equal offer_costs(offers, cfg.issue_weights). The feature trust
+    costs, when given, holds each offer's cost in the round keyed by id, a
+    superset allowed; by default offer_costs(offers, cfg.issue_weights). The feature trust
     of every selected feature grows by epsilon per selecting offer. If the
     union exceeds the merged budget, features are kept by descending trust,
     then descending magnitude, then ascending index.
@@ -345,8 +347,7 @@ def merge_multilateral(
     excess = len(merged) - cfg.merged_budget
     if excess > 0:
         # Drop the excess lowest by (trust, |v|, -index), the reverse of the
-        # keep order. Capped features all tie at 1.0 above the rest, so the
-        # uncapped ones are ranked only when some of them stay.
+        # keep order; capped features all tie at 1.0 above the rest.
         value = feature_trust.value
         order = [(t, abs(merged[i]), -i) for i in pending if (t := value(i)) < 1.0]
         if excess < len(order):
@@ -402,9 +403,10 @@ def run_negotiation(
     negotiate on stale offers: their chunk_size is 0 and the observer sees
     stale=True.
 
-    Under MIN_ERROR every offer is merged. Under MIN_UTILITY trial r merges
-    the offers costing at most 1 - time_dependent_value(r, tactic), the
-    tactic conceding linearly from 1 at t = 0 to 0 at t_max.
+    Under MIN_ERROR every offer is merged. Under MIN_UTILITY trial r scores
+    each offer once, over all of its offers, merges those costing at most
+    1 - time_dependent_value(r, tactic) and ranks their conflicts by the
+    same costs, the tactic conceding linearly from 1 at t = 0 to 0 at t_max.
 
     After each trial's broadcast, the observer (returned as given) sees
     ``on_trial(trial, stale, offers, accepted, merged)``; with none, nothing
@@ -440,8 +442,6 @@ def run_negotiation(
         if cfg.conflict_rule == MIN_UTILITY:
             threshold = 1.0 - time_dependent_value(float(trial), tactic)
             accepted, costs = _accept_offers(offers, cfg.issue_weights, threshold)
-            if len(accepted) < len(offers):  # the costs are normalised over the offers merged
-                costs = None
         merged, feature_trust = merge_multilateral(accepted, feature_trust, cfg, costs)
         broadcast(merged, participants)
         if observer is not None:

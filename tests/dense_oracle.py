@@ -5,9 +5,11 @@ Everything here works on plain Python lists indexed 0..d-1, or on
 equations, deliberately sharing no code with the package under test (the
 only shared contract is the RNG discipline of the random-mask learner: one
 shuffle of range(d) per triggered update, drawn from random.Random(seed)).
-The synthetic-stream reference is the one exception: it wraps each instance
+The synthetic-stream reference is one exception: it wraps each instance
 through the package's validating SparseVector constructor, which the
-generator under test skips.
+generator under test skips. The two-level pipeline reference is the other:
+it reads its stream, its budget and its permutation from negofs.data, and
+seeds each learner as system.build_learners does.
 """
 
 import math
@@ -15,8 +17,20 @@ import random
 from statistics import NormalDist
 
 
+def _total(terms):
+    """The terms added left to right, as the package adds its float sums.
+
+    sum() compensates its float additions from CPython 3.12 on, so it can
+    round differently from the package's loops.
+    """
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 def dense_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return _total(x * y for x, y in zip(a, b))
 
 
 def dense_truncate(w, B):
@@ -113,7 +127,7 @@ class DenseLearner:
     def up_pa(self, x, y, margin):
         loss = max(0.0, 1.0 - y * margin)
         if loss > 0:
-            x_sq = sum(v * v for v in x)
+            x_sq = _total(v * v for v in x)
             tau = min(self.C, loss / x_sq)
             w = _drop_tiny([wi + tau * y * xi for wi, xi in zip(self.w, x)])
             self.w = dense_truncate(w, self.B)
@@ -121,8 +135,8 @@ class DenseLearner:
     def up_romma(self, x, y, margin):
         if y * margin > 0:
             return
-        w_sq = sum(v * v for v in self.w)
-        x_sq = sum(v * v for v in x)
+        w_sq = _total(v * v for v in self.w)
+        x_sq = _total(v * v for v in x)
         denom = x_sq * w_sq - margin * margin
         if denom <= 1e-12 * max(1.0, x_sq * w_sq):
             w = [wi + y * xi for wi, xi in zip(self.w, x)]
@@ -138,10 +152,13 @@ class DenseLearner:
         gamma = (1.0 / alpha) / math.sqrt(self.alma_k)
         if y * margin / x_norm <= (1.0 - alpha) * gamma:
             eta_k = math.sqrt(2.0) / math.sqrt(self.alma_k)
-            w = _drop_tiny([wi + eta_k * y * xi / x_norm for wi, xi in zip(self.w, x)])
+            # The step coefficient eta_k*y/||x|| and the scale 1/||w|| onto the
+            # unit ball are each rounded once, as the package rounds them.
+            coeff = eta_k * y / x_norm
+            w = _drop_tiny([wi + coeff * xi for wi, xi in zip(self.w, x)])
             norm = l2_norm_reference(w)
             if norm > 1.0:
-                w = [v / norm for v in w]
+                w = [(1.0 / norm) * v for v in w]
             self.w = dense_truncate(_drop_tiny(w), self.B)
             self.alma_k += 1
 
@@ -158,7 +175,7 @@ class DenseLearner:
             self.w = dense_truncate(w, self.B)
 
     def up_arow(self, x, y, margin):
-        v_conf = sum(s * xi * xi for s, xi in zip(self.sigma, x))
+        v_conf = _total(s * xi * xi for s, xi in zip(self.sigma, x))
         beta = 1.0 / (v_conf + self.r)
         loss = max(0.0, 1.0 - y * margin)
         alpha = loss * beta
@@ -186,13 +203,13 @@ class DenseLearner:
         self.sigma = [s - beta * s * s * xi * xi for s, xi in zip(self.sigma, x)]
 
     def up_cw(self, x, y, margin):
-        v_conf = sum(s * xi * xi for s, xi in zip(self.sigma, x))
+        v_conf = _total(s * xi * xi for s, xi in zip(self.sigma, x))
         alpha = self._cw_alpha(y * margin, v_conf)
         if alpha > 0:
             self._cw_apply(x, y, alpha, v_conf)
 
     def up_scw(self, x, y, margin):
-        v_conf = sum(s * xi * xi for s, xi in zip(self.sigma, x))
+        v_conf = _total(s * xi * xi for s, xi in zip(self.sigma, x))
         alpha = min(self.C, self._cw_alpha(y * margin, v_conf))
         if alpha > 0:
             self._cw_apply(x, y, alpha, v_conf)
@@ -276,6 +293,146 @@ def offer_cost_reference(weights, trust, err_rate, cost_time, error_domain, time
 
     scores = (1.0 - trust, badness(err_rate, error_domain), badness(cost_time, time_domain))
     return aggregate_utility_reference(weights, scores)
+
+
+# -- the two-level pipeline on dense lists -------------------------------------
+
+def trust_reference(state, sat_cur, c, threshold):
+    """One transaction folded into a (sat, xi, n) trust state, as trust.py states it."""
+    sat, xi, n = state
+    delta = abs(sat - sat_cur)
+    xi = c * delta + (1.0 - c) * xi
+    alpha = 1.0 if n == 0 else threshold + c * delta / (1.0 + xi)
+    return alpha * sat_cur + (1.0 - alpha) * sat, xi, n + 1
+
+
+def concession_threshold_reference(r, t_max):
+    """1 - value(r) of the time-dependent tactic with f1 = 1, f2 = 0, t_init = 0, beta = 1."""
+    f1, f2, t_init, beta = 1.0, 0.0, 0.0, 1.0
+    t = min(max(r, t_init), t_max)
+    frac = (t - t_init) / (t_max - t_init)
+    return 1.0 - (f1 + frac ** (1.0 / beta) * (f2 - f1))
+
+
+class _DenseAgent:
+    """One learner of the pipeline with its id, instance count and trust state."""
+
+    def __init__(self, pid, learner):
+        self.id = pid
+        self.learner = learner
+        self.instances = 0
+        self.trust = (0.0, 0.0, 0)
+
+    def score(self, chunk, params):
+        """Step through a chunk, then fold its accuracy into the trust; skip an empty one."""
+        if not chunk:
+            return
+        before = self.learner.mistakes
+        for x, y in chunk:
+            self.learner.step(x, y)
+        self.instances += len(chunk)
+        correct = len(chunk) - (self.learner.mistakes - before)
+        self.trust = trust_reference(self.trust, correct / len(chunk), params.c, params.threshold)
+
+
+def dense_moanofs(dataset, cfg):
+    """The two-level pipeline of system.run_moanofs, untimed, on dense lists.
+
+    Both levels cut their stream into t_max contiguous chunks of
+    ceil(len / t_max) instances; each non-empty chunk steps every agent and
+    folds its accuracy into the agent's trust. With k below the roster size,
+    the first int(calibration_fraction * n) instances calibrate every learner
+    and the k first by (-trust, mistakes, id) are elected. Each negotiation
+    trial counts the system's mistakes with the merged vector it starts
+    from, scores the chunk, merges the offers and broadcasts the result.
+
+    Under min-utility each offer is scored once per trial, over all of the
+    trial's offers, by offer_cost_reference, its error rate covering every
+    instance its learner has seen. The trial accepts the offers costing at
+    most the concession threshold, or else the two cheapest, and ranks
+    their conflicts by the same costs. Each selected feature's trust starts
+    at 0.05 and gains epsilon times its selection count once per merge,
+    capped at 1; the budget cut keeps features by (trust, |v|, index).
+
+    Returns a dict of the elected ids, one (system mistakes, accepted ids)
+    pair per trial, the final merged vector, and each learner's mistakes,
+    instances and trust in roster order.
+    """
+    from negofs.data import budget, permute, stream_of
+
+    if cfg.measure_time:
+        raise ValueError("the reference runs untimed configs only: every cost time is 0.0")
+    d = dataset.dimension
+    B = budget(d, cfg.budget_fraction)
+    stream = []
+    for x, y in stream_of(dataset, permute(dataset, cfg.seed)):
+        dense = [0.0] * d
+        for i, v in x.items():
+            dense[i] = v
+        stream.append((dense, y))
+    agents = [
+        _DenseAgent(i, DenseLearner(lc.variant, d, B, eta=lc.eta, lam=lc.lam, r=lc.r,
+                                    confidence=lc.confidence, C=lc.C,
+                                    alpha_margin=lc.alpha_margin,
+                                    seed=(cfg.seed * 100003 + i * 7919) % 2 ** 32))
+        for i, lc in enumerate(cfg.roster)
+    ]
+
+    def chunks(part):
+        size = math.ceil(len(part) / cfg.t_max)
+        return [part[i * size:(i + 1) * size] for i in range(cfg.t_max)]
+
+    n_cal, elected = 0, agents
+    if cfg.k < len(agents):
+        n_cal = int(cfg.calibration_fraction * len(stream))
+        for chunk in chunks(stream[:n_cal]):
+            for a in agents:
+                a.score(chunk, cfg.trust_params)
+        elected = sorted(agents, key=lambda a: (-a.trust[0], a.learner.mistakes, a.id))[:cfg.k]
+
+    epsilon = cfg.epsilon if cfg.epsilon is not None else 1.0 / len(elected)
+    profile = cfg.issue_weights
+    weights = (profile.trust, profile.error, profile.cost_time)
+    feature_trust = [0.05] * d
+    merged = [0.0] * d
+    trials = []
+    for r, chunk in enumerate(chunks(stream[n_cal:]), 1):
+        system_mistakes = sum((1 if dense_dot(merged, x) > 0 else -1) != y for x, y in chunk)
+        for a in elected:
+            a.score(chunk, cfg.trust_params)
+
+        accepted, key = elected, {a.id: a.learner.mistakes for a in elected}
+        if cfg.conflict_rule == "MIN_UTILITY":
+            rates = [a.learner.mistakes / a.instances if a.instances > 0 else 0.0
+                     for a in elected]
+            error_domain = (min(rates), max(rates)) if min(rates) < max(rates) else None
+            key = {a.id: offer_cost_reference(weights, a.trust[0], rate, 0.0, error_domain, None)
+                   for a, rate in zip(elected, rates)}
+            threshold = concession_threshold_reference(float(r), float(cfg.t_max))
+            accepted = [a for a in elected if key[a.id] <= threshold]
+            if len(accepted) < 2:
+                accepted = sorted(elected, key=lambda a: (key[a.id], a.id))[:2]
+
+        union = merge_offers_reference(
+            [(a.id, a.learner.w, a.learner.mistakes) for a in accepted], key.__getitem__)
+        for i in range(d):
+            count = sum(a.learner.w[i] != 0.0 for a in accepted)
+            if count:
+                feature_trust[i] = min(1.0, feature_trust[i] + epsilon * count)
+        ranked = sorted((i for i in range(d) if union[i] != 0.0),
+                        key=lambda i: (-feature_trust[i], -abs(union[i]), i))
+        kept = set(ranked[:B])
+        merged = [v if i in kept else 0.0 for i, v in enumerate(union)]
+        for a in elected:
+            a.learner.w = list(merged)
+        trials.append((system_mistakes, [a.id for a in accepted]))
+
+    return {
+        "elected": [a.id for a in elected],
+        "trials": trials,
+        "merged": merged,
+        "learners": [(a.learner.mistakes, a.instances, a.trust[0]) for a in agents],
+    }
 
 
 # -- the synthetic stream through random.Random's own sample, choice and gauss --

@@ -659,9 +659,9 @@ def test_min_utility_round_accepts_by_pressure_threshold():
         assert len(accepted) >= 2
 
 
-def test_a_round_that_accepts_every_offer_costs_them_once(monkeypatch):
-    # The merge reuses the acceptance's costs only when it merges every offer:
-    # a subset's costs are scored over the subset's own range.
+def test_each_min_utility_round_costs_its_offers_once(monkeypatch):
+    # The merge ranks conflicts by the acceptance's costs, scored over all of
+    # the round's offers, whether it merges every offer or only some.
     calls = []
     real = offer_costs
     monkeypatch.setattr("negofs.negotiation.offer_costs",
@@ -673,7 +673,24 @@ def test_a_round_that_accepts_every_offer_costs_them_once(monkeypatch):
                                 MergeSpy())
     shapes = [(len(offers), len(accepted)) for offers, accepted, _ in spy.merges]
     assert shapes == [(3, 2), (3, 2), (3, 3), (3, 3)]  # both kinds of round
-    assert calls == [3, 2, 3, 2, 3, 3]
+    assert calls == [3, 3, 3, 3]
+
+
+def test_a_rejected_offer_still_sets_the_range_conflicts_rank_in(monkeypatch):
+    # At threshold 0.5, over all three offers the costs are A 0.0825, B 0.1
+    # and C 0.7: C is rejected and A wins feature 0. Scored again over {A, B}
+    # alone, A would cost 0.52 and B would win.
+    a = offer(0, {0: 1.0}, err=3, d=2, trust=0.9, instances=10)
+    b = offer(1, {0: -2.0}, err=2, d=2, trust=0.5, instances=10)
+    c = offer(2, {0: 3.0, 1: 1.0}, err=10, d=2, trust=0.0, instances=10)
+    monkeypatch.setattr("negofs.negotiation.call_for_proposals", lambda participants: [a, b, c])
+    participants = [petrun_participant(i, 2, 2) for i in range(3)]
+    cfg = ncfg(t_max=2, merged_budget=2, conflict_rule=MIN_UTILITY)
+    assert 1.0 - time_dependent_value(1.0, TimeStrategyParams(1.0, 0.0, 0.0, 2.0)) == 0.5
+    _, spy, _ = run_negotiation(participants, build_stream(0, 2, 2), cfg, MergeSpy())
+    offers, accepted, merged = spy.merges[0]
+    assert offers == [a, b, c] and accepted == [a, b]
+    assert merged == sv(2, {0: 1.0})
 
 
 @given(st.data())
@@ -700,8 +717,11 @@ def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
     assert sorted(rounds) == list(range(1, cfg.t_max + 1)) and len(merges) == cfg.t_max
     feature_trust = FeatureTrust(1.0 / len(participants))  # the default epsilon
     for (r, messages), (offers, merge_set, merged) in zip(sorted(rounds.items()), merges):
-        # The merged vector is the merge of the accepted offers, with trust carried over.
-        expected_merged, feature_trust = merge_multilateral(merge_set, feature_trust, cfg)
+        # The merged vector is the merge of the accepted offers, with trust
+        # carried over and conflicts ranked by the costs over all offers.
+        costs = offer_costs(offers, cfg.issue_weights)
+        expected_merged, feature_trust = merge_multilateral(merge_set, feature_trust, cfg,
+                                                            costs=costs)
         assert merged == expected_merged
         decisions = [m for m in messages if m.kind in (MessageKind.ACCEPT, MessageKind.REJECT)]
         assert sorted(int(m.receiver) for m in decisions) == list(range(len(participants)))
@@ -711,7 +731,6 @@ def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
         assert all(o in offers for o in merge_set)
         # The accept rule, from the offers alone: every offer within the
         # threshold the concession tactic sets, or else the two cheapest.
-        costs = offer_costs(offers, cfg.issue_weights)
         tactic = TimeStrategyParams(1.0, 0.0, 0.0, float(cfg.t_max))
         threshold = 1.0 - time_dependent_value(float(r), tactic)
         expected = [o.participant_id for o in offers if costs[o.participant_id] <= threshold]

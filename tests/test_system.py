@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import dense_moanofs
 from negofs import system
 from negofs.data import Dataset, SyntheticSpec, budget, generate_synthetic, permute, stream_of
 from negofs.learners import VARIANTS, Learner, LearnerConfig, sign_of
@@ -495,9 +496,8 @@ def test_offered_cost_times(timed):
     assert final == previous
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_tiny_pipeline_invariants(data):
+def draw_tiny_pipeline(data):
+    """A tiny synthetic dataset and an untimed config whose roster holds RAND."""
     n = data.draw(st.integers(10, 40), label="n")
     d = data.draw(st.integers(3, 12), label="d")
     others = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=3))
@@ -515,6 +515,14 @@ def test_tiny_pipeline_invariants(data):
     ds, _ = generate_synthetic(SyntheticSpec(d=d, n_samples=n, n_relevant=min(3, d),
                                              density=0.4, label_noise=0.1,
                                              seed=data.draw(st.integers(0, 2 ** 16))))
+    return ds, cfg
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_tiny_pipeline_invariants(data):
+    ds, cfg = draw_tiny_pipeline(data)
+    n, size = len(ds), len(cfg.roster)
     report = run_moanofs(ds, cfg)
 
     assert len(report.merged) <= report.B
@@ -533,3 +541,30 @@ def test_tiny_pipeline_invariants(data):
     assert run_moanofs(ds, cfg, first).merged == report.merged
     run_moanofs(ds, cfg, second)
     assert first.serialize() == second.serialize()
+
+
+@pytest.mark.parametrize("rule", [MIN_ERROR, MIN_UTILITY])
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_run_moanofs_matches_the_dense_oracle(rule, data):
+    ds, cfg = draw_tiny_pipeline(data)
+    cfg = replace(cfg, conflict_rule=rule)
+
+    class Acceptances:
+        def __init__(self):
+            self.accepted = []
+
+        def on_trial(self, round_index, stale, offers, accepted, merged):
+            self.accepted.append([o.participant_id for o in accepted])
+
+    observer = Acceptances()
+    report = run_moanofs(ds, cfg, observer)
+    expected = dense_moanofs(ds, cfg)
+
+    assert report.elected == expected["elected"]
+    assert [(t.system_mistakes, accepted) for t, accepted in zip(report.trials, observer.accepted)
+            ] == expected["trials"]
+    assert [(lr.mistakes, lr.instances, lr.trust) for lr in report.per_learner
+            ] == expected["learners"]
+    merged = dict(report.merged.items())
+    assert all(abs(merged.get(i, 0.0) - v) <= 1e-10 for i, v in enumerate(expected["merged"]))
