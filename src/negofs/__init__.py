@@ -7,7 +7,6 @@ from .negotiation import (
     MIN_ERROR,
     MIN_UTILITY,
     NegotiationConfig,
-    NegotiationTranscript,
     Offer,
     Participant,
     merge_multilateral,
@@ -16,7 +15,7 @@ from .negotiation import (
 from .sparse import SparseVector, dot
 from .system import RunReport, SystemConfig, elect_trustful, run_moanofs
 from .trust import TrustParams, TrustState, update_trust
-from .utility import IssueWeightProfile, TimeStrategyParams, time_dependent_value
+from .utility import IssueWeightProfile
 
 __version__ = "0.1.0"
 
@@ -24,11 +23,9 @@ __all__ = [
     "Dataset", "SyntheticSpec", "budget", "generate_synthetic", "load_sparse_text",
     "permute", "save_sparse_text",
     "VARIANTS", "Learner", "LearnerConfig",
-    "FeatureTrust", "MIN_ERROR", "MIN_UTILITY", "NegotiationConfig",
-    "NegotiationTranscript", "Offer", "Participant",
+    "FeatureTrust", "MIN_ERROR", "MIN_UTILITY", "NegotiationConfig", "Offer", "Participant",
     "merge_multilateral", "run_negotiation",
     "SparseVector", "dot",
     "RunReport", "SystemConfig", "elect_trustful", "run_moanofs",
-    "TrustParams", "TrustState", "update_trust",
-    "IssueWeightProfile", "TimeStrategyParams", "time_dependent_value",
+    "TrustParams", "TrustState", "update_trust", "IssueWeightProfile",
 ]

@@ -14,7 +14,7 @@ Merge rules, per feature:
   * selected by exactly one offer: that offer's weight survives;
   * selected by several offers: the weight comes from the offer that wins
     the conflict rule: fewest errors, or lowest composite utility cost, the
-    one cost per offer per round, scored over all of the round's offers.
+    one cost per offer per round, which the trial passes to the merge.
 
 Every selection also earns the feature trust points; when the merged
 support would exceed the merged budget, the most trusted (then largest,
@@ -43,7 +43,7 @@ from .learners import Learner, sign_of
 from .sparse import SparseVector, _check_field_types, _cut, _cut_excess, _from_unsorted, _overlay
 from .sparse import check_budget, dot
 from .trust import TrustParams, TrustState, update_trust
-from .utility import IssueWeightProfile, TimeStrategyParams, issue_badness, time_dependent_value
+from .utility import IssueWeightProfile, acceptance_threshold, issue_badness
 
 INITIATOR = "init"
 EVERYONE = "*"
@@ -303,9 +303,9 @@ def merge_multilateral(
     """Merge two or more offers, of one dimension and distinct ids, and award feature trust.
 
     Conflicts (a feature selected by several offers) are resolved by the
-    configured rule; ties prefer the lower participant id. Under MIN_UTILITY,
-    costs, when given, holds each offer's cost in the round keyed by id, a
-    superset allowed; by default offer_costs(offers, cfg.issue_weights). The feature trust
+    configured rule; ties prefer the lower participant id. Under MIN_UTILITY
+    the caller passes costs, each offer's cost in the round keyed by id, a
+    superset allowed; the merge scores no offer itself. The feature trust
     of every selected feature grows by epsilon per selecting offer. If the
     union exceeds the merged budget, features are kept by descending trust,
     then descending magnitude, then ascending index.
@@ -326,12 +326,12 @@ def merge_multilateral(
     if len(set(ids)) != len(ids):
         raise ValueError(f"participant ids must be distinct, got {ids}")
 
-    if cfg.conflict_rule == MIN_UTILITY:
-        if costs is None:
-            costs = offer_costs(offers, cfg.issue_weights)
-        ranked = sorted(offers, key=lambda o: (costs[o.participant_id], o.participant_id))
-    else:
+    if cfg.conflict_rule == MIN_ERROR:
         ranked = sorted(offers, key=lambda o: (o.err_count, o.participant_id))
+    elif costs is None:
+        raise ValueError("a MIN_UTILITY merge needs costs, each offer's cost in the round")
+    else:
+        ranked = sorted(offers, key=lambda o: (costs[o.participant_id], o.participant_id))
 
     # Filled worst first, so the conflict winner's value is written last.
     merged, supports = _overlay([o.w for o in reversed(ranked)])
@@ -405,8 +405,8 @@ def run_negotiation(
 
     Under MIN_ERROR every offer is merged. Under MIN_UTILITY trial r scores
     each offer once, over all of its offers, merges those costing at most
-    1 - time_dependent_value(r, tactic) and ranks their conflicts by the
-    same costs, the tactic conceding linearly from 1 at t = 0 to 0 at t_max.
+    acceptance_threshold(r, t_max) and ranks their conflicts by the same
+    costs.
 
     After each trial's broadcast, the observer (returned as given) sees
     ``on_trial(trial, stale, offers, accepted, merged)``; with none, nothing
@@ -425,7 +425,6 @@ def run_negotiation(
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1.0 / len(participants)
     feature_trust = FeatureTrust(epsilon)
     merged = SparseVector(dimension)
-    tactic = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=float(cfg.t_max))
     metrics: list[TrialMetrics] = []
 
     for trial, chunk in enumerate(_trial_chunks(stream, cfg.t_max), 1):
@@ -440,8 +439,8 @@ def run_negotiation(
         offers = call_for_proposals(participants)
         accepted, costs = offers, None
         if cfg.conflict_rule == MIN_UTILITY:
-            threshold = 1.0 - time_dependent_value(float(trial), tactic)
-            accepted, costs = _accept_offers(offers, cfg.issue_weights, threshold)
+            accepted, costs = _accept_offers(offers, cfg.issue_weights,
+                                             acceptance_threshold(trial, cfg.t_max))
         merged, feature_trust = merge_multilateral(accepted, feature_trust, cfg, costs)
         broadcast(merged, participants)
         if observer is not None:

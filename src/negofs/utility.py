@@ -6,11 +6,10 @@ its cost time, the seconds its learner spent stepping through its chunks
 [0, 1] within the round's observed range (issue_badness) and sums the
 scores, weighted by an IssueWeightProfile, into a scalar cost (lower is
 better).
-time_dependent_value is the time-dependent tactic of Faratin, Sierra and
-Jennings (1998), a value conceded from f1 toward f2 as t runs from t_init to
-t_max. It is the initiator's one concession curve: under min-utility the
-tactic runs from 1 at t = 0 to 0 at the last trial, and a trial accepts the
-offers whose cost is at most 1 minus its value.
+acceptance_threshold is the initiator's one concession curve: the linear
+member of the time-dependent tactics of Faratin, Sierra and Jennings (1998),
+whose value runs from 1 at trial 0 to 0 at t_max. Under min-utility a trial
+accepts the offers whose cost is at most 1 minus that value.
 """
 
 from __future__ import annotations
@@ -43,27 +42,6 @@ class IssueWeightProfile:
         return (self.trust, self.error, self.cost_time)
 
 
-@dataclass(frozen=True)
-class TimeStrategyParams:
-    """Parameters of the time-dependent issue-value strategy."""
-
-    f1: float
-    f2: float
-    t_init: float
-    t_max: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        _check_field_types(self, reals=("f1", "f2", "t_init", "t_max", "beta"))
-        for name in ("f1", "f2", "t_init", "t_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.t_init < self.t_max:
-            raise ValueError(f"t_init must precede t_max ({self.t_init} >= {self.t_max})")
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-
-
 def issue_badness(values: Sequence[float]) -> list[float]:
     """Each of one round's issue values scored within the round's range.
 
@@ -77,8 +55,11 @@ def issue_badness(values: Sequence[float]) -> list[float]:
     return [1.0 - (hi - v) / span for v in values]
 
 
-def time_dependent_value(t: float, p: TimeStrategyParams) -> float:
-    """Issue value conceded from f1 toward f2 as t runs from t_init to t_max."""
-    t = min(max(t, p.t_init), p.t_max)
-    frac = (t - p.t_init) / (p.t_max - p.t_init)
-    return p.f1 + frac ** (1.0 / p.beta) * (p.f2 - p.f1)
+def acceptance_threshold(trial: int, t_max: int) -> float:
+    """The highest offer cost the initiator accepts at a trial, 0 <= trial <= t_max.
+
+    It rises from 0 at trial 0 to 1 at t_max. It is computed as one minus
+    the tactic's value 1 - trial/t_max, so its bits equal those of the
+    general form at f1 = 1, f2 = 0, t_init = 0 and beta = 1.
+    """
+    return 1.0 - (1.0 - trial / t_max)

@@ -306,12 +306,21 @@ def trust_reference(state, sat_cur, c, threshold):
     return alpha * sat_cur + (1.0 - alpha) * sat, xi, n + 1
 
 
+def time_dependent_value_reference(t, f1, f2, t_init, t_max, beta=1.0):
+    """The time-dependent tactic of Faratin, Sierra and Jennings (1998).
+
+    Its value is conceded from f1 at t_init toward f2 at t_max, along
+    frac ** (1 / beta) for the elapsed fraction frac of the time; t is
+    clamped to [t_init, t_max].
+    """
+    t = min(max(t, t_init), t_max)
+    frac = (t - t_init) / (t_max - t_init)
+    return f1 + frac ** (1.0 / beta) * (f2 - f1)
+
+
 def concession_threshold_reference(r, t_max):
     """1 - value(r) of the time-dependent tactic with f1 = 1, f2 = 0, t_init = 0, beta = 1."""
-    f1, f2, t_init, beta = 1.0, 0.0, 0.0, 1.0
-    t = min(max(r, t_init), t_max)
-    frac = (t - t_init) / (t_max - t_init)
-    return 1.0 - (f1 + frac ** (1.0 / beta) * (f2 - f1))
+    return 1.0 - time_dependent_value_reference(r, 1.0, 0.0, 0.0, t_max, 1.0)
 
 
 class _DenseAgent:

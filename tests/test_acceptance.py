@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dense_oracle import DenseLearner, merge_offers_reference
+from dense_oracle import DenseLearner, merge_offers_reference, time_dependent_value_reference
 from negofs.cli import RunOptions, derive_run_seed, main, run_experiment
 from negofs.data import SyntheticSpec, budget, generate_synthetic, load_sparse_text, permute, stream_of
 from negofs.learners import VARIANTS, Learner, LearnerConfig
@@ -30,7 +30,7 @@ from negofs.negotiation import (
 from negofs.sparse import SparseVector
 from negofs.system import SystemConfig, build_learners, run_moanofs
 from negofs.trust import TrustParams, TrustState, update_trust
-from negofs.utility import TimeStrategyParams, time_dependent_value
+from negofs.utility import acceptance_threshold
 
 SCALE_MATCHED_ROSTER = ("ROMMA", "OGD", "PA", "SOP", "CW", "AROW", "SCW")
 
@@ -139,14 +139,16 @@ def test_criterion_3_trust_recurrence():
 
 
 def test_criterion_4_analytic_endpoints():
-    # The pressure curve is the tactic conceding from 1 to 0 by the deadline.
-    pressure = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=7.0, beta=2.0)
-    strategy = TimeStrategyParams(f1=3.0, f2=-1.0, t_init=2.0, t_max=9.0, beta=0.7)
+    # The pressure curve concedes from 1 to 0 by the deadline, so the
+    # initiator accepts costs up to 0 at trial 0 and up to 1 at t_max.
+    tactic = time_dependent_value_reference
     checks = (
-        time_dependent_value(0.0, pressure) == 1.0,
-        time_dependent_value(7.0, pressure) == 0.0,
-        time_dependent_value(2.0, strategy) == 3.0,
-        time_dependent_value(9.0, strategy) == -1.0,
+        tactic(0.0, 1.0, 0.0, 0.0, 7.0, beta=2.0) == 1.0,
+        tactic(7.0, 1.0, 0.0, 0.0, 7.0, beta=2.0) == 0.0,
+        tactic(2.0, 3.0, -1.0, 2.0, 9.0, beta=0.7) == 3.0,
+        tactic(9.0, 3.0, -1.0, 2.0, 9.0, beta=0.7) == -1.0,
+        all(acceptance_threshold(0, t_max) == 0.0 for t_max in (1, 7, 3681)),
+        all(acceptance_threshold(t_max, t_max) == 1.0 for t_max in (1, 7, 3681)),
     )
     verdict(4, all(checks), f"endpoint checks {checks}")
 

@@ -438,6 +438,27 @@ def test_mistakes_within_the_novikoff_bound(variant, gamma, radius, d, seed):
     assert learner.mistakes <= (R / gamma) ** 2
 
 
+@given(st.sampled_from([0.5, 0.9, 1.0]), st.sampled_from([0.05, 0.1, 0.3]),
+       st.sampled_from([0.5, 1.0, 4.0]), st.integers(3, 30), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_alma_updates_within_its_bound(alpha, gamma, radius, d, seed):
+    """On a stream separable by a unit-norm u, ALMA_2 with approximation
+    parameter alpha makes at most 2(2/alpha - 1)^2/g^2 + 8/alpha - 4
+    updates, g the margin of the normalized instances, min y<u, x>/||x||
+    (Gentile, "A New Approximate Maximal Margin Classification Algorithm",
+    JMLR 2001, Theorem 3 with p = 2). An update is any step whose normalized
+    margin falls below its target, a mistake or not. B = d cuts nothing; the
+    stream is replayed."""
+    stream, u = _separable_stream(random.Random(seed), d, gamma, radius, 150)
+    g = min(y * sum(v * u[i] for i, v in x.items()) / x.norm_l2() for x, y in stream)
+    assert g > 0.0
+    learner = make("ALMA", d=d, B=d, alpha_margin=alpha)
+    for _ in range(4):
+        for x, y in stream:
+            learner.step(x, y)
+    assert learner.updates <= 2.0 * (2.0 / alpha - 1.0) ** 2 / g ** 2 + 8.0 / alpha - 4.0
+
+
 @given(st.sampled_from([0.05, 0.1, 0.3]), st.sampled_from([0.5, 1.0, 4.0]),
        st.integers(3, 30), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)

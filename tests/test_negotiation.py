@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import merge_offers_reference
+from dense_oracle import concession_threshold_reference, merge_offers_reference
 from negofs.learners import VARIANTS, Learner, LearnerConfig
 from negofs.negotiation import (
     EVERYONE,
@@ -33,7 +33,7 @@ from negofs.negotiation import (
 from negofs.sparse import SparseVector, dot
 from negofs.system import SystemConfig
 from negofs.trust import TrustParams, TrustState, update_trust
-from negofs.utility import TimeStrategyParams, time_dependent_value
+from negofs.utility import acceptance_threshold
 
 
 def sv(d, entries=()):
@@ -209,6 +209,20 @@ def test_merge_rejects_bad_offers(offers, message):
         merge_multilateral(offers, FeatureTrust(0.5), ncfg(conflict_rule=MIN_UTILITY))
 
 
+def test_a_min_utility_merge_needs_the_rounds_costs(monkeypatch):
+    # The trial scores its offers once; the merge scores none itself.
+    def refuse(offers, weights):
+        raise AssertionError("the merge scored the offers")
+
+    monkeypatch.setattr("negofs.negotiation.offer_costs", refuse)
+    offers = [offer(0, {0: 1.0}, err=1), offer(1, {0: -1.0})]
+    with pytest.raises(ValueError, match=r"^a MIN_UTILITY merge needs costs, "):
+        merge_multilateral(offers, FeatureTrust(0.5), ncfg(conflict_rule=MIN_UTILITY))
+    merged, _ = merge_multilateral(offers, FeatureTrust(0.5), ncfg(conflict_rule=MIN_UTILITY),
+                                   {0: 0.25, 1: 0.5, 2: 0.0})
+    assert merged == sv(6, {0: 1.0})
+
+
 # -- merge_multilateral -------------------------------------------------------------------
 
 def test_multilateral_unselected_feature_stays_zero():
@@ -267,7 +281,7 @@ def test_multilateral_min_utility_conflict_rule():
     costly = offer(1, {0: -0.6}, err=0, instances=10, cost_time=0.1, trust=0.0)
     cfg = ncfg(conflict_rule=MIN_UTILITY)
     costs = offer_costs([cheap, costly], cfg.issue_weights)
-    merged, _ = merge_multilateral([cheap, costly], FeatureTrust(0.5), cfg)
+    merged, _ = merge_multilateral([cheap, costly], FeatureTrust(0.5), cfg, costs)
     winner = min(costs, key=lambda pid: (costs[pid], pid))
     assert dict(merged.items()).get(0, 0.0) == (0.4 if winner == 0 else -0.6)
 
@@ -289,11 +303,9 @@ def test_merge_matches_per_feature_reference():
                                     instances=rng.choice([0, 10])))
             merged_budget = rng.randint(1, d)
             cfg = ncfg(merged_budget=merged_budget, conflict_rule=rule)
-            merged, _ = merge_multilateral(offers, FeatureTrust(1 / n_offers), cfg)
-            if rule == MIN_UTILITY:
-                key = offer_costs(offers, cfg.issue_weights)
-            else:
-                key = {o.participant_id: o.err_count for o in offers}
+            costs = offer_costs(offers, cfg.issue_weights)
+            merged, _ = merge_multilateral(offers, FeatureTrust(1 / n_offers), cfg, costs)
+            key = costs if rule == MIN_UTILITY else {o.participant_id: o.err_count for o in offers}
             dense = merge_offers_reference(
                 [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count)
                  for o in offers],
@@ -358,7 +370,8 @@ def test_merges_across_rounds_match_a_reference_that_carries_trust():
                                             cost_time=rng.choice([0.0, 0.5]),
                                             trust=rng.random(), instances=rng.choice([0, 10])))
                     cfg = ncfg(merged_budget=rng.randint(1, d), conflict_rule=rule)
-                    merged, feature_trust = merge_multilateral(offers, feature_trust, cfg)
+                    merged, feature_trust = merge_multilateral(
+                        offers, feature_trust, cfg, offer_costs(offers, cfg.issue_weights))
 
                     before = dict(trust)
                     expected, union = merge_with_carried_trust(offers, cfg, trust, epsilon)
@@ -398,7 +411,8 @@ def test_a_cut_into_capped_features_matches_the_reference_on_ties():
                                         cost_time=rng.choice([0.0, 0.5]),
                                         trust=rng.random(), instances=10))
                 cfg = ncfg(merged_budget=rng.randint(1, d // 2), conflict_rule=rule)
-                merged, feature_trust = merge_multilateral(offers, feature_trust, cfg)
+                merged, feature_trust = merge_multilateral(
+                    offers, feature_trust, cfg, offer_costs(offers, cfg.issue_weights))
 
                 expected, union = merge_with_carried_trust(offers, cfg, trust, 0.5)
                 assert [dict(merged.items()).get(i, 0.0) for i in range(d)] == expected
@@ -686,7 +700,7 @@ def test_a_rejected_offer_still_sets_the_range_conflicts_rank_in(monkeypatch):
     monkeypatch.setattr("negofs.negotiation.call_for_proposals", lambda participants: [a, b, c])
     participants = [petrun_participant(i, 2, 2) for i in range(3)]
     cfg = ncfg(t_max=2, merged_budget=2, conflict_rule=MIN_UTILITY)
-    assert 1.0 - time_dependent_value(1.0, TimeStrategyParams(1.0, 0.0, 0.0, 2.0)) == 0.5
+    assert acceptance_threshold(1, 2) == 0.5
     _, spy, _ = run_negotiation(participants, build_stream(0, 2, 2), cfg, MergeSpy())
     offers, accepted, merged = spy.merges[0]
     assert offers == [a, b, c] and accepted == [a, b]
@@ -731,8 +745,7 @@ def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
         assert all(o in offers for o in merge_set)
         # The accept rule, from the offers alone: every offer within the
         # threshold the concession tactic sets, or else the two cheapest.
-        tactic = TimeStrategyParams(1.0, 0.0, 0.0, float(cfg.t_max))
-        threshold = 1.0 - time_dependent_value(float(r), tactic)
+        threshold = concession_threshold_reference(float(r), float(cfg.t_max))
         expected = [o.participant_id for o in offers if costs[o.participant_id] <= threshold]
         if len(expected) < 2:
             expected = sorted(costs, key=lambda pid: (costs[pid], pid))[:2]

@@ -543,12 +543,8 @@ def test_tiny_pipeline_invariants(data):
     assert first.serialize() == second.serialize()
 
 
-@pytest.mark.parametrize("rule", [MIN_ERROR, MIN_UTILITY])
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_run_moanofs_matches_the_dense_oracle(rule, data):
-    ds, cfg = draw_tiny_pipeline(data)
-    cfg = replace(cfg, conflict_rule=rule)
+def assert_matches_the_dense_oracle(ds, cfg):
+    """run_moanofs and dense_moanofs agree: ids and counts exactly, the merged vector to 1e-10."""
 
     class Acceptances:
         def __init__(self):
@@ -568,3 +564,31 @@ def test_run_moanofs_matches_the_dense_oracle(rule, data):
             ] == expected["learners"]
     merged = dict(report.merged.items())
     assert all(abs(merged.get(i, 0.0) - v) <= 1e-10 for i, v in enumerate(expected["merged"]))
+    return report
+
+
+@pytest.mark.parametrize("rule", [MIN_ERROR, MIN_UTILITY])
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_run_moanofs_matches_the_dense_oracle(rule, data):
+    ds, cfg = draw_tiny_pipeline(data)
+    assert_matches_the_dense_oracle(ds, replace(cfg, conflict_rule=rule))
+
+
+@pytest.mark.parametrize("variants, k, t_max, calibration, budget_fraction, seed, spec, mistakes", [
+    ("SOP,PETRUN,ALMA,SOP,AROW,ROMMA,ALMA,RAND", 3, 85, 0.475, 0.3, 61010,
+     SyntheticSpec(d=35, n_samples=87, n_relevant=3, density=0.8, label_noise=0.1, seed=47505), 15),
+    ("FOFS,CW,SCW,OGD,SOP,SCW,RAND", 3, 76, 0.25, 0.1, 19421,
+     SyntheticSpec(d=20, n_samples=116, n_relevant=3, density=0.4, label_noise=0.1, seed=28077), 37),
+], ids=["A", "B"])
+def test_min_utility_costs_each_offer_once_end_to_end(variants, k, t_max, calibration,
+                                                       budget_fraction, seed, spec, mistakes):
+    # Two of the few configurations where scoring the accepted offers again
+    # among themselves changes a conflict's winner: that reading makes 18
+    # and 42 system mistakes, where the one cost per offer per round makes
+    # 15 and 37, as the oracle does.
+    cfg = SystemConfig(roster=roster(*variants.split(",")), k=k, t_max=t_max,
+                       calibration_fraction=calibration, budget_fraction=budget_fraction,
+                       seed=seed, conflict_rule=MIN_UTILITY, measure_time=False)
+    report = assert_matches_the_dense_oracle(generate_synthetic(spec)[0], cfg)
+    assert report.system_mistakes == mistakes

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from dense_oracle import (
     aggregate_utility_reference,
+    concession_threshold_reference,
     issue_domain_reference,
     linear_score_reference,
     offer_cost_reference,
+    time_dependent_value_reference,
 )
 from negofs.negotiation import Offer, offer_costs
 from negofs.sparse import SparseVector
-from negofs.utility import IssueWeightProfile, TimeStrategyParams, issue_badness, time_dependent_value
+from negofs.utility import IssueWeightProfile, acceptance_threshold, issue_badness
 
 
 def make_offer(pid=0, trust=0.5, err=5, instances=10, cost_time=1.0):
@@ -204,38 +206,50 @@ def test_offer_costs_equal_offer_cost_bit_for_bit(offers, profile):
 
 
 # -- the time-dependent tactic --------------------------------------------------------
+# The package runs one member of the family, the acceptance threshold; the
+# general form is the oracle's, and these tests pin it.
+
+tdv = time_dependent_value_reference
+
 
 def test_time_dependent_value_endpoints():
-    p = TimeStrategyParams(f1=2.0, f2=8.0, t_init=1.0, t_max=5.0, beta=2.0)
-    assert time_dependent_value(1.0, p) == 2.0
-    assert time_dependent_value(5.0, p) == 8.0
+    assert tdv(1.0, 2.0, 8.0, 1.0, 5.0, beta=2.0) == 2.0
+    assert tdv(5.0, 2.0, 8.0, 1.0, 5.0, beta=2.0) == 8.0
 
 
 def test_time_dependent_value_linear_midpoint():
-    p = TimeStrategyParams(f1=2.0, f2=8.0, t_init=0.0, t_max=4.0, beta=1.0)
-    assert time_dependent_value(2.0, p) == pytest.approx(5.0)
+    assert tdv(2.0, 2.0, 8.0, 0.0, 4.0) == pytest.approx(5.0)
     # The concession from 1 to 0 the initiator makes is halfway at half time.
-    concession = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=10.0, beta=1.0)
-    assert time_dependent_value(5.0, concession) == pytest.approx(0.5)
+    assert tdv(5.0, 1.0, 0.0, 0.0, 10.0) == pytest.approx(0.5)
+    assert acceptance_threshold(5, 10) == 0.5
 
 
 def test_time_dependent_value_clamps():
-    p = TimeStrategyParams(f1=2.0, f2=8.0, t_init=1.0, t_max=5.0)
-    assert time_dependent_value(0.0, p) == 2.0
-    assert time_dependent_value(9.0, p) == 8.0
-    concession = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=10.0, beta=2.0)
-    assert time_dependent_value(25.0, concession) == 0.0  # past the deadline
+    assert tdv(0.0, 2.0, 8.0, 1.0, 5.0) == 2.0
+    assert tdv(9.0, 2.0, 8.0, 1.0, 5.0) == 8.0
+    assert tdv(25.0, 1.0, 0.0, 0.0, 10.0, beta=2.0) == 0.0  # past the deadline
 
 
 def test_time_dependent_value_monotone_between_endpoints():
-    p = TimeStrategyParams(f1=-1.0, f2=3.0, t_init=0.0, t_max=10.0, beta=0.5)
-    values = [time_dependent_value(t / 10, p) for t in range(101)]
+    values = [tdv(t / 10, -1.0, 3.0, 0.0, 10.0, beta=0.5) for t in range(101)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert min(values) >= -1.0 and max(values) <= 3.0
     # A decreasing curve (f1 > f2) at beta = 3 is non-increasing, also past t_max.
-    p = TimeStrategyParams(f1=1.0, f2=0.0, t_init=0.0, t_max=7.0, beta=3.0)
-    values = [time_dependent_value(t / 4, p) for t in range(60)]
+    values = [tdv(t / 4, 1.0, 0.0, 0.0, 7.0, beta=3.0) for t in range(60)]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("t_maxes", [range(1, 301), (1000, 3681, 4601)],
+                         ids=["every-t_max-to-300", "long-runs"])
+def test_acceptance_threshold_is_the_linear_tactic_bit_for_bit(t_maxes):
+    # Trial r of a run of t_max trials accepts costs up to 1 - value(r) of
+    # the tactic conceding linearly from 1 at trial 0 to 0 at t_max.
+    for t_max in t_maxes:
+        thresholds = [acceptance_threshold(r, t_max) for r in range(t_max + 1)]
+        expected = [concession_threshold_reference(float(r), float(t_max))
+                    for r in range(t_max + 1)]
+        assert [t.hex() for t in thresholds] == [t.hex() for t in expected], t_max
+        assert thresholds[0] == 0.0 and thresholds[-1] == 1.0
 
 
 @pytest.mark.parametrize("field", ["trust", "error", "cost_time"])
@@ -245,37 +259,3 @@ def test_issue_weights_reject_a_bool(field):
     with pytest.raises(ValueError) as err:
         IssueWeightProfile(**weights)
     assert str(err.value) == f"{field} must be a real, got True"
-
-
-@pytest.mark.parametrize("field", ["f1", "f2", "t_init", "t_max", "beta"])
-def test_time_strategy_rejects_a_bool(field):
-    params = dict(f1=2.0, f2=8.0, t_init=0.0, t_max=5.0, beta=1.0) | {field: True}
-    with pytest.raises(ValueError) as err:
-        TimeStrategyParams(**params)
-    assert str(err.value) == f"{field} must be a real, got True"
-
-
-def test_param_validation():
-    with pytest.raises(ValueError):
-        TimeStrategyParams(f1=0, f2=1, t_init=5, t_max=5)
-    with pytest.raises(ValueError):
-        TimeStrategyParams(f1=0, f2=1, t_init=0, t_max=5, beta=0)
-
-
-NAN, INF = float("nan"), float("inf")
-
-
-@pytest.mark.parametrize("field, kwargs", [
-    ("f1", dict(f1=NAN)),
-    ("f1", dict(f1=-INF)),
-    ("f2", dict(f2=INF)),
-    ("t_init", dict(t_init=-INF)),
-    ("t_init", dict(t_init=NAN)),
-    ("t_max", dict(t_max=INF)),
-    ("beta", dict(beta=NAN)),
-    ("beta", dict(beta=INF)),
-])
-def test_time_strategy_rejects_non_finite(field, kwargs):
-    params = dict(f1=2.0, f2=8.0, t_init=1.0, t_max=5.0, beta=1.0) | kwargs
-    with pytest.raises(ValueError, match=f"^{field} must"):
-        TimeStrategyParams(**params)
