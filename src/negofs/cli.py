@@ -5,9 +5,11 @@ for two-party negotiation (a perceptron-truncation learner against the
 random-mask learner), ``MANOFS`` for the full roster negotiating the whole
 stream, and ``MOANOFS`` for the two-level pipeline with trust election.
 
-Each run r permutes the dataset with seed ``base*1000003 + r`` and reports
-the mistake and instance counts and the CPU time (``time.process_time``) of
-the whole run: permutation, learner set-up, steps and merges.
+Each run r is built by ``system.run_single`` (a lone learner) or
+``system.run_moanofs`` with seed ``base*1000003 + r``; this module only
+dispatches it and reports its mistake and instance counts and the CPU time
+(``time.process_time``) of the whole run: permutation, learner set-up, steps
+and merges.
 ``--no-timing`` freezes all time measurements at zero so output files are
 byte-reproducible. Every run executes in the calling process, one after
 another.
@@ -24,10 +26,10 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import Dataset, SyntheticSpec, budget, generate_synthetic, load_sparse_text, permute, stream_of
-from .learners import VARIANTS, Learner, LearnerConfig
+from .data import Dataset, SyntheticSpec, budget, generate_synthetic, load_sparse_text
+from .learners import VARIANTS, LearnerConfig
 from .negotiation import MIN_ERROR, MIN_UTILITY
-from .system import SystemConfig, run_moanofs
+from .system import SystemConfig, run_moanofs, run_single
 from .trust import TrustParams
 from .utility import IssueWeightProfile
 
@@ -189,21 +191,15 @@ class RunOutcome:
 def execute_run(algorithm: str, dataset: Dataset, run_seed: int, opts: RunOptions) -> RunOutcome:
     """One algorithm on one permuted pass; CPU time covers just the run."""
     cpu_start = time.process_time()
-    template = opts.system.roster[0]
     if algorithm.startswith("single:"):
-        B = budget(dataset.dimension, opts.system.budget_fraction)
-        variant = algorithm.split(":", 1)[1]
-        learner = Learner(replace(template, variant=variant), dataset.dimension, B, seed=run_seed)
-        for x, y in stream_of(dataset, permute(dataset, run_seed)):
-            learner.step(x, y)
-        outcome = (learner.mistakes, learner.instances)
+        config = replace(opts.system.roster[0], variant=algorithm.split(":", 1)[1])
+        report = run_single(dataset, config, replace(opts.system, seed=run_seed))
     elif algorithm in SYSTEMS:
         report = run_moanofs(dataset, replace(SYSTEMS[algorithm](opts), seed=run_seed))
-        outcome = (report.system_mistakes, report.system_instances)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     cpu = time.process_time() - cpu_start if opts.system.measure_time else 0.0
-    return RunOutcome(algorithm, *outcome, cpu)
+    return RunOutcome(algorithm, report.system_mistakes, report.system_instances, cpu)
 
 
 def run_experiment(
@@ -418,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--roster", default=",".join(DEFAULT_ROSTER),
                        help="variants negotiating in MANOFS/MOANOFS")
         p.add_argument("--tmax", type=positive_int, default=SystemConfig.t_max,
-                       help="negotiation trials")
+                       help="chunks per stream: trials per level, and a single run's chunks")
         p.add_argument("--calibration", type=float, default=SystemConfig.calibration_fraction,
                        help="fraction of the stream used for trust election")
         p.add_argument("--issue-weights",

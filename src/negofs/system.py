@@ -8,7 +8,8 @@ stream to the negotiation engine. With k equal to the roster size there is
 nothing to elect, so the whole stream goes straight to the negotiation:
 that is the single-level system (MANOFS, and BANOFS with a roster of
 two). Both levels run under SystemConfig's TrialSettings; level 2's
-NegotiationConfig copies them.
+NegotiationConfig copies them. run_single steps one learner alone through
+the same stream and chunks, so every run the CLI reports is built here.
 
 An optional observer passed to run_moanofs goes to the negotiation, which
 calls its ``on_trial`` once per finished trial (see negofs.negotiation); a
@@ -78,6 +79,12 @@ class RunReport:
     calibration_instances: int
 
 
+def _learner_report(p: Participant) -> LearnerReport:
+    learner = p.learner
+    return LearnerReport(p.id, learner.mistakes, learner.instances, p.cost_time,
+                         p.trust_state.sat)
+
+
 def elect_trustful(participants: Sequence[Participant], k: int) -> list[Participant]:
     """The k most trustful participants, in election order.
 
@@ -145,20 +152,9 @@ def run_moanofs(
     )
     merged, _, trials = run_negotiation(elected, level2, ncfg, observer)
 
-    per_learner = [
-        LearnerReport(
-            learner_id=p.id,
-            mistakes=p.learner.mistakes,
-            instances=p.learner.instances,
-            cumulative_time=p.cost_time,
-            trust=p.trust_state.sat,
-        )
-        for p in participants
-    ]
-
     return RunReport(
         B=B,
-        per_learner=per_learner,
+        per_learner=[_learner_report(p) for p in participants],
         elected=[p.id for p in elected],
         trials=trials,
         merged=merged,
@@ -166,3 +162,25 @@ def run_moanofs(
         system_instances=len(level2),
         calibration_instances=n_cal,
     )
+
+
+def run_single(dataset: Dataset, learner_config: LearnerConfig, cfg: SystemConfig) -> RunReport:
+    """One learner, seeded with cfg.seed, alone on run_moanofs's stream and budget.
+
+    It steps through the stream's t_max chunks with score_chunk, up to the
+    first empty one; each chunk is a trial, and merged is its final weights.
+    """
+    B = budget(dataset.dimension, cfg.budget_fraction)
+    stream = stream_of(dataset, permute(dataset, cfg.seed))
+    p = Participant(0, Learner(learner_config, dataset.dimension, B, seed=cfg.seed))
+    learner = p.learner
+    trials = []
+    for chunk in _trial_chunks(stream, cfg.t_max):
+        if not chunk:
+            break
+        before = learner.mistakes
+        score_chunk(p, chunk, cfg)
+        trials.append(TrialMetrics(len(chunk), learner.mistakes - before, len(learner.w)))
+    return RunReport(B=B, per_learner=[_learner_report(p)], elected=[p.id], trials=trials,
+                     merged=learner.w, system_mistakes=learner.mistakes,
+                     system_instances=len(stream), calibration_instances=0)

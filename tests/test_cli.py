@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from dense_oracle import DenseLearner
-from negofs import cli
+from negofs import cli, system
 from negofs.cli import (
     CSV_HEADER,
     DEFAULT_ROSTER,
@@ -322,6 +322,32 @@ def test_negative_seed_runs_every_algorithm(tmp_path):
     assert main(argv2) == 0
     assert len(out1.read_text().splitlines()) == 4
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_tmax_never_changes_a_single_row(tmp_path, monkeypatch):
+    # A lone learner steps through every instance in order however the stream
+    # is chunked; past n chunks the run stops at the first empty one, so its
+    # cost does not grow with --tmax.
+    singles = ",".join(f"single:{v}" for v in VARIANTS)
+    argv1, out1 = run_flags(tmp_path, "few.csv", algorithms=singles)
+    argv2, out2 = run_flags(tmp_path, "many.csv", algorithms=singles)
+    argv1[argv1.index("--tmax") + 1] = "1"
+    argv2[argv2.index("--tmax") + 1] = "1000000"
+    assert main(argv1) == 0
+
+    chunks = {}
+    score_chunk = system.score_chunk
+
+    def counting(p, chunk, settings, first_margin=None):
+        chunks.setdefault(id(p), [p, 0])[1] += 1  # p is kept, so ids stay distinct
+        score_chunk(p, chunk, settings, first_margin)
+
+    monkeypatch.setattr(system, "score_chunk", counting)
+    assert main(argv2) == 0
+    assert out2.read_bytes() == out1.read_bytes()
+    n = parse_synthetic(SYNTH, 0).n_samples
+    assert len(chunks) == 2 * len(VARIANTS)
+    assert all(count <= n for _, count in chunks.values())
 
 
 def test_execute_run_rejects_an_unknown_algorithm():

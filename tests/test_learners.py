@@ -409,8 +409,11 @@ def _separable_stream(rng, d, gamma, radius, n):
         z = [0.0] * d
         for i in rng.sample(range(d), rng.randint(0, d)):
             z[i] = rng.gauss(0.0, 1.0)
-        z_u = sum(a * b for a, b in zip(z, u))
-        z = [a - z_u * b for a, b in zip(z, u)]
+        # Projected out twice: when z lies close to u, one pass leaves a
+        # rounding residue along u that can push the margin below gamma.
+        for _ in range(2):
+            z_u = sum(a * b for a, b in zip(z, u))
+            z = [a - z_u * b for a, b in zip(z, u)]
         z_norm = math.sqrt(sum(v * v for v in z))
         room = math.sqrt(max(0.0, radius * radius - along * along))
         z_scale = rng.uniform(0.0, room) / z_norm if z_norm > 0.0 else 0.0

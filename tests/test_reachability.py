@@ -49,9 +49,11 @@ ALLOWLIST = {
     "negotiation:TrialObserver.on_trial":
         "the Protocol stub that types run_negotiation's observer",
     "sparse:SparseVector.__getstate__":
-        "without it pickle and copy.copy raise 'SparseVector is immutable'",
+        "public API: no code under src/ pickles or copies a vector, but users may, and "
+        "tests/test_sparse.py does; without it pickle and copy.copy raise",
     "sparse:SparseVector.__setstate__":
-        "without it pickle and copy.copy raise 'SparseVector is immutable'",
+        "public API: no code under src/ pickles or copies a vector, but users may, and "
+        "tests/test_sparse.py does; without it pickle and copy.copy raise",
     "sparse:SparseVector.__eq__":
         "value equality of vectors, which the tests and callers compare by",
     "sparse:SparseVector.__hash__":

@@ -27,6 +27,7 @@ from negofs.system import (
     calibrate,
     elect_trustful,
     run_moanofs,
+    run_single,
 )
 from negofs.trust import TrustParams, TrustState, update_trust
 from negofs.utility import IssueWeightProfile
@@ -314,6 +315,34 @@ def test_identical_petrun_roster_equals_single_learner():
         single.step(x, y)
     assert report.merged == single.w
     assert all(lr.mistakes == single.mistakes for lr in report.per_learner)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_single_steps_as_the_plain_loop(variant):
+    # The reference is the loop a single run once was: one learner, seeded
+    # with the run seed, stepped over the whole permuted stream.
+    ds, _ = small_dataset(seed=6, n=45)
+    n, seed = len(ds), 9
+    B = budget(ds.dimension, 0.3)
+    for t_max in (1, 3, n, n + 7):
+        cfg = SystemConfig(roster=roster("PETRUN", "OGD"), k=2, t_max=t_max, seed=seed,
+                           budget_fraction=0.3, measure_time=False)
+        report = run_single(ds, LearnerConfig(variant), cfg)
+        learner = Learner(LearnerConfig(variant), ds.dimension, B, seed=seed)
+        for x, y in stream_of(ds, permute(ds, seed)):
+            learner.step(x, y)
+        assert learner.mistakes > 0
+        assert report.B == B
+        assert (report.system_mistakes, report.system_instances) == (
+            learner.mistakes, learner.instances)
+        assert report.merged == learner.w
+        assert [(lr.mistakes, lr.instances) for lr in report.per_learner] == [
+            (learner.mistakes, n)]
+        assert sum(t.chunk_size for t in report.trials) == n
+        assert sum(t.system_mistakes for t in report.trials) == report.system_mistakes
+        assert all(t.chunk_size > 0 for t in report.trials)
+        assert len(report.trials) == math.ceil(n / math.ceil(n / t_max))
+        assert report.trials[-1].merged_support == len(learner.w)
 
 
 def test_level_separation_and_instance_accounting():
