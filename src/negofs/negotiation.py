@@ -12,9 +12,9 @@ cfg is a NegotiationConfig: the TrialSettings both levels run under
 Merge rules, per feature:
   * selected by nobody: stays zero;
   * selected by exactly one offer: that offer's weight survives;
-  * selected by several offers: the weight comes from the offer that wins
-    the conflict rule: fewest errors, or lowest composite utility cost, the
-    one cost per offer per round, which the trial passes to the merge.
+  * selected by several offers: the weight comes from the first of them in
+    the trial's ranking: fewest errors, or lowest composite utility cost
+    (the one cost per offer per round), ties to the lower participant id.
 
 Every selection also earns the feature trust points; when the merged
 support would exceed the merged budget, the most trusted (then largest,
@@ -139,7 +139,7 @@ class NegotiationTranscript:
 
 
 class TrialObserver(Protocol):
-    """Watches a negotiation: on_trial runs once per trial, after the broadcast."""
+    """Watches a negotiation: on_trial runs after each trial's broadcast, accepted best first."""
 
     def on_trial(self, round_index: int, stale: bool, offers: Sequence[Offer],
                  accepted: Sequence[Offer], merged: SparseVector) -> None: ...
@@ -298,17 +298,15 @@ def merge_multilateral(
     offers: Sequence[Offer],
     feature_trust: FeatureTrust,
     cfg: NegotiationConfig,
-    costs: Mapping[int, float] | None = None,
 ) -> tuple[SparseVector, FeatureTrust]:
-    """Merge two or more offers, of one dimension and distinct ids, and award feature trust.
+    """Merge two or more offers of one dimension and distinct ids, and award feature trust.
 
-    Conflicts (a feature selected by several offers) are resolved by the
-    configured rule; ties prefer the lower participant id. Under MIN_UTILITY
-    the caller passes costs, each offer's cost in the round keyed by id, a
-    superset allowed; the merge scores no offer itself. The feature trust
-    of every selected feature grows by epsilon per selecting offer. If the
-    union exceeds the merged budget, features are kept by descending trust,
-    then descending magnitude, then ascending index.
+    A feature several offers select (a conflict) takes the first one's
+    value: the caller passes the offers best first. The feature trust of
+    every selected feature grows by epsilon per selecting offer. If the
+    union exceeds cfg.merged_budget, the one setting read here, features
+    are kept by descending trust, then descending magnitude, then ascending
+    index.
 
     Only features below the trust cap are counted and awarded. The cut
     ranks the uncapped features only when some of them stay. Capped
@@ -326,15 +324,8 @@ def merge_multilateral(
     if len(set(ids)) != len(ids):
         raise ValueError(f"participant ids must be distinct, got {ids}")
 
-    if cfg.conflict_rule == MIN_ERROR:
-        ranked = sorted(offers, key=lambda o: (o.err_count, o.participant_id))
-    elif costs is None:
-        raise ValueError("a MIN_UTILITY merge needs costs, each offer's cost in the round")
-    else:
-        ranked = sorted(offers, key=lambda o: (costs[o.participant_id], o.participant_id))
-
-    # Filled worst first, so the conflict winner's value is written last.
-    merged, supports = _overlay([o.w for o in reversed(ranked)])
+    # Filled last first, so the first selecting offer's value is written last.
+    merged, supports = _overlay([o.w for o in reversed(offers)])
     pending = merged.keys() - feature_trust.capped
     if pending:
         # support & pending iterates the smaller side; most merged features are capped.
@@ -376,15 +367,13 @@ def broadcast(merged: SparseVector, participants: Sequence[Participant]) -> None
 
 
 def _accept_offers(offers: list[Offer], weights: IssueWeightProfile,
-                   threshold: float) -> tuple[list[Offer], dict[int, float]]:
-    """The offers whose cost is at most threshold, or else the two cheapest, and every cost."""
+                   threshold: float) -> list[Offer]:
+    """The offers costing at most threshold, or else the two cheapest, cheapest first."""
     costs = offer_costs(offers, weights)
-    acceptable = [o for o in offers if costs[o.participant_id] <= threshold]
-    if len(acceptable) < 2:
-        # Cooperative fallback: the negotiation must conclude, so the two
-        # cheapest offers are taken even under early-round pressure.
-        acceptable = sorted(offers, key=lambda o: (costs[o.participant_id], o.participant_id))[:2]
-    return acceptable, costs
+    ranked = sorted(offers, key=lambda o: (costs[o.participant_id], o.participant_id))
+    accepted = [o for o in ranked if costs[o.participant_id] <= threshold]
+    # Cooperative fallback: the negotiation must conclude, even under early-round pressure.
+    return accepted if len(accepted) >= 2 else ranked[:2]
 
 
 def run_negotiation(
@@ -403,14 +392,14 @@ def run_negotiation(
     negotiate on stale offers: their chunk_size is 0 and the observer sees
     stale=True.
 
-    Under MIN_ERROR every offer is merged. Under MIN_UTILITY trial r scores
-    each offer once, over all of its offers, merges those costing at most
-    acceptance_threshold(r, t_max) and ranks their conflicts by the same
-    costs.
+    Under MIN_ERROR every offer is merged, ranked by (errors, id). Under
+    MIN_UTILITY trial r scores each offer once, over all of its offers, and
+    merges those costing at most acceptance_threshold(r, t_max), ranked by
+    (cost, id). A contested feature takes the first selecting offer's value.
 
     After each trial's broadcast, the observer (returned as given) sees
-    ``on_trial(trial, stale, offers, accepted, merged)``; with none, nothing
-    is recorded.
+    ``on_trial(trial, stale, offers, accepted, merged)``, accepted best
+    first; with none, nothing is recorded.
     """
     if not stream:
         raise ValueError("stream must be non-empty")
@@ -437,11 +426,12 @@ def run_negotiation(
             score_chunk(p, chunk, cfg, first_margin if p.learner.w is merged else None)
 
         offers = call_for_proposals(participants)
-        accepted, costs = offers, None
         if cfg.conflict_rule == MIN_UTILITY:
-            accepted, costs = _accept_offers(offers, cfg.issue_weights,
-                                             acceptance_threshold(trial, cfg.t_max))
-        merged, feature_trust = merge_multilateral(accepted, feature_trust, cfg, costs)
+            accepted = _accept_offers(offers, cfg.issue_weights,
+                                      acceptance_threshold(trial, cfg.t_max))
+        else:
+            accepted = sorted(offers, key=lambda o: (o.err_count, o.participant_id))
+        merged, feature_trust = merge_multilateral(accepted, feature_trust, cfg)
         broadcast(merged, participants)
         if observer is not None:
             observer.on_trial(trial, not chunk, offers, accepted, merged)

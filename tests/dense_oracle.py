@@ -363,9 +363,9 @@ def dense_moanofs(dataset, cfg):
     at 0.05 and gains epsilon times its selection count once per merge,
     capped at 1; the budget cut keeps features by (trust, |v|, index).
 
-    Returns a dict of the elected ids, one (system mistakes, accepted ids)
-    pair per trial, the final merged vector, and each learner's mistakes,
-    instances and trust in roster order.
+    Returns a dict of the elected ids, one (system mistakes, accepted ids
+    best first) pair per trial, the final merged vector, and each learner's
+    mistakes, instances and trust in roster order.
     """
     from negofs.data import budget, permute, stream_of
 
@@ -421,6 +421,8 @@ def dense_moanofs(dataset, cfg):
             accepted = [a for a in elected if key[a.id] <= threshold]
             if len(accepted) < 2:
                 accepted = sorted(elected, key=lambda a: (key[a.id], a.id))[:2]
+        # Best first, by (mistakes, id) or (cost, id): the order the trial merges them in.
+        accepted = sorted(accepted, key=lambda a: (key[a.id], a.id))
 
         union = merge_offers_reference(
             [(a.id, a.learner.w, a.learner.mistakes) for a in accepted], key.__getitem__)

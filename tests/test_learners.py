@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,10 @@ def make(variant, d=5, B=2, seed=0, **kwargs):
 
 def sv(d, entries=()):
     return SparseVector(d, entries)
+
+
+def weights(learner):
+    return dict(learner.w.items())
 
 
 def random_instance(rng, d, max_nnz=None):
@@ -241,6 +246,24 @@ def test_alma_stays_in_unit_ball():
         assert learner.w.norm_l2() <= 1.0 + 1e-9
 
 
+def test_alma_two_step_hand_trace():
+    """ALMA_2 (Gentile, "A New Approximate Maximal Margin Classification
+    Algorithm", JMLR 2001, Figure 1 with p = 2): the k-th update fires when
+    y<w, x/||x||> <= (1 - alpha) gamma_k, gamma_k = (1/alpha)/sqrt(k), steps
+    by eta_k = sqrt(2)/sqrt(k) along y x/||x|| and scales w back into the
+    unit ball. Here alpha = 0.9 and B = d cuts nothing."""
+    learner = make("ALMA", d=2, B=2, alpha_margin=0.9)
+    # k = 1: margin 0 <= 0.1/0.9. w' = sqrt(2) (0.6, 0.8) has norm sqrt(2),
+    # so the projection leaves (0.6, 0.8).
+    learner.step(sv(2, {0: 3.0, 1: 4.0}), 1)
+    assert weights(learner) == pytest.approx({0: 0.6, 1: 0.8}, abs=1e-12)
+    # k = 2: x/||x|| = (0, 1), y<w, x/||x||> = -0.8 <= 0.1/(0.9 sqrt(2)).
+    # eta_2 = 1 gives w' = (0.6, -0.2), of norm sqrt(0.4) < 1: no projection.
+    learner.step(sv(2, {1: 2.0}), -1)
+    assert weights(learner) == pytest.approx({0: 0.6, 1: -0.2}, abs=1e-12)
+    assert (learner.mistakes, learner.updates) == (2, 2)
+
+
 @pytest.mark.parametrize("variant, expected", [("ALMA", 1.0), ("FOFS", 10.0)])
 def test_an_overflowing_norm_keeps_the_largest_feature(variant, expected):
     # ||x||^2 overflows to inf: ALMA divides its step by ||x||, FOFS projects
@@ -267,6 +290,73 @@ def test_arow_two_step_hand_trace():
     # second step: v=0.5, beta=2/3, loss=0.5, alpha=1/3, w=0.5+1/6, sigma=0.5-1/6
     assert dict(learner.w.items()).get(0, 0.0) == pytest.approx(2 / 3, abs=1e-12)
     assert learner.sigma[0] == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_sop_two_step_hand_trace():
+    """The second-order perceptron (Cesa-Bianchi, Conconi & Gentile, SIAM J.
+    Comput. 2005) in diagonal form with a = r: each mistaken x joins the
+    correlation r + sum x_i^2, so sigma_i = r/(r + sum x_i^2), and w = sigma v,
+    v the sum of y x over the mistakes. The two instances share no
+    coordinate: on a shared one the package sums each step at its own
+    sigma, where the paper scales the whole of v by the latest one."""
+    learner = make("SOP", d=3, B=3, r=2.0)
+    # Margin 0, a mistake: sigma = (2/(2 + 1), 2/(2 + 4)) and w = sigma x.
+    learner.step(sv(3, {0: 1.0, 1: 2.0}), 1)
+    assert learner.sigma == pytest.approx({0: 2 / 3, 1: 1 / 3}, abs=1e-12)
+    assert weights(learner) == pytest.approx({0: 2 / 3, 1: 2 / 3}, abs=1e-12)
+    # Margin 0 again: sigma_2 = 2/(2 + 9) and w_2 = 3 sigma_2.
+    learner.step(sv(3, {2: 3.0}), 1)
+    assert learner.sigma == pytest.approx({0: 2 / 3, 1: 1 / 3, 2: 2 / 11}, abs=1e-12)
+    assert weights(learner) == pytest.approx({0: 2 / 3, 1: 2 / 3, 2: 6 / 11}, abs=1e-12)
+    assert (learner.mistakes, learner.updates) == (2, 2)
+
+
+# Exact CW (Crammer, Dredze & Pereira, "Exact Convex Confidence-Weighted
+# Learning", NIPS 2008) in diagonal form, and SCW-I (Wang, Zhao & Hoi, "Exact
+# Soft Confidence-Weighted Learning", ICML 2012), which caps alpha at C. With
+# m = y<w, x>, v = sum sigma_i x_i^2, psi = 1 + phi^2/2 and zeta = 1 + phi^2:
+#   alpha = max(0, (-m psi + sqrt(m^2 phi^4/4 + v phi^2 zeta)) / (v zeta)),
+#   u = (-alpha v phi + sqrt(alpha^2 v^2 phi^2 + 4v))^2 / 4,
+#   beta = alpha phi / (sqrt(u) + v alpha phi),
+# then w += alpha y sigma x and sigma_i -= beta sigma_i^2 x_i^2. The
+# confidence Phi(1) makes phi = 1, so psi = 3/2 and zeta = 2.
+PHI_ONE = NormalDist().cdf(1.0)
+
+
+def test_cw_two_step_hand_trace():
+    learner = make("CW", d=2, B=2, confidence=PHI_ONE)
+    # m = 0, v = 2: alpha = sqrt(4)/4 = 1/2, u = (-1 + sqrt(9))^2/4 = 1,
+    # beta = (1/2)/(1 + 1) = 1/4; sigma_i = 1 - 1/4.
+    learner.step(sv(2, {0: 1.0, 1: 1.0}), 1)
+    assert weights(learner) == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-12)
+    assert learner.sigma == pytest.approx({0: 0.75, 1: 0.75}, abs=1e-12)
+    # m = -(0.5 * 2) = -1, v = 0.75 * 4 = 3: alpha = (3/2 + sqrt(1/4 + 6))/6
+    # = 2/3, u = (-2 + sqrt(4 + 12))^2/4 = 1, beta = (2/3)/(1 + 2) = 2/9.
+    # w_1 = 0.5 - (2/3)(0.75)(2) = -0.5; sigma_1 = 0.75 - (2/9)(0.75^2)(4) = 0.25.
+    learner.step(sv(2, {1: 2.0}), -1)
+    assert weights(learner) == pytest.approx({0: 0.5, 1: -0.5}, abs=1e-12)
+    assert learner.sigma == pytest.approx({0: 0.75, 1: 0.25}, abs=1e-12)
+    assert (learner.mistakes, learner.updates) == (2, 2)
+
+
+def test_scw_two_step_hand_trace_with_the_cap_binding():
+    learner = make("SCW", d=2, B=2, confidence=PHI_ONE, C=0.25)
+    # The same instances as CW's trace. Step 1: CW's alpha 1/2 is capped at
+    # 1/4. With v = 2, alpha v = 1/2 and sqrt(1/4 + 8) = sqrt(33)/2, so
+    # sqrt(u) = (sqrt(33) - 1)/4 and beta = 1/(sqrt(33) + 1) = (sqrt(33) - 1)/32.
+    learner.step(sv(2, {0: 1.0, 1: 1.0}), 1)
+    s = 1.0 - (math.sqrt(33.0) - 1.0) / 32.0
+    assert weights(learner) == pytest.approx({0: 0.25, 1: 0.25}, abs=1e-12)
+    assert learner.sigma == pytest.approx({0: s, 1: s}, abs=1e-12)
+    # Step 2: m = -1/2 and v = 4s, so CW's alpha (3/4 + sqrt(1/16 + 8s))/(8s)
+    # is about 0.49, capped at 1/4 again. alpha v = s and q = sqrt(s^2 + 16s)
+    # give sqrt(u) = (q - s)/2 and beta = (1/4)/((q - s)/2 + s) = 1/(2(q + s)).
+    # w_1 = 1/4 - (1/4) s 2; sigma_1 = s - beta s^2 4.
+    learner.step(sv(2, {1: 2.0}), -1)
+    q = math.sqrt(s * s + 16.0 * s)
+    assert weights(learner) == pytest.approx({0: 0.25, 1: 0.25 - s / 2.0}, abs=1e-12)
+    assert learner.sigma == pytest.approx({0: s, 1: s - 2.0 * s * s / (q + s)}, abs=1e-12)
+    assert (learner.mistakes, learner.updates) == (2, 2)
 
 
 def test_arow_zero_loss_still_shrinks_sigma():

@@ -22,6 +22,7 @@ from negofs.negotiation import (
     Participant,
     ProtocolMessage,
     TrialSettings,
+    _accept_offers,
     _trial_chunks,
     broadcast,
     call_for_proposals,
@@ -33,7 +34,7 @@ from negofs.negotiation import (
 from negofs.sparse import SparseVector, dot
 from negofs.system import SystemConfig
 from negofs.trust import TrustParams, TrustState, update_trust
-from negofs.utility import acceptance_threshold
+from negofs.utility import IssueWeightProfile, acceptance_threshold
 
 
 def sv(d, entries=()):
@@ -56,10 +57,27 @@ def ncfg(**kwargs):
     return NegotiationConfig(**kwargs)
 
 
+def reference_order(offers, key):
+    """The offers best first, as merge_offers_reference ranks them: by (key[id], id)."""
+    return sorted(offers, key=lambda o: (key[o.participant_id], o.participant_id))
+
+
+def conflict_key(offers, cfg):
+    """The reference's conflict key under cfg's rule: each offer's errors, or its round cost."""
+    if cfg.conflict_rule == MIN_UTILITY:
+        return offer_costs(offers, cfg.issue_weights)
+    return {o.participant_id: o.err_count for o in offers}
+
+
 def bilateral(o1, o2):
-    """Two-offer merge under min-error with room for the whole union."""
-    merged, _ = merge_multilateral([o1, o2], FeatureTrust(0.5), ncfg(merged_budget=o1.w.dimension))
+    """Two-offer merge, fewest errors first, with room for the whole union."""
+    merged, _ = merge_multilateral(reference_order([o1, o2], conflict_key([o1, o2], ncfg())),
+                                   FeatureTrust(0.5), ncfg(merged_budget=o1.w.dimension))
     return merged
+
+
+def dense(w):
+    return [dict(w.items()).get(i, 0.0) for i in range(w.dimension)]
 
 
 class MergeSpy(NegotiationTranscript):
@@ -76,6 +94,19 @@ class MergeSpy(NegotiationTranscript):
 
 def by_round(transcript):
     return {r: list(ms) for r, ms in groupby(transcript.messages, key=lambda m: m.round)}
+
+
+def negotiate_once(monkeypatch, offers, **settings):
+    """One trial of run_negotiation whose participants propose offers: (accepted, merged)."""
+    monkeypatch.setattr("negofs.negotiation.call_for_proposals", lambda participants: offers)
+    d = offers[0].w.dimension
+    participants = [petrun_participant(o.participant_id, d, d) for o in offers]
+    settings.setdefault("merged_budget", d)
+    _, spy, _ = run_negotiation(participants, build_stream(0, d, 1), ncfg(t_max=1, **settings),
+                                MergeSpy())
+    (proposed, accepted, merged), = spy.merges
+    assert proposed == offers
+    return accepted, merged
 
 
 # -- offers and feature trust ----------------------------------------------------
@@ -174,11 +205,12 @@ def test_bilateral_union_of_disjoint_selections():
     assert merged == sv(6, {0: 0.4, 1: -0.2})
 
 
-def test_bilateral_min_error_wins_conflict():
-    merged = bilateral(
-        offer(0, {0: 0.4}, err=5), offer(1, {0: -0.6}, err=2)
-    )
-    assert merged == sv(6, {0: -0.6})
+def test_bilateral_min_error_wins_conflict(monkeypatch):
+    # The trial puts the fewest errors first, and the merge takes its value.
+    worse, better = offer(0, {0: 0.4, 1: 1.0}, err=5), offer(1, {0: -0.6}, err=2)
+    accepted, merged = negotiate_once(monkeypatch, [worse, better])
+    assert accepted == [better, worse]
+    assert merged == sv(6, {0: -0.6, 1: 1.0})
 
 
 def test_bilateral_identical_offers():
@@ -186,10 +218,10 @@ def test_bilateral_identical_offers():
     assert bilateral(o, offer(1, {0: 0.4, 3: 1.0}, err=3)) == o.w
 
 
-def test_bilateral_tie_breaks_on_lower_id():
-    merged = bilateral(
-        offer(1, {0: -0.6}, err=2), offer(0, {0: 0.4}, err=2)
-    )
+def test_bilateral_tie_breaks_on_lower_id(monkeypatch):
+    higher, lower = offer(1, {0: -0.6}, err=2), offer(0, {0: 0.4}, err=2)
+    accepted, merged = negotiate_once(monkeypatch, [higher, lower])
+    assert accepted == [lower, higher]
     assert merged == sv(6, {0: 0.4})
 
 
@@ -200,30 +232,36 @@ def test_bilateral_dimension_mismatch():
 
 @pytest.mark.parametrize("offers, message", [
     ([offer(0, {0: 1.0})], r"^1 offer\(s\) cannot be merged$"),
-    # Min-utility costs are keyed by id: a repeat would overwrite one offer's cost.
+    # Ids break the trial's ranking ties and name each offer's decision.
     ([offer(0, {0: 1.0}), offer(0, {1: 1.0}), offer(1, {2: 1.0})],
      r"^participant ids must be distinct, got \[0, 0, 1\]$"),
 ], ids=["one-offer", "repeated-id"])
 def test_merge_rejects_bad_offers(offers, message):
     with pytest.raises(ValueError, match=message):
-        merge_multilateral(offers, FeatureTrust(0.5), ncfg(conflict_rule=MIN_UTILITY))
-
-
-def test_a_min_utility_merge_needs_the_rounds_costs(monkeypatch):
-    # The trial scores its offers once; the merge scores none itself.
-    def refuse(offers, weights):
-        raise AssertionError("the merge scored the offers")
-
-    monkeypatch.setattr("negofs.negotiation.offer_costs", refuse)
-    offers = [offer(0, {0: 1.0}, err=1), offer(1, {0: -1.0})]
-    with pytest.raises(ValueError, match=r"^a MIN_UTILITY merge needs costs, "):
-        merge_multilateral(offers, FeatureTrust(0.5), ncfg(conflict_rule=MIN_UTILITY))
-    merged, _ = merge_multilateral(offers, FeatureTrust(0.5), ncfg(conflict_rule=MIN_UTILITY),
-                                   {0: 0.25, 1: 0.5, 2: 0.0})
-    assert merged == sv(6, {0: 1.0})
+        merge_multilateral(offers, FeatureTrust(0.5), ncfg())
 
 
 # -- merge_multilateral -------------------------------------------------------------------
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_first_offer_that_selects_a_feature_sets_its_value(data):
+    # Whatever the offers' errors or costs, the merge takes them in the
+    # order given. One vector may sit at several positions, as every
+    # participant holds the merged vector after a broadcast, and values
+    # drawn from a short list often agree across offers.
+    d = data.draw(st.integers(1, 8), label="d")
+    entries = st.dictionaries(st.integers(0, d - 1), st.sampled_from((-1.0, -0.5, 0.5, 1.0)))
+    pool = [sv(d, e) for e in data.draw(st.lists(entries, min_size=1, max_size=3), label="pool")]
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=5),
+                      label="positions")
+    ids = data.draw(st.permutations(range(len(picks))), label="ids")
+    offers = [Offer(pid, pool[k], data.draw(st.integers(0, 3)), 0.0, data.draw(st.floats(0, 1)))
+              for pid, k in zip(ids, picks)]
+    merged, _ = merge_multilateral(offers, FeatureTrust(0.5), ncfg(merged_budget=d))
+    position = {o.participant_id: k for k, o in enumerate(offers)}
+    assert dense(merged) == merge_offers_reference(
+        [(o.participant_id, dense(o.w), o.err_count) for o in offers], position.__getitem__)
 
 def test_multilateral_unselected_feature_stays_zero():
     ft = FeatureTrust(1 / 3)
@@ -247,14 +285,9 @@ def test_multilateral_single_selector_keeps_weight_and_bumps_tf():
 
 def test_multilateral_conflict_and_tf_clamp():
     ft = FeatureTrust(1 / 3)
-    merged, ft = merge_multilateral(
-        [
-            offer(0, {0: 0.4}, err=5),
-            offer(1, {0: -0.6}, err=2),
-            offer(2, {0: 0.1}, err=9),
-        ],
-        ft, ncfg(),
-    )
+    offers = [offer(0, {0: 0.4}, err=5), offer(1, {0: -0.6}, err=2), offer(2, {0: 0.1}, err=9)]
+    merged, ft = merge_multilateral(reference_order(offers, conflict_key(offers, ncfg())),
+                                    ft, ncfg())
     assert merged == sv(6, {0: -0.6})
     assert ft.value(0) == 1.0  # 0.05 + 3 * (1/3), clamped
 
@@ -275,15 +308,40 @@ def test_multilateral_requires_two_offers():
         merge_multilateral([offer(0, {0: 1.0})], FeatureTrust(0.5), ncfg())
 
 
-def test_multilateral_min_utility_conflict_rule():
-    # the offer with lower composite cost wins the shared feature
-    cheap = offer(0, {0: 0.4}, err=8, instances=10, cost_time=5.0, trust=1.0)
-    costly = offer(1, {0: -0.6}, err=0, instances=10, cost_time=0.1, trust=0.0)
-    cfg = ncfg(conflict_rule=MIN_UTILITY)
-    costs = offer_costs([cheap, costly], cfg.issue_weights)
-    merged, _ = merge_multilateral([cheap, costly], FeatureTrust(0.5), cfg, costs)
-    winner = min(costs, key=lambda pid: (costs[pid], pid))
-    assert dict(merged.items()).get(0, 0.0) == (0.4 if winner == 0 else -0.6)
+def costed_offers():
+    """Three offers whose costs in one round, under the default issue weights, are 0.5, 0.05, 1.0.
+
+    With weights trust 0.2, error 0.5 and time 0.3, error rates 0, 0.1, 1
+    and times 5, 0, 5 score the badness 0, 0.1, 1 and 1, 0, 1, and trusts
+    0, 1, 0 score 1, 0, 1. So A costs 0.2 + 0.3, B 0.5 * 0.1 and C 1.0.
+    A has the fewest errors; B is the cheapest.
+    """
+    a = offer(0, {0: 0.4, 1: 0.5}, err=0, instances=10, cost_time=5.0, trust=0.0)
+    b = offer(1, {0: -0.6}, err=1, instances=10, cost_time=0.0, trust=1.0)
+    c = offer(2, {1: -1.0, 2: 1.0}, err=10, instances=10, cost_time=5.0, trust=0.0)
+    return a, b, c
+
+
+def test_multilateral_min_utility_conflict_rule(monkeypatch):
+    # At t_max = 1 every cost is within the threshold, and the trial merges
+    # B, A, C: cheapest first, so B takes feature 0 and A feature 1.
+    a, b, c = costed_offers()
+    accepted, merged = negotiate_once(monkeypatch, [a, b, c], conflict_rule=MIN_UTILITY)
+    assert accepted == [b, a, c]
+    assert merged == sv(6, {0: -0.6, 1: 0.5, 2: 1.0})
+    accepted, merged = negotiate_once(monkeypatch, [a, b, c])
+    assert accepted == [a, b, c]
+    assert merged == sv(6, {0: 0.4, 1: 0.5, 2: 1.0})
+
+
+@pytest.mark.parametrize("threshold, expected", [
+    (1.0, "BAC"), (0.6, "BA"), (0.1, "BA"), (0.0, "BA"),
+], ids=["all", "prefix", "one-within", "none-within"])
+def test_accepted_offers_are_a_prefix_of_the_cost_ranking_or_its_two_cheapest(threshold,
+                                                                               expected):
+    offers = dict(zip("ABC", costed_offers()))
+    assert _accept_offers(list(offers.values()), IssueWeightProfile(), threshold) == [
+        offers[name] for name in expected]
 
 
 def test_merge_matches_per_feature_reference():
@@ -303,9 +361,9 @@ def test_merge_matches_per_feature_reference():
                                     instances=rng.choice([0, 10])))
             merged_budget = rng.randint(1, d)
             cfg = ncfg(merged_budget=merged_budget, conflict_rule=rule)
-            costs = offer_costs(offers, cfg.issue_weights)
-            merged, _ = merge_multilateral(offers, FeatureTrust(1 / n_offers), cfg, costs)
-            key = costs if rule == MIN_UTILITY else {o.participant_id: o.err_count for o in offers}
+            key = conflict_key(offers, cfg)
+            merged, _ = merge_multilateral(reference_order(offers, key), FeatureTrust(1 / n_offers),
+                                           cfg)
             dense = merge_offers_reference(
                 [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count)
                  for o in offers],
@@ -330,14 +388,10 @@ def merge_with_carried_trust(offers, cfg, trust, epsilon):
     index) and cut to the merged budget.
     """
     d = offers[0].w.dimension
-    if cfg.conflict_rule == MIN_UTILITY:
-        key = offer_costs(offers, cfg.issue_weights)
-    else:
-        key = {o.participant_id: o.err_count for o in offers}
     dense = merge_offers_reference(
         [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count)
          for o in offers],
-        conflict_key=key.__getitem__,
+        conflict_key=conflict_key(offers, cfg).__getitem__,
     )
     union = [i for i in range(d) if dense[i] != 0.0]
     for i, count in Counter(i for o in offers for i in o.w.indices()).items():
@@ -371,7 +425,7 @@ def test_merges_across_rounds_match_a_reference_that_carries_trust():
                                             trust=rng.random(), instances=rng.choice([0, 10])))
                     cfg = ncfg(merged_budget=rng.randint(1, d), conflict_rule=rule)
                     merged, feature_trust = merge_multilateral(
-                        offers, feature_trust, cfg, offer_costs(offers, cfg.issue_weights))
+                        reference_order(offers, conflict_key(offers, cfg)), feature_trust, cfg)
 
                     before = dict(trust)
                     expected, union = merge_with_carried_trust(offers, cfg, trust, epsilon)
@@ -412,7 +466,7 @@ def test_a_cut_into_capped_features_matches_the_reference_on_ties():
                                         trust=rng.random(), instances=10))
                 cfg = ncfg(merged_budget=rng.randint(1, d // 2), conflict_rule=rule)
                 merged, feature_trust = merge_multilateral(
-                    offers, feature_trust, cfg, offer_costs(offers, cfg.issue_weights))
+                    reference_order(offers, conflict_key(offers, cfg)), feature_trust, cfg)
 
                 expected, union = merge_with_carried_trust(offers, cfg, trust, 0.5)
                 assert [dict(merged.items()).get(i, 0.0) for i in range(d)] == expected
@@ -522,8 +576,8 @@ def test_n2_reduces_to_bilateral_merge_each_trial():
     merges = spy.merges
     assert len(merges) == 4
     for offers, accepted, round_merged in merges:
-        assert len(offers) == 2 and accepted == offers
         errors = {o.participant_id: o.err_count for o in offers}
+        assert len(offers) == 2 and accepted == reference_order(offers, errors)
         expected = merge_offers_reference(
             [(o.participant_id, [dict(o.w.items()).get(i, 0.0) for i in range(d)], o.err_count) for o in offers],
             conflict_key=errors.__getitem__,
@@ -674,8 +728,8 @@ def test_min_utility_round_accepts_by_pressure_threshold():
 
 
 def test_each_min_utility_round_costs_its_offers_once(monkeypatch):
-    # The merge ranks conflicts by the acceptance's costs, scored over all of
-    # the round's offers, whether it merges every offer or only some.
+    # The trial ranks the offers it merges by the acceptance's costs, scored
+    # over all of the round's offers, whether it merges every offer or only some.
     calls = []
     real = offer_costs
     monkeypatch.setattr("negofs.negotiation.offer_costs",
@@ -731,11 +785,10 @@ def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
     assert sorted(rounds) == list(range(1, cfg.t_max + 1)) and len(merges) == cfg.t_max
     feature_trust = FeatureTrust(1.0 / len(participants))  # the default epsilon
     for (r, messages), (offers, merge_set, merged) in zip(sorted(rounds.items()), merges):
-        # The merged vector is the merge of the accepted offers, with trust
-        # carried over and conflicts ranked by the costs over all offers.
+        # The merged vector is the merge of the accepted offers in the order
+        # the observer sees, with trust carried over.
         costs = offer_costs(offers, cfg.issue_weights)
-        expected_merged, feature_trust = merge_multilateral(merge_set, feature_trust, cfg,
-                                                            costs=costs)
+        expected_merged, feature_trust = merge_multilateral(merge_set, feature_trust, cfg)
         assert merged == expected_merged
         decisions = [m for m in messages if m.kind in (MessageKind.ACCEPT, MessageKind.REJECT)]
         assert sorted(int(m.receiver) for m in decisions) == list(range(len(participants)))
@@ -744,12 +797,14 @@ def test_min_utility_rounds_merge_exactly_the_accepted_offers(data):
         assert sorted(o.participant_id for o in merge_set) == sorted(accepted)
         assert all(o in offers for o in merge_set)
         # The accept rule, from the offers alone: every offer within the
-        # threshold the concession tactic sets, or else the two cheapest.
+        # threshold the concession tactic sets, or else the two cheapest,
+        # merged cheapest first by the costs over all offers.
         threshold = concession_threshold_reference(float(r), float(cfg.t_max))
         expected = [o.participant_id for o in offers if costs[o.participant_id] <= threshold]
         if len(expected) < 2:
             expected = sorted(costs, key=lambda pid: (costs[pid], pid))[:2]
-        assert sorted(accepted) == sorted(expected)
+        assert [o.participant_id for o in merge_set] == sorted(
+            expected, key=lambda pid: (costs[pid], pid))
         assert len(merged) <= cfg.merged_budget
         inform = messages[-1]
         assert inform.kind == MessageKind.INFORM
