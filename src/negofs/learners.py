@@ -33,15 +33,14 @@ from .sparse import (
     _restrict,
     check_budget,
     dot,
-    scale,
 )
 
 FIRST_ORDER_VARIANTS = ("PETRUN", "RAND", "FOFS", "OGD", "PA", "ROMMA", "ALMA")
 SECOND_ORDER_VARIANTS = ("SOP", "CW", "AROW", "SCW")
 VARIANTS = FIRST_ORDER_VARIANTS + SECOND_ORDER_VARIANTS
 
-# Guard for ROMMA's denominator ||x||^2*||w||^2 - (w'x)^2, which vanishes
-# when w is zero or parallel to x; those cases fall back to a perceptron step.
+# Guard for ROMMA's denominator ||x||^2*||w||^2 - (w'x)^2: where it vanishes (w zero
+# or parallel to x) or is NaN (inf*0), ROMMA takes the perceptron step.
 _ROMMA_DEGENERATE = 1e-12
 
 
@@ -111,18 +110,18 @@ class Learner:
             self._update_variant(x, y, margin)
         self.instances += 1
 
-    def _add_step(self, base: SparseVector, coeff: float, x: SparseVector,
-                  beta: float | None = None, lam: float | None = None) -> None:
-        """Set w to base + coeff*sigma*x cut to B; a given beta also shrinks sigma on x,
+    def _add_step(self, coeff: float, x: SparseVector, beta: float | None = None,
+                  lam: float | None = None, s: float = 1.0) -> None:
+        """Set w to s*w + coeff*sigma*x cut to B; a given beta also shrinks sigma on x,
         and a given lam first scales the sum into the L2 ball of radius 1/sqrt(lam)."""
-        self.w = _add_cut(base, coeff, x, self.B, self.sigma, beta, lam)
+        self.w = _add_cut(self.w, coeff, x, self.B, self.sigma, beta, lam, s)
         self.updates += 1
 
     # -- perceptron-with-truncation family ------------------------------------
 
     def _update_petrun(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin <= 0:
-            self._add_step(self.w, float(y), x)
+            self._add_step(float(y), x)
 
     def _update_rand(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin <= 0:
@@ -136,20 +135,19 @@ class Learner:
     def _update_fofs(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin <= 0.0:
             cfg = self.config
-            decayed = scale(self.w, 1.0 - cfg.lam * cfg.eta)
-            self._add_step(decayed, cfg.eta * y, x, lam=cfg.lam)
+            self._add_step(cfg.eta * y, x, lam=cfg.lam, s=1.0 - cfg.lam * cfg.eta)
 
     # -- other first-order variants -------------------------------------------
 
     def _update_ogd(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin < 1.0:
-            self._add_step(self.w, self.config.eta * y, x)
+            self._add_step(self.config.eta * y, x)
 
     def _update_pa(self, x: SparseVector, y: int, margin: float) -> None:
         loss = max(0.0, 1.0 - y * margin)
         if loss > 0.0:
             tau = min(self.config.C, loss / x.norm_l2_sq())
-            self._add_step(self.w, tau * y, x)
+            self._add_step(tau * y, x)
 
     def _update_romma(self, x: SparseVector, y: int, margin: float) -> None:
         if y * margin > 0:
@@ -157,12 +155,13 @@ class Learner:
         w_sq = self.w.norm_l2_sq()
         x_sq = x.norm_l2_sq()
         denom = x_sq * w_sq - margin * margin
-        if denom <= _ROMMA_DEGENERATE * max(1.0, x_sq * w_sq):
-            self._add_step(self.w, float(y), x)
-            return
-        c = (x_sq * w_sq - y * margin) / denom
-        d = w_sq * (1.0 - y * margin) / denom
-        self._add_step(scale(self.w, c), d * y, x)
+        c = d = 1.0
+        if denom > _ROMMA_DEGENERATE * max(1.0, x_sq * w_sq):
+            c = (x_sq * w_sq - y * margin) / denom
+            d = w_sq * (1.0 - y * margin) / denom
+            if d == math.inf:  # the product overflowed; the quotient need not
+                d = w_sq / denom * (1.0 - y * margin)
+        self._add_step(d * y, x, s=c)
 
     def _update_alma(self, x: SparseVector, y: int, margin: float) -> None:
         alpha = self.config.alpha_margin
@@ -172,7 +171,7 @@ class Learner:
         gamma = (1.0 / alpha) / math.sqrt(k)
         if y * margin_hat <= (1.0 - alpha) * gamma:
             eta_k = math.sqrt(2.0) / math.sqrt(k)
-            self._add_step(self.w, eta_k * y / x_norm, x, lam=1.0)
+            self._add_step(eta_k * y / x_norm, x, lam=1.0)
 
     # -- diagonal second-order variants ----------------------------------------
 
@@ -192,7 +191,7 @@ class Learner:
             for i, v in x.items():
                 s = sigma.get(i, 1.0)
                 sigma[i] = s * r / (r + s * v * v)
-            self._add_step(self.w, float(y), x)
+            self._add_step(float(y), x)
 
     def _shrink_sigma(self, x: SparseVector, beta: float) -> None:
         sigma = self.sigma
@@ -207,7 +206,7 @@ class Learner:
         alpha = loss * beta
         # Confidence tightens on every informative instance, update or not.
         if alpha > 0.0:
-            self._add_step(self.w, alpha * y, x, beta)
+            self._add_step(alpha * y, x, beta)
         else:
             self._shrink_sigma(x, beta)
 
@@ -226,7 +225,7 @@ class Learner:
         avp = alpha * v_conf * phi
         u = 0.25 * (-avp + math.sqrt(avp * avp + 4.0 * v_conf)) ** 2
         beta = alpha * phi / (math.sqrt(u) + avp)
-        self._add_step(self.w, alpha * y, x, beta)
+        self._add_step(alpha * y, x, beta)
 
     def _update_cw(self, x: SparseVector, y: int, margin: float) -> None:
         v_conf = self._confidence(x)

@@ -253,10 +253,9 @@ def score_chunk(
     start = time.perf_counter() if settings.measure_time else 0.0
     learner = p.learner
     before = learner.mistakes
-    margin = first_margin
-    for x, y in chunk:
-        learner.step(x, y, margin)
-        margin = None
+    learner.step(*chunk[0], first_margin)
+    for x, y in chunk[1:]:
+        learner.step(x, y)
     correct = len(chunk) - (learner.mistakes - before)
     p.trust_state = update_trust(p.trust_state, correct / len(chunk), settings.trust_params)
     if settings.measure_time:

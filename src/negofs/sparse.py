@@ -20,13 +20,13 @@ smallest magnitudes from a dict in place; a cut it cannot make exactly is
 rebuilt by _cut, a plain truncation that keeps the B largest magnitudes,
 lower index first on ties, and sorts only the B kept indices when no tie
 straddles the cut. Every learner update is one _add_cut (RAND then masks
-its result): it writes the step into one copy of the weights and cuts it,
-scaled by c into an L2 ball when given a lam (ALMA's and FOFS's step);
-_cut rebuilds from c times the copy. The merge overlays each distinct offer
-vector once and cuts its capped features the same way; its values already
-clear ZERO_EPS. The plain truncation and projection these cuts must equal
-are test references in tests/dense_oracle.py. A vector may cache a lower
-bound on its magnitudes (its floor), which scale carries over to its result.
+its result): it writes the step into one copy of the weights scaled by s
+(FOFS's decay, ROMMA's rescale), with |s| times their floor, a cached
+lower bound on their magnitudes, and cuts it, scaled by c into an L2 ball
+when given a lam (ALMA's and FOFS's step); _cut rebuilds from c times the
+copy. The merge overlays each distinct offer vector once and cuts its
+capped features the same way; its values already clear ZERO_EPS. The plain
+truncation and projection these cuts must equal are in tests/dense_oracle.py.
 
 Float sums are written as loops, not with sum(), which compensates from
 CPython 3.12 on; a loop adds left to right on every interpreter.
@@ -202,21 +202,6 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def scale(w: SparseVector, s: float) -> SparseVector:
-    """Return s*w."""
-    _check_finite("s", s)
-    if s == 1.0:
-        return w
-    # Rounding is monotone, so |s| times w's floor bounds the result's magnitudes.
-    floor = abs(s) * _magnitude_floor(w) if abs(s) > 0.0 else None
-    return SparseVector._trusted(
-        w.dimension,
-        {i: u for i, v in w._data.items() if abs(u := s * v) >= ZERO_EPS},
-        floor,
-        w._sorted,
-    )
-
-
 # -- construction from data the package built itself --------------------------
 
 def _from_unsorted(dimension: int, out: dict[int, float]) -> SparseVector:
@@ -254,35 +239,40 @@ def _cut(dimension: int, out: dict[int, float], B: int) -> SparseVector:
 
 def _add_cut(
     base: SparseVector, coeff: float, x: SparseVector, B: int, sigma: dict[int, float],
-    beta: float | None = None, lam: float | None = None,
+    beta: float | None = None, lam: float | None = None, s: float = 1.0,
 ) -> SparseVector:
-    """c*(base + coeff*sigma*x), sigma 1.0 where unstored, cut to B entries as _cut cuts.
+    """c*(s*base + coeff*sigma*x), sigma 1.0 where unstored, cut to B entries as _cut cuts.
 
-    c is 1 without lam. With lam it is min(1, 1/(sqrt(lam)*||sum||)), 1 for
-    the zero sum, which scales the sum into the L2 ball of radius
+    s must be finite; s*base drops its products below ZERO_EPS before x's
+    writes. c is 1 without lam. With lam it is min(1, 1/(sqrt(lam)*||sum||)),
+    1 for the zero sum, which scales the sum into the L2 ball of radius
     1/sqrt(lam), as project_l2_ball_reference in tests/dense_oracle.py
     states; the norm runs over the copy's sorted keys, once the writes
     below ZERO_EPS are dropped.
 
-    One copy of base takes x's writes. A given beta shrinks each sigma_i they
-    read to s - beta*s*s*v*v in the same loop; nothing else here mutates an
-    argument. _cut_excess deletes the excess from the copy in place, and the
-    result is c times what is left, in the copy's order, marked unsorted. A
-    cut _cut_excess cannot make exactly, or a cut of most of the copy, is
-    rebuilt by _cut from c times the copy: project, then truncate, which is
-    exact because scaling by c <= 1 keeps the magnitudes in order. Without
-    lam a cut of most of the copy is caught before the ZERO_EPS drop, which
-    _cut makes itself.
+    One copy of s*base takes x's writes. A given beta shrinks each sigma_i
+    they read by beta*sigma_i^2*x_i^2 in the same loop; nothing else here
+    mutates an argument. _cut_excess deletes the excess from the copy in
+    place, and the result is c times what is left, in the copy's order,
+    marked unsorted. A cut _cut_excess cannot make exactly, or a cut of most
+    of the copy, is rebuilt by _cut from c times the copy: project, then
+    truncate, which is exact because scaling by c <= 1 keeps the magnitudes
+    in order. Without lam a cut of most of the copy is caught before the
+    ZERO_EPS drop, which _cut makes itself.
     """
     if base.dimension != x.dimension:
         raise DimensionMismatchError(f"dimension mismatch: {base.dimension} vs {x.dimension}")
-    out = base._data.copy()
+    if s == 1.0:
+        out = base._data.copy()
+    else:
+        _check_finite("s", s)
+        out = {i: u for i, v in base._data.items() if abs(u := s * v) >= ZERO_EPS}
     get, scale_of = out.get, sigma.get
     if beta is not None:
         for i, v in x._data.items():
-            s = scale_of(i, 1.0)
-            out[i] = get(i, 0.0) + coeff * s * v
-            sigma[i] = s - beta * s * s * v * v
+            t = scale_of(i, 1.0)
+            out[i] = get(i, 0.0) + coeff * t * v
+            sigma[i] = t - beta * t * t * v * v
     elif sigma:
         for i, v in x._data.items():
             out[i] = get(i, 0.0) + coeff * scale_of(i, 1.0) * v
@@ -293,6 +283,8 @@ def _add_cut(
     if lam is None and 2 * excess > len(out):
         return _cut(base.dimension, out, B)
     floor = _magnitude_floor(base)
+    if s != 1.0:  # rounding is monotone, so |s| times base's floor bounds s*base's magnitudes
+        floor = abs(s) * floor if s else math.inf
     below = []  # x's writes below the floor: an excess within them is cut from them alone
     for i in x._data:
         if (m := abs(out[i])) < ZERO_EPS:

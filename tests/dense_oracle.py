@@ -138,11 +138,15 @@ class DenseLearner:
         w_sq = _total(v * v for v in self.w)
         x_sq = _total(v * v for v in x)
         denom = x_sq * w_sq - margin * margin
-        if denom <= 1e-12 * max(1.0, x_sq * w_sq):
+        # A NaN denominator (inf*0 when ||x||^2 overflows and w is zero) fails
+        # the test as a vanishing one does.
+        if not denom > 1e-12 * max(1.0, x_sq * w_sq):
             w = [wi + y * xi for wi, xi in zip(self.w, x)]
         else:
             c = (x_sq * w_sq - y * margin) / denom
             dd = w_sq * (1.0 - y * margin) / denom
+            if dd == math.inf:  # w_sq*(1 - y*margin) overflowed: divide first
+                dd = w_sq / denom * (1.0 - y * margin)
             w = [c * wi + dd * y * xi for wi, xi in zip(self.w, x)]
         self.w = dense_truncate(_drop_tiny(w), self.B)
 

@@ -4,7 +4,7 @@ import random
 from statistics import NormalDist
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import DenseLearner
@@ -134,6 +134,20 @@ def test_petrun_update_then_tie_break():
     assert learner.mistakes == 1
 
 
+def test_petrun_two_step_hand_trace():
+    """The perceptron with truncation (Wang, Zhao, Hoi & Jin, "Online Feature
+    Selection and Its Applications", IEEE TKDE 2014): on y<w, x> <= 0,
+    w <- Truncate(w + y x, B), keeping the B largest magnitudes."""
+    learner = make("PETRUN", d=4, B=2)
+    # Margin 0, a mistake: w = x, within the budget.
+    learner.step(sv(4, {0: 1.0, 1: 2.0}), 1)
+    assert weights(learner) == {0: 1.0, 1: 2.0}
+    # Margin 1, a mistake: w - x = (1, 1.5, -3, -0.25), cut to its two largest.
+    learner.step(sv(4, {1: 0.5, 2: 3.0, 3: 0.25}), -1)
+    assert weights(learner) == {1: 1.5, 2: -3.0}
+    assert (learner.mistakes, learner.updates) == (2, 2)
+
+
 def test_petrun_zero_margin_negative_label_updates_without_mistake():
     # y*margin <= 0 fires the perceptron update, but sgn(0) = -1 matches y
     learner = make("PETRUN", B=5)
@@ -179,6 +193,22 @@ def test_fofs_projection_factor():
     assert learner.w == sv(3, {0: 0.5})
 
 
+def test_fofs_two_step_hand_trace():
+    """OFS with full inputs (Wang, Zhao, Hoi & Jin, IEEE TKDE 2014): on
+    y<w, x> <= 0, w' = (1 - lam eta) w + eta y x, then
+    w' <- min(1, 1/(sqrt(lam) ||w'||)) w', then w <- Truncate(w', B).
+    eta = 1 and lam = 1/4 decay w by 3/4 into the ball of radius 2."""
+    learner = make("FOFS", d=5, B=3, eta=1.0, lam=0.25)
+    # Margin 0, a mistake: w' = (2), of norm 2, on the ball: kept whole.
+    learner.step(sv(5, {0: 2.0}), 1)
+    assert weights(learner) == {0: 2.0}
+    # Margin 1, a mistake: w' = 0.75 (2) - x = (1, -3.5, -1.5, -0.5, -0.5),
+    # of norm 4, so it is halved and then cut to its three largest.
+    learner.step(sv(5, {0: 0.5, 1: 3.5, 2: 1.5, 3: 0.5, 4: 0.5}), -1)
+    assert weights(learner) == {0: 0.5, 1: -1.75, 2: -0.75}
+    assert (learner.mistakes, learner.updates) == (2, 2)
+
+
 def test_fofs_correct_prediction_unchanged():
     learner = make("FOFS")
     learner.w = sv(5, {0: 1.0})
@@ -203,6 +233,36 @@ def test_pa_closed_form_unit_step():
     learner = make("PA", B=5, C=1.0)
     learner.step(sv(5, {0: 1.0}), 1)
     assert learner.w == sv(5, {0: 1.0})
+
+
+def test_pa_two_step_hand_trace_with_the_cap_binding():
+    """PA-I (Crammer, Dekel, Keshet, Shalev-Shwartz & Singer, "Online
+    Passive-Aggressive Algorithms", JMLR 2006), then truncation: with
+    loss = max(0, 1 - y<w, x>), tau = min(C, loss/||x||^2) and
+    w <- Truncate(w + tau y x, B)."""
+    learner = make("PA", d=3, B=1, C=0.5)
+    # Margin 0: loss 1, ||x||^2 = 4, tau = 1/4, below C.
+    learner.step(sv(3, {0: 2.0}), 1)
+    assert weights(learner) == {0: 0.5}
+    # Margin 0.25, a mistake: loss 1.25 over ||x||^2 = 0.3125 is 4, capped at
+    # C = 1/2; w - x/2 = (0.25, -0.125), cut to its largest.
+    learner.step(sv(3, {0: 0.5, 1: 0.25}), -1)
+    assert weights(learner) == {0: 0.25}
+    assert (learner.mistakes, learner.updates) == (2, 2)
+
+
+def test_ogd_two_step_hand_trace():
+    """Online gradient descent (Zinkevich, ICML 2003) on the hinge loss, then
+    truncation: on y<w, x> < 1, w <- Truncate(w + eta y x, B)."""
+    learner = make("OGD", d=3, B=2, eta=0.5)
+    # Margin 0 < 1, a mistake: w = x/2.
+    learner.step(sv(3, {0: 1.0}), 1)
+    assert weights(learner) == {0: 0.5}
+    # Margin 0.5: the sign is right but the hinge is active, so it steps:
+    # w + x/2 = (1, 1.5, 0.25), cut to its two largest.
+    learner.step(sv(3, {0: 1.0, 1: 3.0, 2: 0.5}), 1)
+    assert weights(learner) == {0: 1.0, 1: 1.5}
+    assert (learner.mistakes, learner.updates) == (1, 2)
 
 
 def test_ogd_gradient_step():
@@ -235,6 +295,31 @@ def test_romma_keeps_self_consistency_on_second_mistake():
     learner.step(sv(3, {1: 1.0}), -1)
     # x orthogonal to w: c = 1, d = -(1)/1 scaled by ||w||^2=1 -> w - x
     assert learner.w == sv(3, {0: 1.0, 1: -1.0})
+
+
+def test_romma_two_step_hand_trace():
+    """ROMMA (Li & Long, "The Relaxed Online Maximum Margin Algorithm",
+    Machine Learning 2002): on y<w, x> <= 0, w <- c w + d x with
+    c = (||x||^2 ||w||^2 - y<w, x>) / (||x||^2 ||w||^2 - <w, x>^2) and
+    d = ||w||^2 (y - <w, x>) / (||x||^2 ||w||^2 - <w, x>^2), then truncation.
+    With w = 0 the denominator vanishes and the step is the perceptron's."""
+    learner = make("ROMMA", d=3, B=2)
+    learner.step(sv(3, {0: 1.0}), 1)
+    assert weights(learner) == {0: 1.0}
+    # <w, x> = 1, a mistake; ||w||^2 = 1 and ||x||^2 = 2, so the denominator
+    # is 1, c = 2 + 1 = 3 and d = 1 (-1 - 1) = -2: w = 3 (1, 0) - 2 (1, 1).
+    learner.step(sv(3, {0: 1.0, 1: 1.0}), -1)
+    assert weights(learner) == {0: 1.0, 1: -2.0}
+    assert (learner.mistakes, learner.updates) == (2, 2)
+
+
+def test_romma_overflowing_norm_takes_the_perceptron_step():
+    # ||x||^2 overflows to inf and ||w||^2 is 0, so their product, and the
+    # denominator, are NaN: the step falls back to the perceptron's.
+    learner = make("ROMMA", d=2, B=2)
+    learner.step(sv(2, {0: 1e200, 1: 1.0}), 1)
+    assert learner.w == sv(2, {0: 1e200, 1: 1.0})
+    assert (learner.mistakes, learner.updates) == (1, 1)
 
 
 def test_alma_stays_in_unit_ball():
@@ -454,6 +539,35 @@ def test_a_given_margin_steps_like_a_computed_one(variant, B, data):
 
 # -- cross-variant invariants -------------------------------------------------------------
 
+# Finite entries whose squares, products and sums overflow to inf.
+_HUGE_VALUES = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, 3.0, 1e200, -1e200, 1e160, 1e-160]),
+    st.floats(-1e200, 1e200),
+)
+
+
+@st.composite
+def _huge_runs(draw):
+    """(d, B, stream) for d <= 5 and up to six instances of _HUGE_VALUES."""
+    d = draw(st.integers(1, 5))
+    instances = st.tuples(st.dictionaries(st.integers(0, d - 1), _HUGE_VALUES, max_size=d),
+                          st.sampled_from((-1, 1)))
+    return d, draw(st.integers(1, d)), draw(st.lists(instances, min_size=1, max_size=6))
+
+
+@given(st.sampled_from(VARIANTS), _huge_runs())
+@example("ROMMA", (2, 2, [({0: 1e200, 1: 1.0}, 1)]))  # a NaN denominator
+@example("ROMMA", (2, 2, [({0: 4.4794894843556084e102, 1: 4.4794894843556084e102}, 1),
+                          ({0: 1.0}, -1)]))  # ||w||^2 (1 - y<w, x>) overflows; d does not
+@settings(max_examples=400, deadline=None)
+def test_finite_instances_keep_the_weights_finite(variant, run):
+    d, B, stream = run
+    learner = make(variant, d=d, B=B, seed=3)
+    for entries, y in stream:
+        learner.step(sv(d, entries), y)
+        assert all(math.isfinite(v) for _, v in learner.w.items())
+
+
 def test_budget_never_exceeded_fuzz():
     rng = random.Random(2024)
     for variant in VARIANTS:
@@ -603,13 +717,37 @@ def test_dense_oracle_equivalence_all_variants():
             for i in range(d):
                 assert dict(learner.w.items()).get(i, 0.0) == pytest.approx(oracle.w[i], abs=1e-10), (
                     variant, i)
-    # ||x||^2 overflows to inf: both sides take the rescaled norm.
-    for variant in ("ALMA", "FOFS"):
+    # ||x||^2 overflows to inf: both sides take the rescaled norm, and ROMMA,
+    # whose denominator is then NaN, the perceptron step.
+    for variant in ("ALMA", "FOFS", "ROMMA"):
         learner = make(variant, d=2, B=2)
         oracle = DenseLearner(variant, 2, 2)
         learner.step(sv(2, {0: 1e200, 1: 1.0}), 1)
         oracle.step([1e200, 1.0], 1)
         assert [dict(learner.w.items()).get(i, 0.0) for i in range(2)] == oracle.w != [0.0, 0.0]
+    # ROMMA's ||w||^2 (1 - y<w, x>) overflows where its d does not: both divide first.
+    learner, oracle = make("ROMMA", d=2, B=2), DenseLearner("ROMMA", 2, 2)
+    for entries, y in (({0: 4.4794894843556084e102, 1: 4.4794894843556084e102}, 1), ({0: 1.0}, -1)):
+        learner.step(sv(2, entries), y)
+        oracle.step([entries.get(i, 0.0) for i in range(2)], y)
+    assert [dict(learner.w.items()).get(i, 0.0) for i in range(2)] == oracle.w
+    assert all(math.isfinite(v) for v in oracle.w)
+
+
+@pytest.mark.parametrize("eta, lam", [(0.5, 2.0), (0.5, 3.0)],
+                         ids=["decay-zero", "decay-negative"])
+def test_fofs_with_a_decay_of_zero_or_below_matches_the_dense_oracle(eta, lam):
+    # 1 - lam*eta is 0, which clears w before each step, or -0.5, which flips
+    # its sign; both must equal the oracle's bytes, not only within a tolerance.
+    rng = random.Random(77)
+    learner = make("FOFS", d=8, B=3, eta=eta, lam=lam)
+    oracle = DenseLearner("FOFS", 8, 3, eta=eta, lam=lam)
+    for _ in range(200):
+        x, y = random_instance(rng, 8, max_nnz=5)
+        learner.step(x, y)
+        oracle.step([dict(x.items()).get(i, 0.0) for i in range(8)], y)
+        assert [dict(learner.w.items()).get(i, 0.0) for i in range(8)] == oracle.w
+    assert learner.mistakes == oracle.mistakes > 0
 
 
 # -- pinned bytes ------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from negofs.sparse import (
     _restrict,
     check_budget,
     dot,
-    scale,
 )
 
 
@@ -262,8 +261,8 @@ def test_project_rejects_nonpositive_lambda():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_vector_arithmetic_rejects_non_finite_scalars(bad):
-    with pytest.raises(ValueError, match="s must be finite"):
-        scale(sv(3, {0: 1.0, 1: 2.0}), bad)
+    with pytest.raises(ValueError, match="^s must be finite"):
+        _add_cut(sv(3, {0: 1.0, 1: 2.0}), 1.0, sv(3, {2: 1.0}), 3, {}, s=bad)
 
 
 def test_project_norm_bound_randomized():
@@ -277,11 +276,18 @@ def test_project_norm_bound_randomized():
         assert out.norm_l2() <= 1.0 / math.sqrt(lam) + 1e-12
 
 
-def test_scale_identity_and_zero():
-    v = sv(3, {0: 2.0})
-    assert scale(v, 1.0) is v
-    assert scale(v, 0.0) == sv(3)
-    assert scale(v, -0.5) == sv(3, {0: -1.0})
+def test_add_cut_scales_its_base():
+    # s*base keeps the products at or above ZERO_EPS, then takes x's writes.
+    v, x = sv(4, {0: 2.0, 1: -3.0, 3: 1e-10}), sv(4, {1: 0.5, 2: 1.0})
+    for s in (1.0, 0.0, -0.0, -0.5, 1e-6, 5e-324, -1e-310):
+        alone = _add_cut(v, 0.5, sv(4), 4, {}, s=s)
+        assert list(alone.items()) == list(sparse_reference(dict(v.items()), s).items())
+        stepped = _add_cut(v, 0.5, x, 4, {}, s=s)
+        assert list(stepped.items()) == list(sparse_reference(_updated(v, 0.5, x, {}, s)).items())
+        assert_caches_hold(alone)
+        assert_caches_hold(stepped)
+    assert dict(_add_cut(v, 0.5, sv(4), 4, {}, s=-0.5).items()) == {0: -1.0, 1: 1.5, 3: -5e-11}
+    assert len(_add_cut(v, 0.5, sv(4), 4, {}, s=0.0)) == 0
 
 
 # -- the validating boundary and the trusted path --------------------------------------
@@ -335,7 +341,7 @@ def test_trusted_results_equal_the_public_constructor(d, data):
     s = data.draw(st.one_of(st.sampled_from([-1.0, 0.5, 1e-15, 0.0]),
                             st.floats(-3, 3, allow_nan=False)))
     assert_same_vector(_add_cut(w, s, x, d, {}))
-    assert_same_vector(scale(w, s))
+    assert_same_vector(_add_cut(w, 1.0, x, d, {}, s=s))
     assert_same_vector(cut(w, data.draw(st.integers(1, d))))
     assert_same_vector(project(w, data.draw(st.floats(0.01, 100))))
 
@@ -404,9 +410,10 @@ def test_cut_equals_truncate_of_the_scaled_rebuild(out, B, c):
     assert_caches_hold(got)
 
 
-def _updated(w, s, x, sigma):
-    """w's entries with x's indices rewritten to w_i + s*sigma_i*x_i, sigma_i 1.0 where unstored."""
-    out = dict(w.items())
+def _updated(w, s, x, sigma, decay=1.0):
+    """decay*w's entries at or above ZERO_EPS, with x's indices rewritten to
+    decay*w_i + s*sigma_i*x_i, sigma_i 1.0 where unstored."""
+    out = sparse_reference(dict(w.items()), decay)
     for i, v in x.items():
         out[i] = out.get(i, 0.0) + s * sigma.get(i, 1.0) * v
     return out
@@ -544,13 +551,12 @@ _FACTORS = st.one_of(
 @example({}, 0.0, False)    # and 0 * inf would be NaN
 @example({3: 1e-3, 5: 2.0}, 1e-13, True)   # a tiny factor drops the smallest entry
 @settings(max_examples=500)
-def test_scale_carries_a_floor_that_bounds_every_magnitude(entries, s, known):
+def test_add_cut_scales_a_floor_that_bounds_every_magnitude(entries, s, known):
     w = sv(12, entries)
-    if known:
-        w = scale(w, 1.0 + 2 ** -52)  # a source whose floor is already set
-    got = scale(w, s)
-    if got is w:
-        return
+    if known:  # a source whose floor is already set
+        w = _add_cut(w, 1.0, sv(12), 12, {}, s=1.0 + 2 ** -52)
+    got = _add_cut(w, 1.0, sv(12), 12, {}, s=s)
+    assert list(got.items()) == list(sparse_reference(dict(w.items()), s).items())
     assert got._floor is None or not math.isnan(got._floor)
     assert_caches_hold(got)
     fresh = sv(12, dict(got.items()))
@@ -558,9 +564,9 @@ def test_scale_carries_a_floor_that_bounds_every_magnitude(entries, s, known):
     assert pickle.dumps(got) == pickle.dumps(fresh)
 
 
-def _three_steps(w, s, x, B, lam):
-    """An ALMA or FOFS update: add s*x, then project into the L2 ball, then truncate."""
-    summed = sparse_reference(_updated(w, s, x, {}))
+def _three_steps(w, s, x, B, lam, decay=1.0):
+    """An ALMA or FOFS update: add s*x to decay*w, then project into the L2 ball, then truncate."""
+    summed = sparse_reference(_updated(w, s, x, {}, decay))
     return truncate_reference(project_l2_ball_reference(summed, lam), B)
 
 
@@ -575,8 +581,8 @@ _WIDE_VALUES = st.one_of(
 )
 
 
-# ALMA's and FOFS's factors between updates: FOFS decays its weights first,
-# and scale carries the floor over to the decayed vector.
+# The factors of the base in ALMA's and FOFS's updates: FOFS decays its
+# weights in the same _add_cut, which scales their floor by the decay.
 _DECAYS = st.sampled_from([1.0, 1.0, 0.998, 0.5, 1e-16])
 
 
@@ -593,11 +599,11 @@ def test_add_project_cut_equals_the_three_steps(data):
     B = data.draw(st.integers(1, d))
     lam = data.draw(_LAMS)
     for _ in range(data.draw(st.integers(1, 4))):
-        w = scale(w, data.draw(_DECAYS))
+        decay = data.draw(_DECAYS)
         x = sv(d, data.draw(entries))
         s = data.draw(st.one_of(_STEP_SCALES, st.sampled_from([8.0, -20.0])))
-        expected = _three_steps(w, s, x, B, lam)
-        got = _add_cut(w, s, x, B, {}, lam=lam)
+        expected = _three_steps(w, s, x, B, lam, decay)
+        got = _add_cut(w, s, x, B, {}, lam=lam, s=decay)
         assert dict(got.items()) == expected
         assert list(got.items()) == list(expected.items())
         assert_caches_hold(got)
@@ -699,7 +705,8 @@ def test_an_unsorted_dict_cannot_be_told_from_its_sorted_twin(entries, other_ent
         assert read(unsorted()) == read(twin), name
     assert unsorted() == twin and twin == unsorted()
     # What is derived from it keeps its order, and says so truthfully.
-    for derive in (lambda v: scale(v, -0.5), lambda v: _restrict(v, set(order[::2])),
+    for derive in (lambda v: _add_cut(v, 1.0, other, 6, {}, s=-0.5),
+                   lambda v: _restrict(v, set(order[::2])),
                    lambda v: _add_cut(v, 1.0, other, 6, {})):
         got = derive(unsorted())
         assert_caches_hold(got)
